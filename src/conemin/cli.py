@@ -13,8 +13,7 @@ exits 0 when every verdict passes, 2 on a verdict failure, 1 on execution
 or config errors.  `validate` only prints the normalized config.
 
 CSV floats are printed with %.17g and "\n" endings, and the minimizer
-reduces in a fixed order, so repeated runs produce byte-identical tables
-regardless of CONEMIN_THREADS.
+reduces in a fixed order, so repeated runs produce byte-identical tables.
 """
 
 from __future__ import annotations

@@ -8,14 +8,12 @@ is monotone by construction.
 
 Per-vertex gradient accumulation is chunked by triangle index with a fixed
 chunk size and the chunk sums are reduced in index order, so results are
-bit-identical for any thread count (env var CONEMIN_THREADS).
+bit-identical from run to run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +27,7 @@ from .diagnostics import (
     vertex_distance,
 )
 
-GRAD_CHUNK = 1024  # triangles per accumulation chunk; never depends on threads
+GRAD_CHUNK = 1024  # triangles per accumulation chunk
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
 # squared edge means the triangle is numerically flat
@@ -37,16 +35,6 @@ CONTAIN_TOL = 1e-9
 
 RADII_FRACTIONS = np.linspace(0.15, 0.95, 10)
 DEVIATION_WINDOWS = ((0.1, 0.5), (0.2, 0.9))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CONEMIN_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("CONEMIN_THREADS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -240,21 +228,14 @@ def area_gradient(mesh: TriMesh) -> np.ndarray:
     """Per-vertex gradient of surface_area, shape (n, 3).
 
     Contributions are summed per fixed-size triangle chunk and the chunks
-    are reduced in index order, independent of CONEMIN_THREADS.
+    are reduced in index order.
     """
     m = mesh.n_triangles
-    bounds = [(lo, min(lo + GRAD_CHUNK, m)) for lo in range(0, m, GRAD_CHUNK)]
-    if not bounds:
+    if m == 0:
         return np.zeros_like(mesh.vertices)
-    threads = min(_thread_count(), len(bounds))
-    if threads <= 1 or len(bounds) == 1:
-        parts = [_gradient_chunk(mesh, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda lh: _gradient_chunk(mesh, *lh), bounds))
-    total = parts[0]
-    for p in parts[1:]:
-        total += p
+    total = _gradient_chunk(mesh, 0, min(GRAD_CHUNK, m))
+    for lo in range(GRAD_CHUNK, m, GRAD_CHUNK):
+        total += _gradient_chunk(mesh, lo, min(lo + GRAD_CHUNK, m))
     return total
 
 

@@ -7,10 +7,11 @@ contact angle along the free boundary; vertex_distance is the exact
 distance from the origin to the surface.
 
 Ball clipping happens in each triangle's own plane, where the ball cuts a
-disk centered at the foot of the perpendicular from the origin.  For the
-area ratio the circular edge is replaced by an inscribed 16-segment
-polyline; for the deviation integral the leftover crossing pieces after two
-refinement rounds are clipped exactly, circular segments included.
+disk centered at the foot of the perpendicular from the origin.  One
+batched kernel, _disk_clip, gives the exact area and first moment of every
+triangle ∩ disk, circular segments included: p(r) is exact to rounding,
+and the deviation integral uses it for the pieces that still cross a
+sphere after two refinement rounds.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .geometry import PolyhedralCone
 from .mesh import TriMesh, VertexClass
 
-ARC_SEGMENTS = 16
 DEVIATION_CHUNK = 262144
 FACET_TOL = 1e-7
 
@@ -79,143 +79,68 @@ def vertex_distance(mesh: TriMesh) -> float:
     return float(np.min(_point_triangle_distances(a, b, c)))
 
 
-def _clip_chain(pts2: np.ndarray, s: float):
-    """Boundary chain of (convex CCW polygon) ∩ (disk radius s at origin).
+def _disk_clip(pts: np.ndarray, s: np.ndarray):
+    """Exact area and first moment of each triangle ∩ disk, batched.
 
-    Returns None when the polygon is entirely inside the disk, "disk" when
-    the disk is entirely inside the polygon, [] when disjoint, else a list
-    of ((entry, exit), exits_on_circle) per retained edge piece, in order.
+    pts is an (m, 3, 2) array of triangles, each in its own chart, and s an
+    (m,) array of radii of disks centred at the chart origins.  By Green's
+    theorem the clip is the sum over the edges p -> q of the signed region
+    tri(O, p, q) ∩ disk: the part of the edge inside the disk closes a chord
+    triangle with O, each part outside closes a circular sector.  Nested,
+    disjoint and crossing cases need no branches, and either orientation of
+    a triangle gives the same result.  Returns areas (m,) and moments (m, 2).
     """
-    norms = np.linalg.norm(pts2, axis=1)
-    if np.all(norms <= s):
-        return None
-    k = len(pts2)
-    pieces = []
-    for i in range(k):
-        p, q = pts2[i], pts2[(i + 1) % k]
-        d = q - p
-        aa = float(d @ d)
-        if aa <= 0:
-            continue
-        bb = 2.0 * float(p @ d)
-        cc = float(p @ p) - s * s
-        disc = bb * bb - 4.0 * aa * cc
-        if disc <= 0:
-            continue
-        sq = math.sqrt(disc)
-        t0 = (-bb - sq) / (2.0 * aa)
-        t1 = (-bb + sq) / (2.0 * aa)
-        lo, hi = max(t0, 0.0), min(t1, 1.0)
-        if hi - lo <= 1e-14:
-            continue
-        pieces.append((p + lo * d, p + hi * d))
-    if pieces:
-        # an arc joins a piece to the next whenever they do not share an
-        # endpoint; exits exactly at a polygon vertex are covered by this
-        # rule where a mid-edge test would miss them
-        tol = 1e-9 * (s + float(norms.max()))
-        m = len(pieces)
-        return [((entry, exit_),
-                 bool(np.linalg.norm(pieces[(i + 1) % m][0] - exit_) > tol))
-                for i, (entry, exit_) in enumerate(pieces)]
-    # no edge piece survives: disk and polygon interiors are nested or apart
-    e1 = pts2[np.arange(k)]
-    e2 = pts2[(np.arange(k) + 1) % k]
-    cross = (e2[:, 0] - e1[:, 0]) * (-e1[:, 1]) - (e2[:, 1] - e1[:, 1]) * (-e1[:, 0])
-    return "disk" if np.all(cross >= 0) else []
+    p, q = pts, np.roll(pts, -1, axis=1)
+    d = q - p
+    aa = np.einsum("mkj,mkj->mk", d, d)
+    bb = np.einsum("mkj,mkj->mk", p, d)
+    cc = np.einsum("mkj,mkj->mk", p, p) - (s * s)[:, None]
+    disc = bb * bb - aa * cc
+    hit = (disc > 0) & (aa > 0)
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    aa = np.where(hit, aa, 1.0)
+    lo = np.where(hit, np.clip((-bb - root) / aa, 0.0, 1.0), 0.0)[..., None]
+    hi = np.where(hit, np.clip((-bb + root) / aa, 0.0, 1.0), 0.0)[..., None]
+    # p -> A and B -> q lie outside the disk, A -> B inside it
+    A, B = p + lo * d, p + hi * d
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    chord = cross(A, B)
+    area = 0.5 * chord
+    moment = chord[..., None] * (A + B) / 6.0
+    for u, v in ((p, A), (B, q)):
+        dphi = np.arctan2(cross(u, v), np.einsum("mkj,mkj->mk", u, v))
+        area = area + 0.5 * (s * s)[:, None] * dphi
+        nu = np.linalg.norm(u, axis=2, keepdims=True)
+        nv = np.linalg.norm(v, axis=2, keepdims=True)
+        du = u / np.where(nu > 0, nu, 1.0)
+        dv = v / np.where(nv > 0, nv, 1.0)
+        moment = moment + (s ** 3 / 3.0)[:, None, None] * np.stack(
+            [dv[..., 1] - du[..., 1], du[..., 0] - dv[..., 0]], axis=2)
+    sign = np.sign(cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]))
+    return sign * area.sum(axis=1), sign[:, None] * moment.sum(axis=1)
 
 
-def _polygon_area_centroid(pts):
-    x = np.asarray([p[0] for p in pts])
-    y = np.asarray([p[1] for p in pts])
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
-    w = x * y2 - x2 * y
-    area = 0.5 * float(np.sum(w))
-    if abs(area) <= 1e-300:
-        return 0.0, np.zeros(2)
-    cx = float(np.sum((x + x2) * w)) / (6.0 * area)
-    cy = float(np.sum((y + y2) * w)) / (6.0 * area)
-    return area, np.array([cx, cy])
-
-
-def _clip_area_polyline(pts2: np.ndarray, s: float) -> float:
-    """Area of polygon ∩ disk with arcs replaced by inscribed polylines."""
-    chain = _clip_chain(pts2, s)
-    if chain is None:
-        area, _ = _polygon_area_centroid(list(pts2))
-        return abs(area)
-    if chain == "disk":
-        return math.pi * s * s
-    if not chain:
-        return 0.0
-    pts = []
-    m = len(chain)
-    for i, ((entry, exit_), on_circle) in enumerate(chain):
-        pts.append(entry)
-        pts.append(exit_)
-        if on_circle:
-            nxt = chain[(i + 1) % m][0][0]
-            phi0 = math.atan2(exit_[1], exit_[0])
-            phi1 = math.atan2(nxt[1], nxt[0])
-            dphi = (phi1 - phi0) % (2.0 * math.pi)
-            for j in range(1, ARC_SEGMENTS):
-                ang = phi0 + dphi * j / ARC_SEGMENTS
-                pts.append(np.array([s * math.cos(ang), s * math.sin(ang)]))
-    area, _ = _polygon_area_centroid(pts)
-    return abs(area)
-
-
-def _clip_area_centroid_exact(pts2: np.ndarray, s: float):
-    """Exact area and centroid of polygon ∩ disk, circular segments included."""
-    chain = _clip_chain(pts2, s)
-    if chain is None:
-        area, cen = _polygon_area_centroid(list(pts2))
-        return abs(area), cen
-    if chain == "disk":
-        return math.pi * s * s, np.zeros(2)
-    if not chain:
-        return 0.0, np.zeros(2)
-    pts = []
-    arcs = []
-    m = len(chain)
-    for i, ((entry, exit_), on_circle) in enumerate(chain):
-        pts.append(entry)
-        pts.append(exit_)
-        if on_circle:
-            nxt = chain[(i + 1) % m][0][0]
-            phi0 = math.atan2(exit_[1], exit_[0])
-            phi1 = math.atan2(nxt[1], nxt[0])
-            arcs.append((phi0, (phi1 - phi0) % (2.0 * math.pi)))
-    area, cen = _polygon_area_centroid(pts)
-    total = abs(area)
-    moment = total * cen
-    for phi0, dphi in arcs:
-        seg = 0.5 * s * s * (dphi - math.sin(dphi))
-        if seg <= 1e-300:
-            continue
-        mid = phi0 + 0.5 * dphi
-        dist = 4.0 * s * math.sin(0.5 * dphi) ** 3 / (3.0 * (dphi - math.sin(dphi)))
-        cseg = dist * np.array([math.cos(mid), math.sin(mid)])
-        total += seg
-        moment = moment + seg * cseg
-    if total <= 0:
-        return 0.0, np.zeros(2)
-    return total, moment / total
-
-
-def _inplane(a, b, c, nhat):
-    """2D chart of a triangle in its plane, origin at the perpendicular foot."""
-    off = float(a @ nhat)
-    foot = off * nhat
+def _charts(a, b, c, nhat):
+    """In-plane charts of triangles with unit normals nhat, origin at the
+    foot of the perpendicular from 0: (m, 3, 2) corners, signed plane
+    offsets, feet and chart axes eu, ev."""
+    off = np.einsum("ij,ij->i", a, nhat)
+    foot = off[:, None] * nhat
     eu = b - a
-    eu = eu / np.linalg.norm(eu)
+    eu = eu / np.linalg.norm(eu, axis=1)[:, None]
     ev = np.cross(nhat, eu)
-    pts = np.stack([a, b, c]) - foot
-    pts2 = np.stack([pts @ eu, pts @ ev], axis=1)
-    ar = _polygon_area_centroid(list(pts2))[0]
-    if ar < 0:
-        pts2 = pts2[::-1]
-    return pts2, off, foot, eu, ev
+    rel = np.stack([a, b, c], axis=1) - foot[:, None, :]
+    pts = np.stack([np.einsum("mkj,mj->mk", rel, eu),
+                    np.einsum("mkj,mj->mk", rel, ev)], axis=2)
+    return pts, off, foot, eu, ev
+
+
+def _disk_radius(r, off):
+    """Radius of the disk B_r cuts in a plane at distance |off| (0 if none)."""
+    return np.sqrt(np.maximum(r * r - off * off, 0.0))
 
 
 def monotonicity_ratio(mesh: TriMesh, radii) -> list:
@@ -238,12 +163,10 @@ def monotonicity_ratio(mesh: TriMesh, radii) -> list:
     table = []
     for r in radii:
         inside = d_max <= r
-        total = float(np.sum(areas[inside]))
-        for i in np.nonzero(~inside & (d_min < r) & (areas > 0))[0]:
-            pts2, off, _, _, _ = _inplane(a[i], b[i], c[i], nhat[i])
-            if r * r <= off * off:
-                continue
-            total += _clip_area_polyline(pts2, math.sqrt(r * r - off * off))
+        cut = ~inside & (d_min < r) & (areas > 0)
+        pts, off, _, _, _ = _charts(a[cut], b[cut], c[cut], nhat[cut])
+        clipped, _ = _disk_clip(pts, _disk_radius(r, off))
+        total = float(np.sum(areas[inside])) + float(np.sum(clipped))
         table.append((r, total / (r * r)))
     return table
 
@@ -266,32 +189,26 @@ def _subdivide(a, b, c):
     return na, nb, nc
 
 
-def _annulus_piece(a, b, c, nhat, rho, r):
-    """Exact centroid-rule contribution of one triangle to the
-    |x.n|/|x|^3 integral over B_r minus B_rho."""
-    pts2, off, foot, eu, ev = _inplane(a, b, c, nhat)
-    if r * r <= off * off:
-        return 0.0
-    s_r = math.sqrt(r * r - off * off)
-    area_r, cen_r = _clip_area_centroid_exact(pts2, s_r)
-    if rho * rho > off * off:
-        s_rho = math.sqrt(rho * rho - off * off)
-        area_rho, cen_rho = _clip_area_centroid_exact(pts2, s_rho)
-    else:
-        area_rho, cen_rho = 0.0, np.zeros(2)
+def _annulus_pieces(a, b, c, nhat, rho, r) -> float:
+    """Exact centroid-rule contribution of triangles to the |x.n|/|x|^3
+    integral over B_r minus B_rho: each is clipped against both disks."""
+    pts, off, foot, eu, ev = _charts(a, b, c, nhat)
+    area_r, mom_r = _disk_clip(pts, _disk_radius(r, off))
+    area_rho, mom_rho = _disk_clip(pts, _disk_radius(rho, off))
     area = area_r - area_rho
-    if area <= 1e-300:
-        return 0.0
-    cen2 = (area_r * cen_r - area_rho * cen_rho) / area
-    cen3 = foot + cen2[0] * eu + cen2[1] * ev
-    return area * abs(off) / float(np.linalg.norm(cen3)) ** 3
+    ok = area > 1e-300
+    cen2 = (mom_r - mom_rho)[ok] / area[ok, None]
+    cen3 = foot[ok] + cen2[:, :1] * eu[ok] + cen2[:, 1:] * ev[ok]
+    return float(np.sum(area[ok] * np.abs(off[ok])
+                        / np.linalg.norm(cen3, axis=1) ** 3))
 
 
 def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
     """∫ |x·ν|/|x|³ over mesh ∩ (B_r ∖ B_ρ) by centroid quadrature.
 
-    Triangles crossing either sphere are refined 4-way twice; pieces still
-    crossing after that are clipped exactly in their plane.
+    Triangles crossing either sphere are refined 4-way twice; the pieces
+    still crossing after that are clipped exactly against both balls by
+    _disk_clip, and their area and centroid enter the centroid rule.
     """
     rho, r = float(rho), float(r)
     if not 0 < rho < r:
@@ -322,8 +239,8 @@ def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
             if level < 2:
                 a, b, c = _subdivide(a[crossing], b[crossing], c[crossing])
             else:
-                for i in np.nonzero(crossing)[0]:
-                    total += _annulus_piece(a[i], b[i], c[i], nhat[i], rho, r)
+                total += _annulus_pieces(a[crossing], b[crossing],
+                                         c[crossing], nhat[crossing], rho, r)
     return total
 
 

@@ -153,30 +153,42 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
     if np.any(counts > 2):
         raise ValueError("non-manifold edge: more than two incident triangles")
 
-    normals = cone.normals
-    for i in range(n):
-        cls = mesh.vertex_class[i]
-        v = mesh.vertices[i]
-        if cls == VertexClass.FREE_BOUNDARY:
-            f = mesh.facet[i]
-            if f < 0 or f >= len(normals):
-                raise ValueError(f"vertex {i}: invalid facet index {f}")
-            if abs(float(normals[f] @ v)) > PLANE_TOL:
-                raise ValueError(f"vertex {i} off its facet plane")
-        elif cls == VertexClass.EDGE_PINNED:
-            f, g = mesh.facet[i], mesh.facet2[i]
-            if min(f, g) < 0 or max(f, g) >= len(normals):
-                raise ValueError(f"vertex {i}: invalid facet pair ({f}, {g})")
-            if (abs(float(normals[f] @ v)) > PLANE_TOL
-                    or abs(float(normals[g] @ v)) > PLANE_TOL):
-                raise ValueError(f"vertex {i} off its pinned edge line")
-        elif cls == VertexClass.CLAMPED:
-            if mesh.clamp_radius is None:
-                raise ValueError("clamped vertices but no clamp_radius")
-            if abs(float(np.linalg.norm(v)) - mesh.clamp_radius) > PLANE_TOL:
-                raise ValueError(f"vertex {i} off the clamp sphere")
-        elif cls != VertexClass.INTERIOR:
-            raise ValueError(f"vertex {i}: unknown class {cls}")
+    # per-class checks; the lowest-indexed offending vertex is reported,
+    # with its class's first failed check
+    normals, v, cls = cone.normals, mesh.vertices, mesh.vertex_class
+    f, g, k = mesh.facet, mesh.facet2, len(normals)
+    fb = cls == VertexClass.FREE_BOUNDARY
+    ep = cls == VertexClass.EDGE_PINNED
+    cl = cls == VertexClass.CLAMPED
+    f_ok = (f >= 0) & (f < k)
+    g_ok = (g >= 0) & (g < k)
+    # out-of-range facet indices are masked before they index the normals;
+    # their vertices fail the index checks below instead
+    off_f = np.abs(np.einsum("ij,ij->i", normals[np.where(f_ok, f, 0)], v)) > PLANE_TOL
+    off_g = np.abs(np.einsum("ij,ij->i", normals[np.where(g_ok, g, 0)], v)) > PLANE_TOL
+    if mesh.clamp_radius is None:
+        no_radius, off_sphere = cl, np.zeros(n, dtype=bool)
+    else:
+        no_radius = np.zeros(n, dtype=bool)
+        off_sphere = cl & (np.abs(np.linalg.norm(v, axis=1) - mesh.clamp_radius)
+                           > PLANE_TOL)
+    checks = (
+        (fb & ~f_ok, lambda i: f"vertex {i}: invalid facet index {f[i]}"),
+        (fb & f_ok & off_f, lambda i: f"vertex {i} off its facet plane"),
+        (ep & ~(f_ok & g_ok),
+         lambda i: f"vertex {i}: invalid facet pair ({f[i]}, {g[i]})"),
+        (ep & f_ok & g_ok & (off_f | off_g),
+         lambda i: f"vertex {i} off its pinned edge line"),
+        (no_radius, lambda i: "clamped vertices but no clamp_radius"),
+        (off_sphere, lambda i: f"vertex {i} off the clamp sphere"),
+        (~(fb | ep | cl | (cls == VertexClass.INTERIOR)),
+         lambda i: f"vertex {i}: unknown class {cls[i]}"),
+    )
+    bad = [(int(np.argmax(mask)), message) for mask, message in checks
+           if mask.any()]
+    if bad:
+        i, message = min(bad, key=lambda im: im[0])
+        raise ValueError(message(i))
 
 
 def euler_characteristic(mesh: TriMesh) -> int:

@@ -11,7 +11,9 @@ from conemin import descent as dsc
 from conemin import diagnostics as diag
 from conemin import geometry as geo
 from conemin import mesh as msh
-from oracles import annulus_inverse_cube_integral, brute_point_triangle_distance
+from oracles import (annulus_inverse_cube_integral,
+                     brute_point_triangle_distance, circle_segment_area,
+                     shoelace)
 
 
 def planar_sector_mesh(b, R=1.0, resolution=24):
@@ -249,56 +251,91 @@ def test_boundary_angles_error_without_free_boundary():
         diag.boundary_angle_audit(m, cone)
 
 
-# ---------------------------------------------------------------- clip helpers
+# ---------------------------------------------------------------- clip kernel
+
+def clip(tris, s):
+    """Run the batched kernel on a list of triangles against one radius."""
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
+    return diag._disk_clip(tris, np.full(len(tris), float(s)))
+
 
 def test_clip_area_full_disk_inside_polygon():
-    # big square centred at origin, small disk: clip area = disk area
-    pts = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])
-    got = diag._clip_area_polyline(pts, 0.5)
-    # inscribed 16-gon per crossing: whole disk case is exact
-    assert got == pytest.approx(math.pi * 0.25, rel=1e-12)
+    # square [-2, 2]^2 as two triangles, disk radius 0.5 at its centre
+    sq = [[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]]
+    area, moment = clip([[sq[0], sq[1], sq[2]], [sq[0], sq[2], sq[3]]], 0.5)
+    assert area.sum() == pytest.approx(math.pi * 0.25, rel=1e-14)
+    npt.assert_allclose(moment.sum(axis=0), 0.0, atol=1e-15)
 
 
 def test_clip_area_polygon_inside_disk():
-    pts = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]])
-    got = diag._clip_area_polyline(pts, 5.0)
-    assert got == pytest.approx(0.06, rel=1e-12)
+    tri = np.array([[0.1, -0.2], [0.3, 0.05], [-0.15, 0.4]])
+    area, moment = clip([tri], 5.0)
+    want = shoelace(tri)
+    assert area[0] == pytest.approx(want, rel=1e-14)
+    npt.assert_allclose(moment[0] / area[0], tri.mean(axis=0), atol=1e-15)
 
 
 def test_clip_area_disjoint():
-    pts = np.array([[2.0, 2.0], [3.0, 2.0], [2.0, 3.0]])
-    assert diag._clip_area_polyline(pts, 1.0) == 0.0
+    # the three sectors cancel to rounding
+    area, moment = clip([[[2.0, 2.0], [3.0, 2.0], [2.0, 3.0]]], 1.0)
+    assert area[0] == pytest.approx(0.0, abs=1e-15)
+    npt.assert_allclose(moment[0], 0.0, atol=1e-15)
 
 
 def test_clip_area_half_plane_cut():
-    # unit square [0,1]^2 against disk radius 1: exact quarter + segments
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    s = 1.0
-    exact = math.pi / 4 + 0.0  # square corner (1,1) is outside, arcs meet axes
-    got_exact, _ = diag._clip_area_centroid_exact(pts, s)
-    assert got_exact == pytest.approx(math.pi / 4, rel=1e-12)
-    got_poly = diag._clip_area_polyline(pts, s)
-    # 16-chord inscribed polyline under-shoots the quarter arc by exactly
-    # the sum of the circular-segment slivers
-    deficit = 0.5 * (math.pi / 2 - 16 * math.sin(math.pi / 32))
-    assert got_poly == pytest.approx(math.pi / 4 - deficit, rel=1e-12)
-    assert got_poly < got_exact
+    # unit square [0,1]^2 against the unit disk: a quarter disk
+    sq = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    area, moment = clip([[sq[0], sq[1], sq[2]], [sq[0], sq[2], sq[3]]], 1.0)
+    total = area.sum()
+    assert total == pytest.approx(math.pi / 4, rel=1e-14)
+    npt.assert_allclose(moment.sum(axis=0) / total,
+                        [4.0 / (3.0 * math.pi)] * 2, rtol=1e-14)
 
 
-def test_exact_clip_matches_polyline_on_random_triangles():
+def test_clip_random_half_plane_cuts_match_circle_segment():
+    # a triangle with one edge on the chord line {x . u = d}, covering the
+    # whole segment beyond it: area and moment of the circular segment
     rng = np.random.default_rng(19)
-    for _ in range(50):
-        pts = rng.uniform(-1.5, 1.5, (3, 2))
-        d1, d2 = pts[1] - pts[0], pts[2] - pts[0]
-        area2 = d1[0] * d2[1] - d1[1] * d2[0]
-        if abs(area2) < 1e-3:
-            continue
-        if area2 < 0:
-            pts = pts[::-1]
-        s = rng.uniform(0.3, 1.6)
-        a_exact, _ = diag._clip_area_centroid_exact(pts, s)
-        a_poly = diag._clip_area_polyline(pts, s)
-        # worst case is a full-circle arc split into 16 chords
-        bound = 0.5 * s * s * (2 * math.pi - 16 * math.sin(math.pi / 8))
-        assert a_poly == pytest.approx(a_exact, abs=bound + 1e-12)
-        assert a_poly <= a_exact + 1e-12
+    for _ in range(200):
+        s = rng.uniform(0.2, 2.0)
+        d = rng.uniform(-0.99, 0.99) * s
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        u = np.array([math.cos(th), math.sin(th)])
+        w = np.array([-u[1], u[0]])
+        big = 4.0 * s
+        tri = np.array([d * u - big * w, (d + big) * u, d * u + big * w])
+        if rng.random() < 0.5:
+            tri = tri[::-1]
+        area, moment = clip([tri], s)
+        assert area[0] == pytest.approx(circle_segment_area(s, d),
+                                        rel=1e-12, abs=1e-14)
+        want = 2.0 / 3.0 * (s * s - d * d) ** 1.5 * u
+        npt.assert_allclose(moment[0], want, atol=1e-13 * s ** 3)
+
+
+def test_clip_cw_chart_equals_ccw_chart():
+    rng = np.random.default_rng(23)
+    tris = rng.uniform(-1.5, 1.5, (300, 3, 2))
+    s = rng.uniform(0.0, 1.6, 300)
+    a_ccw, m_ccw = diag._disk_clip(tris, s)
+    a_cw, m_cw = diag._disk_clip(tris[:, ::-1], s)
+    npt.assert_allclose(a_cw, a_ccw, rtol=1e-13, atol=1e-15)
+    npt.assert_allclose(m_cw, m_ccw, rtol=1e-13, atol=1e-15)
+    assert np.all(a_ccw >= -1e-15)
+
+
+# ---------------------------------------------------------------- regression pins
+
+def test_deviation_offset_plane_regression_pin():
+    # the per-triangle exact clip that the batched kernel replaced gave
+    # 2.5703635645431246 on this plane
+    got = diag.conical_deviation(offset_plane_mesh(3.0, 160), 1.1, 2.0)
+    assert got == pytest.approx(2.5703635645431246, rel=1e-12)
+
+
+def test_monotonicity_exact_on_offset_plane():
+    # plane {x3 = 1} meets B_r in a disk of radius sqrt(r^2 - 1)
+    m = offset_plane_mesh(3.0, 160)
+    for r, p in diag.monotonicity_ratio(m, np.linspace(1.05, 2.0, 8)):
+        assert p == pytest.approx(math.pi * (r * r - 1.0) / (r * r),
+                                  rel=0, abs=1e-12)

@@ -102,6 +102,57 @@ def test_validate_checks_clamp_sphere():
         msh.validate(m, cone)
 
 
+def cone_triangle_mesh(cls, facet=None, facet2=None, clamp_radius=1.0):
+    """Triangle with vertices 0 and 1 on the unit sphere and on the facet
+    x3 = x2 of C_{1,1}, vertex 2 on the x3 axis."""
+    s = 1.0 / math.sqrt(2.0)
+    verts = np.array([[0.0, s, s], [0.3, 0.5 * s, 0.5 * s], [0.0, 0.0, 1.0]])
+    verts[1] /= np.linalg.norm(verts[1])
+    return msh.TriMesh(verts, np.array([[0, 1, 2]]),
+                       np.array(cls, dtype=np.int64), facet, facet2,
+                       clamp_radius)
+
+
+def test_validate_names_lowest_offending_vertex():
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    fb, cl = msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.CLAMPED
+    # vertex 1 off the clamp sphere, vertex 2 off facet 0
+    m = cone_triangle_mesh([cl, cl, fb], facet=[-1, -1, 0])
+    m.vertices[1] *= 1.1
+    with pytest.raises(ValueError, match=r"^vertex 1 off the clamp sphere$"):
+        msh.validate(m, cone)
+    # the lower vertex wins even when its check comes last
+    m = cone_triangle_mesh([7, cl, fb], facet=[-1, -1, 9])
+    with pytest.raises(ValueError, match=r"^vertex 0: unknown class 7$"):
+        msh.validate(m, cone)
+
+
+def test_validate_rejects_out_of_range_facet_index():
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    fb, ep = msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.EDGE_PINNED
+    inner = msh.VertexClass.INTERIOR
+    for bad in (4, 99, -3):
+        m = cone_triangle_mesh([inner, fb, inner], facet=[-1, bad, -1])
+        with pytest.raises(ValueError,
+                           match=rf"^vertex 1: invalid facet index {bad}$"):
+            msh.validate(m, cone)
+    m = cone_triangle_mesh([inner, ep, inner], facet=[-1, 2, -1],
+                           facet2=[-1, 99, -1])
+    with pytest.raises(ValueError,
+                       match=r"^vertex 1: invalid facet pair \(2, 99\)$"):
+        msh.validate(m, cone)
+
+
+def test_validate_rejects_unknown_class():
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    inner = msh.VertexClass.INTERIOR
+    m = cone_triangle_mesh([inner, inner, inner])
+    msh.validate(m, cone)
+    m.vertex_class[2] = 4
+    with pytest.raises(ValueError, match=r"^vertex 2: unknown class 4$"):
+        msh.validate(m, cone)
+
+
 def test_obj_round_trip_with_sidecar(tmp_path):
     cone = geo.pyramid_to_cone(1.0, 2.0)
     from conemin.descent import make_initial_plane
