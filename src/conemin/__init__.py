@@ -4,20 +4,14 @@ pyramid cones, spherical-geodesic audits, and a discrete minimizer whose
 surfaces detach from the cone apex."""
 
 from .geometry import (
-    Enclosure,
     HalfSpace,
     PolyhedralCone,
     Pyramid,
     Wedge,
     cone_from_dict,
-    cone_to_dict,
     contains,
-    cross_section,
     is_vertex,
-    pyramid_enclosure,
     pyramid_to_cone,
-    spine,
-    tangent_cone,
     wedge_above,
 )
 from .spherical import (
@@ -52,7 +46,6 @@ from .competitor import (
 from .mesh import (
     TriMesh,
     VertexClass,
-    boundary_edges,
     euler_characteristic,
     load_obj,
     save_obj,
@@ -74,7 +67,6 @@ from .diagnostics import (
     BoundaryAngleStats,
     boundary_angle_audit,
     conical_deviation,
-    density_ratio_bounds,
     monotonicity_ratio,
     vertex_distance,
 )
@@ -82,10 +74,8 @@ from .diagnostics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Enclosure", "HalfSpace", "PolyhedralCone", "Pyramid", "Wedge",
-    "cone_from_dict", "cone_to_dict", "contains", "cross_section",
-    "is_vertex", "pyramid_enclosure", "pyramid_to_cone", "spine",
-    "tangent_cone", "wedge_above",
+    "HalfSpace", "PolyhedralCone", "Pyramid", "Wedge", "cone_from_dict",
+    "contains", "is_vertex", "pyramid_to_cone", "wedge_above",
     "GeodesicArc", "GeodesicPolygon", "Meridian", "TwoArcReport",
     "arc_length", "equator_pole", "geodesic_residual", "interior_angle",
     "meets_orthogonally", "meridian", "spherical_excess", "two_arc_audit",
@@ -93,12 +83,12 @@ __all__ = [
     "export_competitor_mesh", "feasible_params", "find_epsilon_star", "phi",
     "phi_prime", "ruled_area", "section_areas", "trapezium_area",
     "weighted_energy",
-    "TriMesh", "VertexClass", "boundary_edges", "euler_characteristic",
+    "TriMesh", "VertexClass", "euler_characteristic",
     "load_obj", "save_obj", "surface_area", "triangle_areas",
     "triangle_normals", "validate",
     "Diagnostics", "MinimizeConfig", "area_gradient", "make_initial_plane",
     "minimize", "project_gradient", "project_to_constraints",
     "BoundaryAngleStats", "boundary_angle_audit", "conical_deviation",
-    "density_ratio_bounds", "monotonicity_ratio", "vertex_distance",
+    "monotonicity_ratio", "vertex_distance",
     "__version__",
 ]

@@ -10,7 +10,8 @@ audit-geodesics, monotonicity), a cone given as exactly one of
 (default 0), verdict tolerances, and kind-specific parameters.  `run`
 writes report.json, CSV tables, and any meshes to the output directory and
 exits 0 when every verdict passes, 2 on a verdict failure, 1 on execution
-or config errors.  `validate` only prints the normalized config.
+or config errors.  `validate` runs the same config check, cone included,
+and prints the normalized config.
 
 CSV floats are printed with %.17g and "\n" endings, and the minimizer
 reduces in a fixed order, so repeated runs produce byte-identical tables.
@@ -38,180 +39,126 @@ from .competitor import (
 )
 from .descent import MinimizeConfig, make_initial_plane, minimize
 from .diagnostics import monotonicity_ratio
-from .geometry import PolyhedralCone, pyramid_to_cone, unit
+from .geometry import as_number, cone_from_dict, unit
 from .mesh import save_obj
 from .spherical import two_arc_audit
-
-KINDS = ("competitor", "minimize", "audit-geodesics", "monotonicity")
-
-COMMON_KEYS = {"kind", "cone", "seed", "out", "tolerances"}
-KIND_KEYS = {
-    "competitor": {"profile", "sweep_grid", "mesh_resolution"},
-    "minimize": {"R", "resolution", "max_iters", "grad_tol", "initial_step",
-                 "armijo_c", "jitter"},
-    "audit-geodesics": {"count"},
-    "monotonicity": {"R", "resolution", "radii"},
-}
-DEFAULT_TOLERANCES = {
-    "competitor": {"deficit_witness": 1e-9},
-    "minimize": {"area_decrease": 0.0, "vertex_monotone": 1e-6,
-                 "p_monotone": 1e-3},
-    "audit-geodesics": {"excess_witness": 1e-9},
-    "monotonicity": {"p_monotone": 1e-3},
-}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _require_number(cfg, key, default=None, positive=False, integer=False,
-                    nonnegative=False):
-    val = cfg.get(key, default)
+# The config check is this table: kind -> field -> (default, number kind,
+# bound).  A default of None marks a required field.  A bound is a
+# (test, wording) pair; None leaves the range to MinimizeConfig, whose own
+# checks run on the minimize fields, or to nobody for tolerances.  Every
+# number must be finite.
+POSITIVE = (lambda x: x > 0, "> 0")
+NONNEGATIVE = (lambda x: x >= 0, ">= 0")
+NUMBERS = {
+    "competitor": {"sweep_grid": (64, int, POSITIVE),
+                   "mesh_resolution": (64, int, POSITIVE)},
+    "minimize": {"R": (1.0, float, POSITIVE),
+                 "resolution": (64, int, POSITIVE),
+                 "max_iters": (2000, int, None),
+                 "grad_tol": (1e-6, float, None),
+                 "initial_step": (0.25, float, None),
+                 "armijo_c": (0.3, float, None),
+                 "jitter": (0.0, float, NONNEGATIVE)},
+    "audit-geodesics": {"count": (500, int, POSITIVE)},
+    "monotonicity": {"R": (1.0, float, POSITIVE),
+                     "resolution": (64, int, POSITIVE)},
+}
+SEED = (0, int, NONNEGATIVE)
+PROFILE = {"h": (None, float, POSITIVE), "alpha": (None, float, POSITIVE)}
+TOLERANCES = {
+    "competitor": {"deficit_witness": (1e-9, float, None)},
+    "minimize": {"area_decrease": (0.0, float, None),
+                 "vertex_monotone": (1e-6, float, None),
+                 "p_monotone": (1e-3, float, None)},
+    "audit-geodesics": {"excess_witness": (1e-9, float, None)},
+    "monotonicity": {"p_monotone": (1e-3, float, None)},
+}
+COMMON_KEYS = {"kind", "cone", "seed", "out", "tolerances"}
+OTHER_KEYS = {"competitor": {"profile"}, "monotonicity": {"radii"}}
+
+
+def _number(raw, name, default, kind, bound):
+    val = raw.get(name, default)
     if val is None:
-        raise ConfigError(f"missing required field '{key}'")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"field '{key}' must be a number")
-    if integer and int(val) != val:
-        raise ConfigError(f"field '{key}' must be an integer")
-    if positive and not val > 0:
-        raise ConfigError(f"field '{key}' must be > 0")
-    if nonnegative and val < 0:
-        raise ConfigError(f"field '{key}' must be >= 0")
-    return int(val) if integer else float(val)
+        raise ValueError(f"missing required field '{name}'")
+    val = as_number(val, name)
+    if kind is int and int(val) != val:
+        raise ValueError(f"field '{name}' must be an integer")
+    if bound is not None and not bound[0](val):
+        raise ValueError(f"field '{name}' must be {bound[1]}")
+    return kind(val)
 
 
-def _normalize_cone(raw, kind):
-    if raw is None:
-        if kind == "audit-geodesics":
-            return None
-        raise ConfigError("exactly one cone spec")
+def _numbers(raw, table) -> dict:
+    return {name: _number(raw, name, *spec) for name, spec in table.items()}
+
+
+def _check_config(raw) -> dict:
     if not isinstance(raw, dict):
-        raise ConfigError("field 'cone' must be an object")
-    has_p = "pyramid" in raw
-    has_h = "halfspaces" in raw
-    if has_p == has_h:
-        raise ConfigError("exactly one cone spec")
-    extra = set(raw) - {"pyramid", "halfspaces"}
-    if extra:
-        raise ConfigError(f"unknown field '{sorted(extra)[0]}' in cone spec")
-    if has_p:
-        pyr = raw["pyramid"]
-        if not isinstance(pyr, dict) or set(pyr) - {"a", "b"}:
-            raise ConfigError("pyramid spec must be an object with fields a, b")
-        a = pyr.get("a")
-        b = pyr.get("b")
-        if not isinstance(a, (int, float)) or isinstance(a, bool) or not a > 0:
-            raise ConfigError("a must be > 0")
-        if not isinstance(b, (int, float)) or isinstance(b, bool) or not b > 0:
-            raise ConfigError("b must be > 0")
-        return {"pyramid": {"a": float(a), "b": float(b)}}
-    hs = raw["halfspaces"]
-    if (not isinstance(hs, list) or not hs
-            or any(not isinstance(v, list) or len(v) != 3
-                   or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                          for x in v) for v in hs)):
-        raise ConfigError("halfspaces must be a nonempty list of 3-vectors")
-    return {"halfspaces": [[float(x) for x in v] for v in hs]}
-
-
-def normalize_config(raw) -> dict:
-    """Fill defaults and validate; raises ConfigError naming the bad field."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     kind = raw.get("kind")
     if kind is None:
-        raise ConfigError("missing required field 'kind'")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind '{kind}'")
-    allowed = COMMON_KEYS | KIND_KEYS[kind]
+        raise ValueError("missing required field 'kind'")
+    if not isinstance(kind, str) or kind not in NUMBERS:
+        raise ValueError(f"unknown kind '{kind}'")
+    allowed = COMMON_KEYS | set(NUMBERS[kind]) | OTHER_KEYS.get(kind, set())
     for key in raw:
         if key not in allowed:
-            raise ConfigError(f"unknown field '{key}' for kind '{kind}'")
+            raise ValueError(f"unknown field '{key}' for kind '{kind}'")
 
-    cfg = {"kind": kind}
-    cfg["cone"] = _normalize_cone(raw.get("cone"), kind)
-    cfg["seed"] = _require_number(raw, "seed", default=0, integer=True,
-                                  nonnegative=True)
-    out = raw.get("out", f"runs/{kind}")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("field 'out' must be a nonempty string")
-    cfg["out"] = out
-
-    tol = dict(DEFAULT_TOLERANCES[kind])
-    raw_tol = raw.get("tolerances", {})
-    if not isinstance(raw_tol, dict):
-        raise ConfigError("field 'tolerances' must be an object")
-    for key, val in raw_tol.items():
-        if key not in tol:
-            raise ConfigError(f"unknown field '{key}' in tolerances")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"tolerance '{key}' must be a number")
-        tol[key] = float(val)
-    cfg["tolerances"] = tol
+    cfg = {"kind": kind, "cone": raw.get("cone")}
+    if cfg["cone"] is not None or kind != "audit-geodesics":
+        cone_from_dict(cfg["cone"])
+        # the spec is checked: only its ints still need to become floats
+        cfg["cone"] = json.loads(json.dumps(cfg["cone"]), parse_int=float)
+    if kind == "competitor" and "pyramid" not in cfg["cone"]:
+        raise ValueError("competitor scenario requires a pyramid cone")
+    cfg["seed"] = _number(raw, "seed", *SEED)
+    cfg["out"] = raw.get("out", f"runs/{kind}")
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise ValueError("field 'out' must be a nonempty string")
+    tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ValueError("field 'tolerances' must be an object")
+    for key in tolerances:
+        if key not in TOLERANCES[kind]:
+            raise ValueError(f"unknown field '{key}' in tolerances")
+    cfg["tolerances"] = _numbers(tolerances, TOLERANCES[kind])
+    cfg.update(_numbers(raw, NUMBERS[kind]))
 
     if kind == "competitor":
-        if "pyramid" not in (cfg["cone"] or {}):
-            raise ConfigError("competitor scenario requires a pyramid cone")
-        cfg["sweep_grid"] = _require_number(raw, "sweep_grid", default=64,
-                                            integer=True, positive=True)
-        cfg["mesh_resolution"] = _require_number(raw, "mesh_resolution",
-                                                 default=64, integer=True,
-                                                 positive=True)
         prof = raw.get("profile")
-        if prof is not None:
-            if not isinstance(prof, dict) or set(prof) - {"h", "alpha"}:
-                raise ConfigError("profile must be an object with fields h, alpha")
-            cfg["profile"] = {
-                "h": _require_number(prof, "h", positive=True),
-                "alpha": _require_number(prof, "alpha", positive=True),
-            }
-        else:
-            cfg["profile"] = None
+        if prof is not None and (not isinstance(prof, dict)
+                                 or set(prof) - set(PROFILE)):
+            raise ValueError("profile must be an object with fields h, alpha")
+        cfg["profile"] = None if prof is None else _numbers(prof, PROFILE)
     elif kind == "minimize":
-        cfg["R"] = _require_number(raw, "R", default=1.0, positive=True)
-        cfg["resolution"] = _require_number(raw, "resolution", default=64,
-                                            integer=True, positive=True)
-        cfg["max_iters"] = _require_number(raw, "max_iters", default=2000,
-                                           integer=True, nonnegative=True)
-        cfg["grad_tol"] = _require_number(raw, "grad_tol", default=1e-6,
-                                          positive=True)
-        cfg["initial_step"] = _require_number(raw, "initial_step", default=0.25,
-                                              positive=True)
-        cfg["armijo_c"] = _require_number(raw, "armijo_c", default=0.3,
-                                          positive=True)
-        if not cfg["armijo_c"] < 1:
-            raise ConfigError("field 'armijo_c' must be < 1")
-        cfg["jitter"] = _require_number(raw, "jitter", default=0.0,
-                                        nonnegative=True)
-    elif kind == "audit-geodesics":
-        cfg["count"] = _require_number(raw, "count", default=500,
-                                       integer=True, positive=True)
-    else:
-        cfg["R"] = _require_number(raw, "R", default=1.0, positive=True)
-        cfg["resolution"] = _require_number(raw, "resolution", default=64,
-                                            integer=True, positive=True)
+        # MinimizeConfig checks the ranges the table leaves open
+        MinimizeConfig(**{key: cfg[key] for key in
+                          ("max_iters", "grad_tol", "initial_step", "armijo_c")})
+    elif kind == "monotonicity":
         radii = raw.get("radii")
         if radii is None:
             radii = [float(f) * cfg["R"] for f in np.linspace(0.15, 0.95, 10)]
-        if (not isinstance(radii, list) or not radii
-                or any(isinstance(r, bool) or not isinstance(r, (int, float))
-                       for r in radii)):
-            raise ConfigError("field 'radii' must be a nonempty list of numbers")
-        cfg["radii"] = [float(r) for r in radii]
+        if not isinstance(radii, list) or not radii:
+            raise ValueError("field 'radii' must be a nonempty list of numbers")
+        cfg["radii"] = [as_number(r, "radii") for r in radii]
     return cfg
 
 
-def build_cone(cfg) -> PolyhedralCone:
-    spec = cfg["cone"]
-    if spec is None:
-        raise ConfigError("exactly one cone spec")
-    if "pyramid" in spec:
-        return pyramid_to_cone(spec["pyramid"]["a"], spec["pyramid"]["b"])
+def normalize_config(raw) -> dict:
+    """Fill defaults and check every field; raises ConfigError naming the
+    field at fault."""
     try:
-        return PolyhedralCone(spec["halfspaces"])
+        return _check_config(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad halfspaces: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(x) -> str:
@@ -302,7 +249,7 @@ def _monotone_floor(values):
 
 
 def _run_minimize(cfg, outdir: Path):
-    cone = build_cone(cfg)
+    cone = cone_from_dict(cfg["cone"])
     tol = cfg["tolerances"]
     mesh0 = make_initial_plane(cone, cfg["R"], cfg["resolution"])
     mcfg = MinimizeConfig(max_iters=cfg["max_iters"], grad_tol=cfg["grad_tol"],
@@ -407,7 +354,7 @@ def _run_audit(cfg, outdir: Path):
 
 
 def _run_monotonicity(cfg, outdir: Path):
-    cone = build_cone(cfg)
+    cone = cone_from_dict(cfg["cone"])
     tol = cfg["tolerances"]
     mesh = make_initial_plane(cone, cfg["R"], cfg["resolution"])
     table = monotonicity_ratio(mesh, cfg["radii"])
@@ -455,9 +402,6 @@ def run(config_path, out_override=None) -> int:
     start = time.monotonic()
     try:
         results, verdicts = _RUNNERS[cfg["kind"]](cfg, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 1

@@ -47,20 +47,18 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.max_iters) != self.max_iters or self.max_iters < 0:
-            raise ValueError("max_iters must be a nonnegative integer")
-        self.max_iters = int(self.max_iters)
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
+        # the CLI config check reuses these range checks for its minimize
+        # fields, so each message names its field
+        for name in ("max_iters", "seed"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val >= 0 and int(val) == val):
+                raise ValueError(f"field '{name}' must be a nonnegative integer")
+            setattr(self, name, int(val))
+        for name in ("grad_tol", "initial_step", "clamp_radius"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"field '{name}' must be > 0")
         if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not self.clamp_radius > 0:
-            raise ValueError("clamp_radius must be positive")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        self.seed = int(self.seed)
+            raise ValueError("field 'armijo_c' must lie in (0, 1)")
 
 
 @dataclass
@@ -279,25 +277,24 @@ def _cone_edge_rays(cone: PolyhedralCone):
     return edges
 
 
-def _pin_to_nearest_edge(mesh: TriMesh, cone: PolyhedralCone, i: int,
-                         edges) -> None:
-    v = mesh.vertices[i]
-    best = None
+def _onto_edge(x: np.ndarray, d: np.ndarray, is_line: bool) -> np.ndarray:
+    """Nearest point to x on the cone edge along d: the full line when
+    is_line, else the ray t * d, t >= 0."""
+    t = float(x @ d)
+    return (t if is_line else max(t, 0.0)) * d
+
+
+def _nearest_edge(x: np.ndarray, edges, normals=None):
+    """(point, facet i, facet j) of the cone edge nearest to x, or None;
+    with normals given, only points inside the cone qualify."""
+    best, dist = None, np.inf
     for fi, fj, d, is_line in edges:
-        tpar = float(v @ d)
-        if not is_line:
-            tpar = max(tpar, 0.0)
-        proj = tpar * d
-        dist = float(np.linalg.norm(v - proj))
-        if best is None or dist < best[0]:
-            best = (dist, fi, fj, proj)
-    if best is None:
-        raise ValueError("cone has no edges to pin to")
-    _, fi, fj, proj = best
-    mesh.vertices[i] = proj
-    mesh.vertex_class[i] = VertexClass.EDGE_PINNED
-    mesh.facet[i] = fi
-    mesh.facet2[i] = fj
+        p = _onto_edge(x, d, is_line)
+        dd = float(np.linalg.norm(x - p))
+        if dd < dist and (normals is None
+                          or np.max(normals @ p) <= CONTAIN_TOL):
+            best, dist = (p, fi, fj), dd
+    return best
 
 
 def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
@@ -332,10 +329,7 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
         if not match:
             raise ValueError(f"vertex {i}: pinned facets do not meet in an edge")
         _, _, d, is_line = match[0]
-        tpar = float(v[i] @ d)
-        if not is_line:
-            tpar = max(tpar, 0.0)
-        v[i] = tpar * d
+        v[i] = _onto_edge(v[i], d, is_line)
 
     fb = np.nonzero(cls == VertexClass.FREE_BOUNDARY)[0]
     if fb.size:
@@ -354,7 +348,11 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
             if edges is None:
                 edges = _cone_edge_rays(cone)
             for i in fb:
-                _pin_to_nearest_edge(mesh, cone, int(i), edges)
+                found = _nearest_edge(v[i], edges)
+                if found is None:
+                    raise ValueError("cone has no edges to pin to")
+                v[i], mesh.facet[i], mesh.facet2[i] = found
+                cls[i] = VertexClass.EDGE_PINNED
                 if pinned is not None:
                     pinned.append(int(i))
 
@@ -376,16 +374,8 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
             if np.max(normals @ x) > CONTAIN_TOL:
                 if edges is None:
                     edges = _cone_edge_rays(cone)
-                best, dist = np.zeros(3), np.inf
-                for _, _, d, is_line in edges:
-                    t = float(v[i] @ d)
-                    if not is_line:
-                        t = max(t, 0.0)
-                    cand = t * d
-                    dd = float(np.linalg.norm(v[i] - cand))
-                    if dd < dist and np.max(normals @ cand) <= CONTAIN_TOL:
-                        best, dist = cand, dd
-                x = best
+                found = _nearest_edge(v[i], edges, normals)
+                x = np.zeros(3) if found is None else found[0]
             v[i] = x
     return mesh
 

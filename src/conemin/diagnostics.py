@@ -1,10 +1,9 @@
 """Geometric audits of a triangulated surface near a cone vertex.
 
-monotonicity_ratio and density_ratio_bounds report the scaled area
-p(r) = area(mesh inside B_r)/r^2; conical_deviation integrates
-|x . normal|/|x|^3 over a ball annulus; boundary_angle_audit measures the
-contact angle along the free boundary; vertex_distance is the exact
-distance from the origin to the surface.
+monotonicity_ratio reports the scaled area p(r) = area(mesh inside B_r)/r^2;
+conical_deviation integrates |x . normal|/|x|^3 over a ball annulus;
+boundary_angle_audit measures the contact angle along the free boundary;
+vertex_distance is the exact distance from the origin to the surface.
 
 Ball clipping happens in each triangle's own plane, where the ball cuts a
 disk centered at the foot of the perpendicular from the origin.  One
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PolyhedralCone
-from .mesh import TriMesh, VertexClass
+from .mesh import TriMesh, VertexClass, _edge_keys
 
 DEVIATION_CHUNK = 262144
 FACET_TOL = 1e-7
@@ -171,15 +170,6 @@ def monotonicity_ratio(mesh: TriMesh, radii) -> list:
     return table
 
 
-def density_ratio_bounds(mesh: TriMesh, radii):
-    """(min, max) of p(r) over the sampled radii."""
-    radii = list(radii)
-    if not radii:
-        raise ValueError("radii must be nonempty")
-    ps = [p for _, p in monotonicity_ratio(mesh, radii)]
-    return (min(ps), max(ps))
-
-
 def _subdivide(a, b, c):
     """4-way midpoint split; returns corner arrays 4x longer."""
     mab, mac, mbc = 0.5 * (a + b), 0.5 * (a + c), 0.5 * (b + c)
@@ -270,11 +260,8 @@ def boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone,
     reported.
     """
     t = mesh.triangles
-    m = t.shape[0]
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    owner = np.tile(np.arange(m), 3)
-    key = np.minimum(edges[:, 0], edges[:, 1]) * mesh.n_vertices \
-        + np.maximum(edges[:, 0], edges[:, 1])
+    edges, key = _edge_keys(mesh)
+    owner = np.tile(np.arange(t.shape[0]), 3)
     _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
     bmask = counts[inv] == 1
     bedges, bowner = edges[bmask], owner[bmask]

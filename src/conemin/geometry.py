@@ -3,15 +3,14 @@
 Cones are finite intersections of homogeneous half-spaces {x : n . x <= 0}
 with unit normals and apex at the origin.  Points and directions are plain
 numpy arrays of shape (3,).  The module provides the constructions needed by
-the rest of the toolkit: wedges and their spines, rectangular pyramids
-C = {x3 >= max(a|x1|, b|x2|)}, horizontal cross-sections, tangent cones of
-half-space regions, and the largest pyramid enclosing a given cone on one
-side of the plane {x1 = 0}.
+the rest of the toolkit: wedges, rectangular pyramids
+C = {x3 >= max(a|x1|, b|x2|)}, the one parser of the JSON cone spec, and the
+open-hemisphere linear program behind the cone interior test and the
+spherical polygon check.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ from scipy.optimize import linprog
 UNIT_TOL = 1e-12          # |normal| must be 1 within this
 DEDUP_TOL = 1e-10         # normals with dot > 1 - DEDUP_TOL are duplicates
 RANK_TOL = 1e-9           # relative SVD threshold for the vertex test
-ACTIVE_TOL = 1e-9         # default activity tolerance for tangent cones
 
 
 def as_vec3(x) -> np.ndarray:
@@ -38,15 +36,6 @@ def unit(x) -> np.ndarray:
     if n <= 1e-14:
         raise ValueError("cannot normalize a zero vector")
     return v / n
-
-
-class Enclosure(enum.Enum):
-    """Marker for a one-sided pyramid enclosure with no binding ray."""
-
-    UNBOUNDED = "unbounded"
-
-
-UNBOUNDED = Enclosure.UNBOUNDED
 
 
 @dataclass(frozen=True)
@@ -79,16 +68,14 @@ class HalfSpace:
         return self.signed_distance(p) <= tol
 
 
-def _interior_slack(normals: np.ndarray) -> float:
-    """Best slack t of {n_i . x <= -t, |x|_inf <= 1}; positive iff the cone
-    has nonempty interior."""
-    m = normals.shape[0]
-    if m == 0:
-        return 1.0
+def open_hemisphere_slack(points: np.ndarray) -> float:
+    """Best margin t of {v_i . n >= t, |n|_inf <= 1} over the rows v_i of
+    points; positive iff they fit in an open hemisphere.  A cone
+    {n_i . x <= 0} has nonempty interior iff the -n_i do."""
+    m = points.shape[0]
     c = np.array([0.0, 0.0, 0.0, -1.0])
-    a_ub = np.hstack([normals, np.ones((m, 1))])
-    b_ub = np.zeros(m)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
+    a_ub = np.hstack([-points, np.ones((m, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m),
                   bounds=[(-1, 1)] * 3 + [(0, 1)], method="highs")
     if not res.success:
         return -1.0
@@ -96,36 +83,36 @@ def _interior_slack(normals: np.ndarray) -> float:
 
 
 class PolyhedralCone:
-    """Intersection of homogeneous half-spaces, apex at the origin.
+    """Intersection of one or more homogeneous half-spaces, apex at the
+    origin.
 
-    Near-duplicate half-spaces (normal dot product within 1e-10 of 1) are
-    dropped at construction.  An empty half-space list is the whole-space
-    marker produced by :func:`tangent_cone` at interior points; most
-    operations reject it.
+    Half-spaces may be given as HalfSpace objects or as raw normals of any
+    nonzero length.  Near-duplicate half-spaces (normal dot product within
+    1e-10 of 1) are dropped at construction.  Errors about one half-space
+    name its index in the input.
     """
 
     def __init__(self, halfspaces):
         kept: list[HalfSpace] = []
-        for h in halfspaces:
-            if not isinstance(h, HalfSpace):
-                h = HalfSpace(unit(h))
+        for i, h in enumerate(halfspaces):
+            try:
+                h = h if isinstance(h, HalfSpace) else HalfSpace(unit(h))
+            except ValueError as exc:
+                raise ValueError(f"halfspace {i}: {exc}") from exc
             if abs(h.offset) > UNIT_TOL:
-                raise ValueError("cone half-spaces must pass through the origin")
+                raise ValueError(f"halfspace {i}: cone half-spaces must pass "
+                                 "through the origin")
             if all(float(h.normal @ k.normal) < 1.0 - DEDUP_TOL for k in kept):
                 kept.append(HalfSpace(h.normal, 0.0))
+        if not kept:
+            raise ValueError("a cone needs at least one half-space")
         self.halfspaces: tuple[HalfSpace, ...] = tuple(kept)
-        if kept and _interior_slack(self.normals) <= 1e-9:
+        if open_hemisphere_slack(-self.normals) <= 1e-9:
             raise ValueError("cone has empty interior")
 
     @property
     def normals(self) -> np.ndarray:
-        if not self.halfspaces:
-            return np.zeros((0, 3))
         return np.array([h.normal for h in self.halfspaces])
-
-    @property
-    def is_whole_space(self) -> bool:
-        return len(self.halfspaces) == 0
 
     def __repr__(self):
         return f"PolyhedralCone({len(self.halfspaces)} half-spaces)"
@@ -133,38 +120,14 @@ class PolyhedralCone:
 
 def contains(cone: PolyhedralCone, p, tol: float = 1e-12) -> bool:
     """Membership predicate; pure, never raises on geometric input."""
-    p = as_vec3(p)
-    if cone.is_whole_space:
-        return True
-    return bool(np.all(cone.normals @ p <= tol))
+    return bool(np.all(cone.normals @ as_vec3(p) <= tol))
 
 
 def is_vertex(cone: PolyhedralCone, tol: float = RANK_TOL) -> bool:
     """True iff the cone's normal matrix has full rank 3 (SVD, relative
     threshold), i.e. the apex is a genuine corner."""
-    if cone.is_whole_space:
-        raise ValueError("vertex test undefined for the whole space")
     s = np.linalg.svd(cone.normals, compute_uv=False)
     return int(np.sum(s > tol * s[0])) == 3
-
-
-def tangent_cone(halfspaces, x0, tol: float = ACTIVE_TOL) -> PolyhedralCone:
-    """Cone of active constraints of a half-space region at a boundary point,
-    translated so the apex is the origin.
-
-    Returns the whole-space marker (no half-spaces) when x0 is strictly
-    interior; raises when x0 violates any half-space beyond tol.
-    """
-    x0 = as_vec3(x0)
-    active = []
-    for h in halfspaces:
-        r = h.signed_distance(x0)
-        if r > tol:
-            raise ValueError(
-                f"point violates a half-space by {r:.3e} (tol {tol:.1e})")
-        if r >= -tol:
-            active.append(HalfSpace(h.normal, 0.0))
-    return PolyhedralCone(active)
 
 
 @dataclass(frozen=True)
@@ -191,15 +154,6 @@ class Wedge:
         return PolyhedralCone([self.h1, self.h2])
 
 
-def spine(w: Wedge) -> tuple[np.ndarray, np.ndarray]:
-    """(point, unit direction) of the wedge's spine line."""
-    d = np.cross(w.h1.normal, w.h2.normal)
-    n = float(np.linalg.norm(d))
-    if n <= 1e-9:
-        raise ValueError("wedge faces are parallel: no spine")
-    return w.basepoint.copy(), d / n
-
-
 def wedge_above(slope: float, axis: int, basepoint=(0.0, 0.0, 0.0)) -> Wedge:
     """The wedge {x3 >= slope * |x_axis|} for axis in {0, 1}."""
     if slope <= 1e-12:
@@ -223,11 +177,6 @@ class Pyramid:
         if self.a <= 1e-12 or self.b <= 1e-12:
             raise ValueError("pyramid slopes a, b must be > 0")
 
-    def wedges(self) -> tuple[Wedge, Wedge]:
-        """The two wedges whose intersection is the pyramid; their spines
-        (x2-axis and x1-axis) are orthogonal and meet at the origin."""
-        return wedge_above(self.a, 0), wedge_above(self.b, 1)
-
     def to_cone(self) -> PolyhedralCone:
         return pyramid_to_cone(self.a, self.b)
 
@@ -244,123 +193,41 @@ def pyramid_to_cone(a: float, b: float) -> PolyhedralCone:
     ])
 
 
-def _clip_halfplane(poly: list[np.ndarray], a: float, b: float, c: float):
-    """Sutherland-Hodgman clip of a polygon against {a x + b y <= c}."""
-    out: list[np.ndarray] = []
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
-        if fp <= 0.0:
-            out.append(p)
-        if (fp < 0.0 < fq) or (fq < 0.0 < fp):
-            t = fp / (fp - fq)
-            out.append(p + t * (q - p))
-    return out
+def as_number(x, name: str) -> float:
+    """x as a float; ValueError naming the field unless x is a finite real
+    number (JSON true/false are not numbers here)."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not math.isfinite(x)):
+        raise ValueError(f"field '{name}' must be a finite number")
+    return float(x)
 
 
-def _dedup_ring(poly: list[np.ndarray], tol: float):
-    out: list[np.ndarray] = []
-    for p in poly:
-        if not out or np.linalg.norm(p - out[-1]) > tol:
-            out.append(p)
-    if len(out) > 1 and np.linalg.norm(out[0] - out[-1]) <= tol:
-        out.pop()
-    return out
-
-
-def cross_section(cone: PolyhedralCone, height: float) -> np.ndarray:
-    """Polygon {x3 = height} ∩ cone as an (k, 3) array, ordered
-    counterclockwise seen from +x3.
-
-    Requires a vertex cone (bounded section); raises when the plane misses
-    the cone (empty section).
-    """
-    if height <= 0.0:
-        raise ValueError("section height must be > 0")
-    if not is_vertex(cone):
-        raise ValueError("cross-section requires a vertex cone")
-    normals = cone.normals
-    length = 8.0 * height
-    for _ in range(60):
-        square = [np.array(p) for p in
-                  [(-length, -length), (length, -length),
-                   (length, length), (-length, length)]]
-        poly = square
-        for n in normals:
-            poly = _clip_halfplane(poly, n[0], n[1], -n[2] * height)
-            if not poly:
-                break
-        poly = _dedup_ring(poly, 1e-12 * length) if poly else []
-        if len(poly) < 3:
-            raise ValueError("empty cross-section at this height")
-        if max(float(np.abs(p).max()) for p in poly) < length * (1 - 1e-9):
-            pts = np.array([[p[0], p[1], height] for p in poly])
-            return pts
-        length *= 2.0
-    raise ValueError("cross-section is unbounded")
-
-
-def pyramid_enclosure(cone: PolyhedralCone, b: float, side: int):
-    """Largest a > 0 with cone ∩ {side*x1 >= 0} ⊂ pyramid(a, b) ∩ {side*x1 >= 0},
-    for a vertex cone contained in the wedge {x3 >= b|x2|}.
-
-    Returns the UNBOUNDED marker when the cone has nothing on the requested
-    side (every a works).
-    """
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
-    if b <= 1e-12:
-        raise ValueError("wedge slope b must be > 0")
-    if not is_vertex(cone):
-        raise ValueError("pyramid enclosure requires a vertex cone")
-    sec = cross_section(cone, 1.0)
-    if np.any(b * np.abs(sec[:, 1]) > sec[:, 2] + 1e-9):
-        raise ValueError("cone is not contained in the wedge {x3 >= b|x2|}")
-    reach = float(np.max(side * sec[:, 0]))
-    if reach <= 1e-12:
-        return UNBOUNDED
-    return 1.0 / reach
-
-
-def cone_to_dict(cone: PolyhedralCone) -> dict:
-    """JSON-ready half-space list {normal, offset}."""
-    return {
-        "halfspaces": [
-            {"normal": [float(c) for c in h.normal], "offset": float(h.offset)}
-            for h in cone.halfspaces
-        ]
-    }
-
-
-def cone_from_dict(data: dict) -> PolyhedralCone:
-    """Inverse of cone_to_dict; also accepts {"pyramid": {"a":..., "b":...}}."""
-    if "pyramid" in data:
-        p = data["pyramid"]
-        return pyramid_to_cone(float(p["a"]), float(p["b"]))
-    if "halfspaces" in data:
-        return PolyhedralCone([
-            HalfSpace.from_raw(h["normal"], float(h.get("offset", 0.0)))
-            for h in data["halfspaces"]
-        ])
-    raise ValueError("cone must be given as 'pyramid' or 'halfspaces'")
-
-
-def rotation_to_z(direction) -> np.ndarray:
-    """Rotation matrix taking the given direction to +e3 (helper for tests
-    and scenario setup)."""
-    d = unit(direction)
-    e3 = np.array([0.0, 0.0, 1.0])
-    v = np.cross(d, e3)
-    s = float(np.linalg.norm(v))
-    c = float(d @ e3)
-    if s <= 1e-14:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx * ((1 - c) / (s * s))
-
-
-def rotate_cone(cone: PolyhedralCone, rot: np.ndarray) -> PolyhedralCone:
-    """Apply a rotation matrix to every half-space normal."""
-    return PolyhedralCone([HalfSpace(unit(rot @ h.normal)) for h in cone.halfspaces])
+def cone_from_dict(spec) -> PolyhedralCone:
+    """The one parser of a JSON cone spec: exactly one of
+    {"pyramid": {"a": a, "b": b}} with slopes > 0, or
+    {"halfspaces": [[nx, ny, nz], ...]} with outward normals of any nonzero
+    length.  Raises ValueError naming the field or half-space at fault."""
+    if not isinstance(spec, dict) or ("pyramid" in spec) == ("halfspaces" in spec):
+        raise ValueError("field 'cone' must hold exactly one cone spec, "
+                         "'pyramid' or 'halfspaces'")
+    extra = set(spec) - {"pyramid", "halfspaces"}
+    if extra:
+        raise ValueError(f"unknown field '{sorted(extra)[0]}' in cone spec")
+    if "pyramid" in spec:
+        pyr = spec["pyramid"]
+        if not isinstance(pyr, dict) or set(pyr) != {"a", "b"}:
+            raise ValueError("field 'pyramid' must be an object with fields a, b")
+        for key in ("a", "b"):
+            if not as_number(pyr[key], key) > 0:
+                raise ValueError(f"field '{key}' must be > 0")
+        return pyramid_to_cone(float(pyr["a"]), float(pyr["b"]))
+    hs = spec["halfspaces"]
+    if (not isinstance(hs, list) or not hs
+            or any(not isinstance(v, list) or len(v) != 3 for v in hs)):
+        raise ValueError("field 'halfspaces' must be a nonempty list of 3-vectors")
+    normals = [[as_number(x, f"halfspaces[{i}]") for x in v]
+               for i, v in enumerate(hs)]
+    try:
+        return PolyhedralCone(normals)
+    except ValueError as exc:
+        raise ValueError(f"bad halfspaces: {exc}") from exc

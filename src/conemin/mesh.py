@@ -124,14 +124,13 @@ def surface_area(mesh: TriMesh) -> float:
     return float(triangle_areas(mesh).sum())
 
 
-def boundary_edges(mesh: TriMesh) -> np.ndarray:
-    """Directed edges that appear in exactly one triangle, shape (k, 2)."""
+def _edge_keys(mesh: TriMesh):
+    """Directed edges of every triangle, (3m, 2): all (0, 1) edges, then all
+    (1, 2), then all (2, 0); and the key min*n + max that is the same for
+    both directions of an undirected edge."""
     t = mesh.triangles
     edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    key = edges.min(axis=1) * mesh.n_vertices + edges.max(axis=1)
-    uniq, counts = np.unique(key, return_counts=True)
-    single = uniq[counts == 1]
-    return edges[np.isin(key, single)]
+    return edges, edges.min(axis=1) * mesh.n_vertices + edges.max(axis=1)
 
 
 def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
@@ -144,11 +143,10 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
         bad = int(np.argmin(areas))
         raise ValueError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
 
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    edges, undirected = _edge_keys(mesh)
     directed = edges[:, 0] * n + edges[:, 1]
     if np.unique(directed).size != directed.size:
         raise ValueError("inconsistent orientation: repeated directed edge")
-    undirected = edges.min(axis=1) * n + edges.max(axis=1)
     _, counts = np.unique(undirected, return_counts=True)
     if np.any(counts > 2):
         raise ValueError("non-manifold edge: more than two incident triangles")
@@ -192,11 +190,8 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
 
 
 def euler_characteristic(mesh: TriMesh) -> int:
-    t = mesh.triangles
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    undirected = edges.min(axis=1) * mesh.n_vertices + edges.max(axis=1)
-    n_edges = np.unique(undirected).size
-    used = np.unique(t)
+    n_edges = np.unique(_edge_keys(mesh)[1]).size
+    used = np.unique(mesh.triangles)
     return int(used.size - n_edges + mesh.n_triangles)
 
 

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .geometry import as_vec3, unit
+from .geometry import as_vec3, open_hemisphere_slack, unit
 
 ANTIPODAL_TOL = 1e-10
 COINCIDENT_TOL = 1e-10
@@ -117,19 +116,6 @@ def _arcs_cross(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return False
 
 
-def _open_hemisphere_slack(points: np.ndarray) -> float:
-    """Best margin t of {v_i . n >= t, |n|_inf <= 1}; positive iff the points
-    fit in an open hemisphere."""
-    m = points.shape[0]
-    c = np.array([0.0, 0.0, 0.0, -1.0])
-    a_ub = np.hstack([-points, np.ones((m, 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m),
-                  bounds=[(-1, 1)] * 3 + [(0, 1)], method="highs")
-    if not res.success:
-        return -1.0
-    return float(res.x[3])
-
-
 @dataclass(frozen=True)
 class GeodesicPolygon:
     """Closed spherical polygon, vertices in order, contained in an open
@@ -161,7 +147,7 @@ class GeodesicPolygon:
                 c, d = pts[j], pts[(j + 1) % k]
                 if _arcs_cross(a, b, c, d):
                     raise ValueError("polygon edges cross")
-        if _open_hemisphere_slack(np.array(pts)) <= 1e-9:
+        if open_hemisphere_slack(np.array(pts)) <= 1e-9:
             raise ValueError("polygon is not contained in an open hemisphere")
         object.__setattr__(self, "vertices", pts)
 

@@ -1,9 +1,9 @@
 """End-to-end tests of the scenario runner: exit codes, outputs, determinism."""
 
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +16,9 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "conemin.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 MINIMIZE_CFG = {
@@ -64,7 +61,7 @@ def test_validate_rejects_nonpositive_pyramid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"kind": "minimize",
                                "cone": {"pyramid": {"a": -1, "b": 1}}})
     assert cli.main(["validate", cfg]) == 1
-    assert "a must be > 0" in capsys.readouterr().err
+    assert "field 'a' must be > 0" in capsys.readouterr().err
 
 
 def test_validate_requires_exactly_one_cone_spec(tmp_path, capsys):
@@ -78,6 +75,74 @@ def test_validate_requires_exactly_one_cone_spec(tmp_path, capsys):
     cfg = write_cfg(tmp_path, neither, "cfg2.json")
     assert cli.main(["validate", cfg]) == 1
     assert "exactly one cone spec" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("payload, field", [
+    ({"kind": "audit-geodesics", "seed": NAN}, "seed"),
+    ({"kind": "audit-geodesics", "count": INF}, "count"),
+    (dict(MINIMIZE_CFG, jitter=NAN), "jitter"),
+    ({"kind": "monotonicity", "cone": {"pyramid": {"a": INF, "b": 1.0}}},
+     "a"),
+    ({"kind": "monotonicity",
+      "cone": {"halfspaces": [[0, 0, -1], [1, NAN, -1]]}}, "halfspaces[1]"),
+])
+def test_nonfinite_numbers_rejected(tmp_path, capsys, command, payload,
+                                    field):
+    # Python's json writes and reads NaN and Infinity
+    cfg = write_cfg(tmp_path, dict(payload, out=str(tmp_path / "out")))
+    assert cli.main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: field '{field}' must be a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("resolution", 0, "must be > 0"),
+    ("seed", 1.5, "must be an integer"),
+    ("max_iters", -1, "must be a nonnegative integer"),
+    ("grad_tol", 0, "must be > 0"),
+    ("armijo_c", 1.5, "must lie in (0, 1)"),
+    ("jitter", "0.1", "must be a finite number"),
+])
+def test_validate_rejects_out_of_range_minimize_field(tmp_path, capsys, field,
+                                                      value, message):
+    cfg = write_cfg(tmp_path, dict(MINIMIZE_CFG, **{field: value}))
+    assert cli.main(["validate", cfg]) == 1
+    assert (f"config error: field '{field}' {message}"
+            in capsys.readouterr().err)
+
+
+def test_validate_rejects_empty_interior_halfspaces(tmp_path, capsys):
+    box = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+           [0, 0, -1]]
+    cfg = write_cfg(tmp_path, {"kind": "monotonicity",
+                               "cone": {"halfspaces": box}})
+    assert cli.main(["validate", cfg]) == 1
+    assert ("config error: bad halfspaces: cone has empty interior"
+            in capsys.readouterr().err)
+
+
+def test_validate_names_zero_halfspace(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"kind": "monotonicity",
+                               "cone": {"halfspaces": [[0, 0, -1],
+                                                       [0, 0, 0]]}})
+    assert cli.main(["validate", cfg]) == 1
+    assert ("bad halfspaces: halfspace 1: cannot normalize a zero vector"
+            in capsys.readouterr().err)
+
+
+CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_normalizes_idempotently(path):
+    cfg = cli.normalize_config(json.loads(path.read_text()))
+    assert cli.normalize_config(cfg) == cfg
 
 
 def test_validate_rejects_unknown_field(tmp_path, capsys):
@@ -175,14 +240,14 @@ def test_out_override_flag(tmp_path, capsys):
 
 
 def test_minimize_csv_bytes_reproducible(tmp_path):
-    results = {}
-    for tag, threads in (("t1a", "1"), ("t1b", "1"), ("t4", "4")):
+    results = []
+    for tag in ("run1", "run2", "run3"):
         out = tmp_path / tag
         cfg = write_cfg(tmp_path, dict(MINIMIZE_CFG, out=str(out)),
                         f"{tag}.json")
-        proc = run_cli(["run", cfg], env_extra={"CONEMIN_THREADS": threads})
+        proc = run_cli(["run", cfg])
         assert proc.returncode == 0, proc.stderr
-        results[tag] = ((out / "iterations.csv").read_bytes(),
-                        (out / "ratios.csv").read_bytes())
-    assert results["t1a"] == results["t1b"]
-    assert results["t1a"] == results["t4"]
+        results.append(((out / "iterations.csv").read_bytes(),
+                        (out / "ratios.csv").read_bytes()))
+    assert results[0] == results[1]
+    assert results[0] == results[2]

@@ -134,21 +134,6 @@ def test_monotonicity_rejects_bad_radii():
         diag.monotonicity_ratio(m, [0.5, 1.5])
 
 
-def test_density_ratio_bounds_planar_cone():
-    m = planar_sector_mesh(2.0, resolution=64)
-    lo, hi = diag.density_ratio_bounds(m, np.linspace(0.15, 0.95, 10))
-    expect = math.atan(0.5)
-    assert lo == pytest.approx(expect, abs=1e-3)
-    assert hi == pytest.approx(expect, abs=1e-3)
-    assert lo <= hi
-
-
-def test_density_ratio_bounds_empty_radii():
-    m = planar_sector_mesh(1.0, resolution=8)
-    with pytest.raises(ValueError):
-        diag.density_ratio_bounds(m, [])
-
-
 # ---------------------------------------------------------------- conical deviation
 
 def test_deviation_zero_on_planar_sector():

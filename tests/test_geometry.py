@@ -1,4 +1,4 @@
-"""Tests for conemin.geometry: half-spaces, cones, sections, enclosures."""
+"""Tests for conemin.geometry: half-spaces, cones, the cone-spec parser."""
 
 import math
 
@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from conemin import geometry as geo
-from oracles import shoelace
 
 
 def test_halfspace_requires_unit_normal():
@@ -41,8 +40,12 @@ def test_contains_basic_points():
 
 def test_contains_closed_under_positive_combinations():
     rng = np.random.default_rng(7)
-    cone = geo.pyramid_to_cone(0.7, 1.8)
-    sec = geo.cross_section(cone, 1.0)
+    a, b = 0.7, 1.8
+    cone = geo.pyramid_to_cone(a, b)
+    # the section {x3 = 1} of the pyramid is the rectangle |x1| <= 1/a,
+    # |x2| <= 1/b
+    sec = np.array([[sx / a, sy / b, 1.0] for sx, sy in
+                    ((1, 1), (-1, 1), (-1, -1), (1, -1))])
     for _ in range(100):
         w = rng.uniform(0, 1, size=sec.shape[0])
         lam = rng.uniform(0, 5)
@@ -77,57 +80,8 @@ def test_is_vertex_cases():
     assert not geo.is_vertex(wedge_cone)
     half = geo.PolyhedralCone([geo.HalfSpace(np.array([0.0, 0.0, -1.0]))])
     assert not geo.is_vertex(half)
-    whole = geo.PolyhedralCone([])
-    with pytest.raises(ValueError):
-        geo.is_vertex(whole)
-
-
-def _unit_cube_halfspaces():
-    faces = []
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        faces.append(geo.HalfSpace(e, 1.0))       # x_k <= 1
-        faces.append(geo.HalfSpace(-e, 0.0))      # x_k >= 0
-    return faces
-
-
-def test_tangent_cone_of_cube():
-    cube = _unit_cube_halfspaces()
-    corner = geo.tangent_cone(cube, [0.0, 0.0, 0.0])
-    assert len(corner.halfspaces) == 3
-    assert geo.is_vertex(corner)
-
-    face = geo.tangent_cone(cube, [0.5, 0.5, 0.0])
-    assert len(face.halfspaces) == 1
-    assert not geo.is_vertex(face)
-
-    edge = geo.tangent_cone(cube, [0.5, 0.0, 0.0])
-    assert len(edge.halfspaces) == 2
-    assert not geo.is_vertex(edge)
-
-    inside = geo.tangent_cone(cube, [0.5, 0.5, 0.5])
-    assert inside.is_whole_space
-
-    with pytest.raises(ValueError, match="violates"):
-        geo.tangent_cone(cube, [2.0, 0.0, 0.0])
-
-
-def test_tangent_cone_of_cone_at_apex_is_same_cone():
-    cone = geo.pyramid_to_cone(1.3, 0.6)
-    tc = geo.tangent_cone(cone.halfspaces, [0.0, 0.0, 0.0])
-    npt.assert_allclose(tc.normals, cone.normals, atol=1e-15)
-
-
-def test_pyramid_wedge_spines_orthogonal_through_origin():
-    w1, w2 = geo.Pyramid(2.0, 1.0).wedges()
-    p1, d1 = geo.spine(w1)
-    p2, d2 = geo.spine(w2)
-    npt.assert_allclose(p1, [0, 0, 0], atol=1e-15)
-    npt.assert_allclose(p2, [0, 0, 0], atol=1e-15)
-    assert abs(float(d1 @ d2)) < 1e-12
-    assert abs(abs(d1[1]) - 1.0) < 1e-12  # first wedge spine is the x2-axis
-    assert abs(abs(d2[0]) - 1.0) < 1e-12  # second wedge spine is the x1-axis
+    with pytest.raises(ValueError, match="at least one"):
+        geo.PolyhedralCone([])
 
 
 def test_spine_rejects_parallel_faces():
@@ -136,96 +90,28 @@ def test_spine_rejects_parallel_faces():
         geo.Wedge(geo.HalfSpace(n), geo.HalfSpace(n.copy()))
 
 
-def test_cross_section_of_unit_pyramid_is_square():
-    cone = geo.pyramid_to_cone(1.0, 1.0)
-    sec = geo.cross_section(cone, 1.0)
-    assert sec.shape == (4, 3)
-    npt.assert_allclose(sec[:, 2], 1.0)
-    area = shoelace(sec[:, :2])
-    assert area == pytest.approx(4.0, abs=1e-10)
-    assert area > 0  # counterclockwise seen from +x3
-    corners = {(round(x), round(y)) for x, y, _ in sec}
-    assert corners == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-
-
-def test_cross_section_scales_linearly():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a, b = rng.uniform(0.3, 3.0, size=2)
-        cone = geo.pyramid_to_cone(a, b)
-        s1 = geo.cross_section(cone, 1.0)
-        s2 = geo.cross_section(cone, 2.0)
-        npt.assert_allclose(s2[:, :2], 2.0 * s1[:, :2], atol=1e-12)
-
-
-def test_cross_section_of_rotated_octant_is_triangle():
-    octant = geo.PolyhedralCone([
-        geo.HalfSpace(np.array([-1.0, 0.0, 0.0])),
-        geo.HalfSpace(np.array([0.0, -1.0, 0.0])),
-        geo.HalfSpace(np.array([0.0, 0.0, -1.0])),
-    ])
-    rot = geo.rotation_to_z([1.0, 1.0, 1.0])
-    sec = geo.cross_section(geo.rotate_cone(octant, rot), 1.0)
-    assert sec.shape == (3, 3)
-
-
-def test_cross_section_errors():
-    cone = geo.pyramid_to_cone(1.0, 1.0)
-    with pytest.raises(ValueError):
-        geo.cross_section(cone, 0.0)
-    wedge_cone = geo.wedge_above(1.0, 1).to_cone()
-    with pytest.raises(ValueError, match="vertex"):
-        geo.cross_section(wedge_cone, 1.0)
-    # a vertex cone opening downward has an empty positive section
-    down = geo.PolyhedralCone([
-        geo.HalfSpace(geo.unit([1.0, 0.0, 1.0])),
-        geo.HalfSpace(geo.unit([-1.0, 0.0, 1.0])),
-        geo.HalfSpace(geo.unit([0.0, 1.0, 1.0])),
-        geo.HalfSpace(geo.unit([0.0, -1.0, 1.0])),
-    ])
-    with pytest.raises(ValueError, match="empty"):
-        geo.cross_section(down, 1.0)
-
-
-def test_pyramid_enclosure_recovers_slope():
-    cone = geo.pyramid_to_cone(2.0, 1.0)
-    for side in (1, -1):
-        a = geo.pyramid_enclosure(cone, 1.0, side)
-        assert a == pytest.approx(2.0, abs=1e-9)
-
-
-def test_pyramid_enclosure_is_maximal():
-    cone = geo.pyramid_to_cone(2.0, 1.0)
-    a = geo.pyramid_enclosure(cone, 1.0, 1)
-    sec = geo.cross_section(cone, 1.0)
-    ray = sec[np.argmax(sec[:, 0])]
-    # with slope a the extreme ray is inside, with a*(1+1e-6) it is not
-    assert a * abs(ray[0]) <= ray[2] + 1e-9
-    assert a * (1 + 1e-6) * abs(ray[0]) > ray[2]
-
-
-def test_pyramid_enclosure_one_sided_unbounded():
-    # vertex cone contained in {x1 <= 0} inside the wedge {x3 >= |x2|}
-    cone = geo.PolyhedralCone([
-        geo.HalfSpace(np.array([1.0, 0.0, 0.0])),
-        geo.HalfSpace(geo.unit([-1.0, 0.0, -1.0])),
-        geo.HalfSpace(geo.unit([0.0, 1.0, -1.0])),
-        geo.HalfSpace(geo.unit([0.0, -1.0, -1.0])),
-    ])
-    assert geo.pyramid_enclosure(cone, 1.0, 1) is geo.UNBOUNDED
-    a = geo.pyramid_enclosure(cone, 1.0, -1)
-    assert isinstance(a, float) and a > 0
-
-
-def test_pyramid_enclosure_rejects_cone_outside_wedge():
-    cone = geo.pyramid_to_cone(1.0, 0.5)  # opens wider than the b=1 wedge
-    with pytest.raises(ValueError, match="wedge"):
-        geo.pyramid_enclosure(cone, 1.0, 1)
-
-
 def test_cone_dict_roundtrip():
     cone = geo.pyramid_to_cone(1.5, 0.8)
-    again = geo.cone_from_dict(geo.cone_to_dict(cone))
+    again = geo.cone_from_dict(
+        {"halfspaces": [list(n) for n in cone.normals]})
     npt.assert_allclose(again.normals, cone.normals, atol=1e-15)
     pyr = geo.cone_from_dict({"pyramid": {"a": 1.5, "b": 0.8}})
     npt.assert_allclose(pyr.normals, cone.normals, atol=1e-15)
+
+
+def test_halfspace_errors_name_the_halfspace():
+    with pytest.raises(ValueError, match="^halfspace 1: cannot normalize"):
+        geo.PolyhedralCone([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^halfspace 0: .* through the origin"):
+        geo.PolyhedralCone([geo.HalfSpace(np.array([0.0, 0.0, -1.0]), 1.0)])
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"pyramid": {"a": 1}}, "fields a, b"),
+    ({"pyramid": {"a": 1, "b": True}}, "field 'b' must be a finite number"),
+    ({"halfspaces": []}, "nonempty list of 3-vectors"),
+    ({"halfspaces": [[0, 0, -1]], "extra": 1}, "unknown field 'extra'"),
+])
+def test_cone_from_dict_rejects(spec, message):
+    with pytest.raises(ValueError, match=message):
+        geo.cone_from_dict(spec)

@@ -38,17 +38,6 @@ def test_triangle_normals_unit_length():
     npt.assert_allclose(n[0], n[1], atol=1e-15)
 
 
-def test_boundary_edges_of_square():
-    m = quad_mesh()
-    edges = msh.boundary_edges(m)
-    assert edges.shape == (4, 2)
-    # the diagonal 0-2 is interior, all outer edges are boundary
-    keys = {frozenset(e) for e in edges.tolist()}
-    assert frozenset((0, 2)) not in keys
-    assert keys == {frozenset((0, 1)), frozenset((1, 2)),
-                    frozenset((2, 3)), frozenset((3, 0))}
-
-
 def test_euler_characteristic_disk():
     assert msh.euler_characteristic(quad_mesh()) == 1
 
