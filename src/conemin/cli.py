@@ -37,10 +37,11 @@ from .competitor import (
     find_epsilon_star,
     weighted_energy,
 )
-from .descent import MinimizeConfig, make_initial_plane, minimize
+from .descent import (MinimizeConfig, _sector_rays, make_initial_plane,
+                      minimize)
 from .diagnostics import monotonicity_ratio
 from .geometry import as_number, cone_from_dict, unit
-from .mesh import save_obj
+from .mesh import save_obj, surface_area
 from .spherical import two_arc_audit
 
 
@@ -114,7 +115,9 @@ def _check_config(raw) -> dict:
 
     cfg = {"kind": kind, "cone": raw.get("cone")}
     if cfg["cone"] is not None or kind != "audit-geodesics":
-        cone_from_dict(cfg["cone"])
+        cone = cone_from_dict(cfg["cone"])
+        if kind in ("minimize", "monotonicity"):
+            _sector_rays(cone)  # the initial plane is the {x1 = 0} section
         # the spec is checked: only its ints still need to become floats
         cfg["cone"] = json.loads(json.dumps(cfg["cone"]), parse_int=float)
     if kind == "competitor" and "pyramid" not in cfg["cone"]:
@@ -225,7 +228,6 @@ def _run_competitor(cfg, outdir: Path):
             CompetitorSpec(a=a, b=b, profile=profile, epsilon=eps_star),
             cfg["mesh_resolution"])
         save_obj(mesh, outdir / "competitor.obj")
-        from .mesh import surface_area
         results["mesh_area"] = surface_area(mesh)
         results["analytic_area"] = rep.A_eps + rep.ruled_area
 
@@ -256,7 +258,6 @@ def _run_minimize(cfg, outdir: Path):
                           initial_step=cfg["initial_step"],
                           armijo_c=cfg["armijo_c"], clamp_radius=cfg["R"],
                           seed=cfg["seed"])
-    from .mesh import surface_area
     initial_area = surface_area(mesh0)
     mesh, diag = minimize(mesh0, cone, mcfg, jitter=cfg["jitter"])
 
@@ -380,19 +381,22 @@ _RUNNERS = {
 }
 
 
-def run(config_path, out_override=None) -> int:
+def _load_config(config_path):
+    """The normalized config, or None after saying why there is none."""
     try:
-        raw = json.loads(Path(config_path).read_text())
+        return normalize_config(json.loads(Path(config_path).read_text()))
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
-        return 1
     except json.JSONDecodeError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cfg = normalize_config(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+    return None
+
+
+def run(config_path, out_override=None) -> int:
+    cfg = _load_config(config_path)
+    if cfg is None:
         return 1
     if out_override:
         cfg["out"] = str(out_override)
@@ -426,18 +430,8 @@ def run(config_path, out_override=None) -> int:
 
 
 def validate(config_path) -> int:
-    try:
-        raw = json.loads(Path(config_path).read_text())
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cfg = normalize_config(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = _load_config(config_path)
+    if cfg is None:
         return 1
     print(json.dumps(cfg, indent=2, sort_keys=True))
     return 0

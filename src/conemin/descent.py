@@ -6,9 +6,9 @@ facets meet, clamped vertices stay on the sphere of radius R.  Descent uses
 Armijo backtracking on the post-projection area, so the recorded area history
 is monotone by construction.
 
-Per-vertex gradient accumulation is chunked by triangle index with a fixed
-chunk size and the chunk sums are reduced in index order, so results are
-bit-identical from run to run.
+The area gradient scatters its per-corner terms onto the vertices with
+np.bincount, which sums in index order, so results are bit-identical from
+run to run.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .diagnostics import (
     vertex_distance,
 )
 
-GRAD_CHUNK = 1024  # triangles per accumulation chunk
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
 # squared edge means the triangle is numerically flat
@@ -201,40 +200,40 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
     )
 
 
-def _gradient_chunk(mesh: TriMesh, lo: int, hi: int) -> np.ndarray:
-    t = mesh.triangles[lo:hi]
-    v = mesh.vertices
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    n = np.cross(b - a, c - a)
-    lens = np.linalg.norm(n, axis=1)
-    # a triangle squeezed flat has no usable normal; its |area| sits at a
-    # kink where the zero branch is the valid descent choice, so drop it
-    # rather than inject a roundoff-signed slope
-    scale = np.maximum(np.einsum("ij,ij->i", b - a, b - a),
-                       np.einsum("ij,ij->i", c - a, c - a))
-    good = lens > DEGENERATE_REL_TOL * scale
-    n = np.where(good, 1.0, 0.0)[:, None] * n \
-        / np.where(lens > 0, lens, 1.0)[:, None]
-    out = np.zeros_like(v)
-    np.add.at(out, t[:, 0], 0.5 * np.cross(n, c - b))
-    np.add.at(out, t[:, 1], 0.5 * np.cross(n, a - c))
-    np.add.at(out, t[:, 2], 0.5 * np.cross(n, b - a))
-    return out
+def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cross product over the first axis, which holds the coordinates."""
+    return np.stack([u[1] * w[2] - u[2] * w[1],
+                     u[2] * w[0] - u[0] * w[2],
+                     u[0] * w[1] - u[1] * w[0]])
 
 
 def area_gradient(mesh: TriMesh) -> np.ndarray:
     """Per-vertex gradient of surface_area, shape (n, 3).
 
-    Contributions are summed per fixed-size triangle chunk and the chunks
-    are reduced in index order.
+    Corner k of a triangle with unit normal nu contributes nu x e_k / 2,
+    e_k the opposite edge in the triangle's orientation; np.bincount sums
+    the corner terms per vertex, one coordinate at a time.
     """
-    m = mesh.n_triangles
-    if m == 0:
-        return np.zeros_like(mesh.vertices)
-    total = _gradient_chunk(mesh, 0, min(GRAD_CHUNK, m))
-    for lo in range(GRAD_CHUNK, m, GRAD_CHUNK):
-        total += _gradient_chunk(mesh, lo, min(lo + GRAD_CHUNK, m))
-    return total
+    t = mesh.triangles
+    p = np.take(mesh.vertices.T, t.T, axis=1)  # (coordinate, corner, tri)
+    # e[:, k] is the edge opposite corner k: c - b, a - c, b - a
+    e = np.roll(p, 1, axis=1) - np.roll(p, -1, axis=1)
+    ab, ac = e[:, 2], -e[:, 1]
+    n = _cross(ab, ac)
+    lens = np.sqrt(np.einsum("im,im->m", n, n))
+    # a triangle squeezed flat has no usable normal; its |area| sits at a
+    # kink where the zero branch is the valid descent choice, so drop it
+    # rather than inject a roundoff-signed slope
+    scale = np.maximum(np.einsum("im,im->m", ab, ab),
+                       np.einsum("im,im->m", ac, ac))
+    good = lens > DEGENERATE_REL_TOL * scale
+    n *= np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0)
+    terms = _cross(n[:, None], e).reshape(3, -1)
+    corner = t.T.ravel()
+    grad = np.empty_like(mesh.vertices)
+    for k in range(3):
+        grad[:, k] = np.bincount(corner, terms[k], minlength=mesh.n_vertices)
+    return grad
 
 
 def project_gradient(mesh: TriMesh, cone: PolyhedralCone,
@@ -443,14 +442,13 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             status = "converged"
             break
         gsq = float(np.einsum("ij,ij->", g, g))
-        saved = (mesh.vertices.copy(), mesh.vertex_class.copy(),
-                 mesh.facet.copy(), mesh.facet2.copy())
+        state = (mesh.vertices, mesh.vertex_class, mesh.facet, mesh.facet2)
+        saved = [x.copy() for x in state]
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            mesh.vertices[:] = saved[0] - step * g
-            mesh.vertex_class[:] = saved[1]
-            mesh.facet[:] = saved[2]
-            mesh.facet2[:] = saved[3]
+            for x, x0 in zip(state, saved):
+                x[:] = x0
+            mesh.vertices -= step * g
             trial_pins = []
             project_to_constraints(mesh, cone, trial_pins)
             trial = surface_area(mesh)
@@ -459,10 +457,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
                 break
             step *= 0.5
         if not accepted:
-            mesh.vertices[:] = saved[0]
-            mesh.vertex_class[:] = saved[1]
-            mesh.facet[:] = saved[2]
-            mesh.facet2[:] = saved[3]
+            for x, x0 in zip(state, saved):
+                x[:] = x0
             status = "stalled"
             break
         diag.armijo_margins.append(

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PolyhedralCone
-from .mesh import TriMesh, VertexClass, _edge_keys
+from .mesh import TriMesh, VertexClass, _edge_keys, triangle_normals
 
 DEVIATION_CHUNK = 262144
 FACET_TOL = 1e-7
+EPS = np.finfo(float).eps
 
 
 def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
@@ -73,9 +74,29 @@ def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
 
 
 def vertex_distance(mesh: TriMesh) -> float:
-    """Exact distance from the origin to the nearest surface point."""
-    a, b, c = mesh.triangle_corners()
-    return float(np.min(_point_triangle_distances(a, b, c)))
+    """Exact distance from the origin to the nearest surface point.
+
+    No point of a triangle is nearer than its smallest corner norm minus its
+    longest edge; only triangles whose bound, less a rounding margin, reaches
+    the nearest corner norm go through _point_triangle_distances, so the
+    result is the unpruned minimum bit for bit.
+    """
+    v, a, b, c = mesh.vertices, *mesh.triangle_corners()
+    ab, ac, bc = b - a, c - a, c - b
+    norms = np.take(np.sqrt(np.einsum("ij,ij->i", v, v)), mesh.triangles)
+    cmin = np.minimum(np.minimum(norms[:, 0], norms[:, 1]), norms[:, 2])
+    g11, g22, g33, g12 = (np.einsum("ij,ij->i", x, y) for x, y in
+                          ((ab, ab), (ac, ac), (bc, bc), (ab, ac)))
+    e2 = np.maximum(np.maximum(g11, g22), g33)
+    emax = np.sqrt(e2)
+    # the margin, 128 ulps of (corner norm + edge), grows with the squared
+    # aspect (e2 / |ab × ac|)² that a sliver's plane candidate carries in
+    # its rounding; a triangle too flat to bound |ab × ac|² is always kept
+    n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * EPS) - g12 * g12, 0.0)
+    slack = 128.0 * EPS * (cmin + emax)
+    keep = (cmin - emax - np.min(cmin)) * n2 <= slack * (n2 + e2 * e2)
+    return float(np.min(_point_triangle_distances(a[keep], b[keep],
+                                                  c[keep])))
 
 
 def _disk_clip(pts: np.ndarray, s: np.ndarray):
@@ -142,6 +163,16 @@ def _disk_radius(r, off):
     return np.sqrt(np.maximum(r * r - off * off, 0.0))
 
 
+def _extents(a, b, c):
+    """Nearest and farthest distances from the origin, areas and unit
+    normals of the triangles (a[i], b[i], c[i])."""
+    n = np.cross(b - a, c - a)
+    areas = 0.5 * np.linalg.norm(n, axis=1)
+    nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
+    d_max = np.maximum.reduce([np.linalg.norm(x, axis=1) for x in (a, b, c)])
+    return _point_triangle_distances(a, b, c), d_max, areas, nhat
+
+
 def monotonicity_ratio(mesh: TriMesh, radii) -> list:
     """Table of (r, p(r)) with p(r) = area(mesh ∩ B_r) / r²."""
     radii = [float(r) for r in radii]
@@ -152,13 +183,7 @@ def monotonicity_ratio(mesh: TriMesh, radii) -> list:
     if mesh.clamp_radius is not None and radii and radii[-1] > mesh.clamp_radius + 1e-9:
         raise ValueError("radii must not exceed the clamp radius")
     a, b, c = mesh.triangle_corners()
-    d_min = _point_triangle_distances(a, b, c)
-    d_max = np.max(np.stack([np.linalg.norm(a, axis=1),
-                             np.linalg.norm(b, axis=1),
-                             np.linalg.norm(c, axis=1)]), axis=0)
-    n = np.cross(b - a, c - a)
-    areas = 0.5 * np.linalg.norm(n, axis=1)
-    nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
+    d_min, d_max, areas, nhat = _extents(a, b, c)
     table = []
     for r in radii:
         inside = d_max <= r
@@ -186,7 +211,8 @@ def _annulus_pieces(a, b, c, nhat, rho, r) -> float:
     area_r, mom_r = _disk_clip(pts, _disk_radius(r, off))
     area_rho, mom_rho = _disk_clip(pts, _disk_radius(rho, off))
     area = area_r - area_rho
-    ok = area > 1e-300
+    # a rounding-level piece can sit at the origin with zero offset: skip it
+    ok = area > 64.0 * EPS * r * r
     cen2 = (mom_r - mom_rho)[ok] / area[ok, None]
     cen3 = foot[ok] + cen2[:, :1] * eu[ok] + cen2[:, 1:] * ev[ok]
     return float(np.sum(area[ok] * np.abs(off[ok])
@@ -210,13 +236,7 @@ def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
         b = tb[lo:lo + DEVIATION_CHUNK]
         c = tc[lo:lo + DEVIATION_CHUNK]
         for level in range(3):
-            d_min = _point_triangle_distances(a, b, c)
-            d_max = np.max(np.stack([np.linalg.norm(a, axis=1),
-                                     np.linalg.norm(b, axis=1),
-                                     np.linalg.norm(c, axis=1)]), axis=0)
-            n = np.cross(b - a, c - a)
-            areas = 0.5 * np.linalg.norm(n, axis=1)
-            nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
+            d_min, d_max, areas, nhat = _extents(a, b, c)
             inside = (d_min >= rho) & (d_max <= r)
             if np.any(inside):
                 cen = (a[inside] + b[inside] + c[inside]) / 3.0
@@ -266,12 +286,7 @@ def boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone,
     bmask = counts[inv] == 1
     bedges, bowner = edges[bmask], owner[bmask]
 
-    normals = cone.normals
-    v = mesh.vertices
-    a, b, c = (v[t[:, i]] for i in range(3))
-    tn = np.cross(b - a, c - a)
-    tl = np.linalg.norm(tn, axis=1)
-    tn = tn / np.where(tl > 0, tl, 1.0)[:, None]
+    normals, v, tn = cone.normals, mesh.vertices, triangle_normals(mesh)
 
     def declared(idx):
         if mesh.vertex_class[idx] in (VertexClass.FREE_BOUNDARY,

@@ -103,7 +103,7 @@ class TriMesh:
     def triangle_corners(self):
         """Corner position arrays (a, b, c), each of shape (m, 3)."""
         v, t = self.vertices, self.triangles
-        return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        return tuple(np.take(v, t[:, k], axis=0) for k in range(3))
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:

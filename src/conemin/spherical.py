@@ -97,23 +97,18 @@ def _strictly_inside_arc(x: np.ndarray, a: np.ndarray, b: np.ndarray,
 def _arcs_cross(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                 d: np.ndarray) -> bool:
     """Whether minor arcs (a, b) and (c, d) meet away from shared endpoints."""
-    n1 = np.cross(a, b)
-    n2 = np.cross(c, d)
-    line = np.cross(n1, n2)
-    nl = float(np.linalg.norm(line))
-    if nl <= 1e-12:
-        # same great circle: they overlap iff one contains an endpoint of
-        # the other strictly, or they cover the same span
-        return (_strictly_inside_arc(c, a, b) or _strictly_inside_arc(d, a, b)
-                or _strictly_inside_arc(a, c, d) or _strictly_inside_arc(b, c, d))
+    # arcs on one great circle meet only where one holds an endpoint of the
+    # other strictly inside
     if (_strictly_inside_arc(c, a, b) or _strictly_inside_arc(d, a, b)
             or _strictly_inside_arc(a, c, d) or _strictly_inside_arc(b, c, d)):
         return True
+    line = np.cross(np.cross(a, b), np.cross(c, d))
+    nl = float(np.linalg.norm(line))
+    if nl <= 1e-12:
+        return False
     x = line / nl
-    for cand in (x, -x):
-        if _strictly_inside_arc(cand, a, b) and _strictly_inside_arc(cand, c, d):
-            return True
-    return False
+    return any(_strictly_inside_arc(cand, a, b)
+               and _strictly_inside_arc(cand, c, d) for cand in (x, -x))
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,20 @@ def test_validate_names_zero_halfspace(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", ["minimize", "monotonicity"])
+def test_cone_without_sector_section_rejected(tmp_path, capsys, command,
+                                              kind):
+    # a valid cone, but {x1 = 0} is one of its facets, so no initial plane
+    cfg = write_cfg(tmp_path, {"kind": kind,
+                               "cone": {"halfspaces": [[0, 0, -1], [1, 0, 0]]},
+                               "out": str(tmp_path / "out")})
+    assert cli.main([command, cfg]) == 1
+    assert ("config error: plane {x1 = 0} lies in a cone facet: "
+            "no interior section" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
 
 

@@ -182,11 +182,42 @@ def test_gradient_zero_at_interior_of_plane():
     assert np.max(np.abs(g[interior])) <= 1e-12
 
 
+def test_gradient_matches_add_at_reference():
+    # central differences are checked by test_gradient_matches_finite_differences
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        m = random_disk_mesh(rng, rings=6)
+        v = m.vertices
+        ref = np.zeros_like(v)
+        for tri in m.triangles:
+            a, b, c = v[tri]
+            n = np.cross(b - a, c - a)
+            n /= np.linalg.norm(n)
+            np.add.at(ref, tri, 0.5 * np.cross(n, [c - b, a - c, b - a]))
+        g = dsc.area_gradient(m)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_gradient_unreferenced_and_flattened():
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [2.0, 0.0, 0.0], [3.0, 1e-12, 0.0], [7.0, 7.0, 7.0]])
+    one = msh.TriMesh(verts, np.array([[0, 1, 2]]),
+                      np.zeros(6, dtype=np.int64))
+    # [1, 3, 4] is flat to DEGENERATE_REL_TOL: it adds nothing anywhere
+    both = msh.TriMesh(verts, np.array([[0, 1, 2], [1, 3, 4]]),
+                       np.zeros(6, dtype=np.int64))
+    g = dsc.area_gradient(both)
+    assert g.shape == (6, 3)
+    assert np.array_equal(g, dsc.area_gradient(one))
+    # vertex 5, the last index, lies on no triangle
+    npt.assert_array_equal(g[3:], 0.0)
+
+
 def test_gradient_deterministic_across_threads():
-    # repeated calls reduce the same chunks in the same order
+    # repeated calls sum the corner terms in the same index order
     rng = np.random.default_rng(5)
     cone = geo.pyramid_to_cone(1.0, 1.0)
-    m = dsc.make_initial_plane(cone, 1.0, 40)  # 1600 triangles, two chunks
+    m = dsc.make_initial_plane(cone, 1.0, 40)  # 1600 triangles
     m.vertices += 1e-3 * rng.standard_normal(m.vertices.shape)
     grads = [dsc.area_gradient(m) for _ in range(3)]
     assert np.array_equal(grads[0], grads[1])

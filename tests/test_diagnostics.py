@@ -2,6 +2,7 @@
 conical deviation, and boundary angle audits."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -93,6 +94,70 @@ def test_vertex_distance_handles_degenerate_triangle():
     tris = np.array([[0, 1, 2]])
     m = msh.TriMesh(verts, tris, np.zeros(3, dtype=np.int64))
     assert diag.vertex_distance(m) == pytest.approx(1.0, abs=1e-14)
+
+
+def unpruned_vertex_distance(m):
+    return float(np.min(diag._point_triangle_distances(*m.triangle_corners())))
+
+
+def test_vertex_distance_pruned_equals_unpruned_on_jittered_meshes():
+    rng = np.random.default_rng(23)
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    for _ in range(60):
+        m = dsc.make_initial_plane(cone, 1.0, int(rng.integers(3, 25)))
+        m.vertices += rng.choice([1e-3, 0.03, 0.2]) * rng.standard_normal(
+            m.vertices.shape)
+        m.vertices += rng.uniform(-0.3, 0.3, 3)
+        assert diag.vertex_distance(m) == unpruned_vertex_distance(m)
+
+
+def test_vertex_distance_large_triangle_nearer_than_its_corners():
+    # the big triangle's corners are 10 away but its interior passes 0.5
+    # from the origin; the small triangles have corners at distance ~1
+    verts = np.array([[-10.0, -10.0, 0.5], [10.0, -10.0, 0.5],
+                      [0.0, 10.0, 0.5],
+                      [1.0, 0.0, 0.0], [1.1, 0.0, 0.0], [1.0, 0.1, 0.0],
+                      [0.0, 1.0, 0.0], [0.0, 1.1, 0.0], [0.0, 1.0, 0.1]])
+    tris = np.array([[3, 4, 5], [6, 7, 8], [0, 1, 2]])
+    m = msh.TriMesh(verts, tris, np.zeros(9, dtype=np.int64))
+    assert diag.vertex_distance(m) == unpruned_vertex_distance(m) == 0.5
+
+
+def test_vertex_distance_pruned_with_degenerate_triangles():
+    verts = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0],
+                      [0.0, 2.0, 0.0], [0.0, 3.0, 1e-9], [0.0, 4.0, 0.0],
+                      [5.0, 5.0, 5.0], [6.0, 5.0, 5.0], [5.0, 6.0, 5.0]])
+    # a collinear triangle, a sliver and a far triangle the bound drops
+    tris = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    m = msh.TriMesh(verts, tris, np.zeros(9, dtype=np.int64))
+    assert diag.vertex_distance(m) == unpruned_vertex_distance(m) == 1.0
+
+
+def test_vertex_distance_pruning_keeps_near_collinear_triangles():
+    # corners 10 away and collinear to rounding: the kernel's plane candidate
+    # uses a normal made of rounding noise and reads 0.14, under the bound
+    # 9.39; pruning must keep the triangle and give the kernel's minimum
+    sliver = [[float.fromhex(x) for x in corner] for corner in (
+        ("-0x1.ef7c52dedce8ep-2", "0x1.3dc86415ed043p+3", "-0x1.12269e70bee69p+0"),
+        ("-0x1.1f92b1b954754p-1", "0x1.5142567a14580p+3", "-0x1.0cbe45fc801adp+0"),
+        ("-0x1.15759299abbffp-1", "0x1.4c504c1e76cb2p+3", "-0x1.0e1dc9f24e380p+0"))]
+    verts = np.array(sliver + [[1.0, 0.0, 0.0], [1.1, 0.0, 0.0],
+                               [1.0, 0.1, 0.0]])
+    m = msh.TriMesh(verts, np.array([[3, 4, 5], [0, 1, 2]]),
+                    np.zeros(6, dtype=np.int64))
+    assert diag.vertex_distance(m) == unpruned_vertex_distance(m) < 1.0
+
+
+def test_vertex_distance_zero_when_origin_on_surface():
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    m.vertices[0] = 0.0  # the apex vertex at the origin
+    assert diag.vertex_distance(m) == unpruned_vertex_distance(m) == 0.0
+    # the origin inside a triangle, at none of its corners
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    m.vertices -= m.vertices[m.triangles[40]].mean(axis=0)
+    assert diag.vertex_distance(m) == unpruned_vertex_distance(m)
+    assert diag.vertex_distance(m) <= 1e-16
 
 
 # ---------------------------------------------------------------- monotonicity
@@ -310,6 +375,15 @@ def test_clip_cw_chart_equals_ccw_chart():
 
 
 # ---------------------------------------------------------------- regression pins
+
+def test_deviation_plane_through_origin_is_zero():
+    # a plane through the origin has zero offset everywhere; a rounding-level
+    # clipped piece centred at the origin used to make this 0/0
+    m = dsc.make_initial_plane(geo.pyramid_to_cone(1.0, 1.0), 1.0, 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diag.conical_deviation(m, 0.1, 0.5) == 0.0
+
 
 def test_deviation_offset_plane_regression_pin():
     # the per-triangle exact clip that the batched kernel replaced gave
