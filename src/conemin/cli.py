@@ -31,16 +31,16 @@ import numpy as np
 from .competitor import (
     CompetitorSpec,
     ConnectionProfile,
-    area_deficit,
+    deficit_sweep,
+    epsilon_star,
     export_competitor_mesh,
     feasible_params,
-    find_epsilon_star,
     weighted_energy,
 )
 from .descent import (MinimizeConfig, _sector_rays, make_initial_plane,
                       minimize)
 from .diagnostics import monotonicity_ratio
-from .geometry import as_number, cone_from_dict, unit
+from .geometry import as_number, cone_from_dict, cross3, unit
 from .mesh import save_obj, surface_area
 from .spherical import two_arc_audit
 
@@ -195,29 +195,18 @@ def _run_competitor(cfg, outdir: Path):
         profile = feasible_params(a)
     energy = weighted_energy(profile)
 
-    cap = 0.5 / a
-    grid = cfg["sweep_grid"]
-    rows = []
-    for i in range(1, grid + 1):
-        eps = cap * i / grid
-        rep = area_deficit(CompetitorSpec(a=a, b=b, profile=profile,
-                                          epsilon=eps))
-        rows.append((eps, rep.deficit, rep.ruled_area))
+    sweep = list(deficit_sweep(a, b, profile, cfg["sweep_grid"]))
+    rows = [(eps, rep.deficit, rep.ruled_area) for eps, rep in sweep]
     _write_csv(outdir / "sweep.csv", ("epsilon", "deficit", "ruled_area"), rows)
-
-    try:
-        eps_star = find_epsilon_star(a, b, profile, grid)
-    except ValueError:
-        eps_star = None
+    star = epsilon_star(sweep)
 
     results = {
         "profile": {"h": profile.h, "alpha": profile.alpha},
         "weighted_energy": energy,
-        "epsilon_star": eps_star,
+        "epsilon_star": None if star is None else star[0],
     }
-    if eps_star is not None:
-        rep = area_deficit(CompetitorSpec(a=a, b=b, profile=profile,
-                                          epsilon=eps_star))
+    if star is not None:
+        eps_star, rep = star
         results["report_at_epsilon_star"] = {
             "A0": rep.A0, "A_eps": rep.A_eps, "T_h_area": rep.T_h_area,
             "ruled_area": rep.ruled_area, "deficit": rep.deficit,
@@ -318,12 +307,12 @@ def _random_audit_inputs(rng):
     q1 = math.cos(theta) * e1 + math.sin(theta) * e2
     pole = e3
     nu_p = e2
-    nu_q = unit(np.cross(pole, q1))
+    nu_q = unit(cross3(pole, q1))
     phi_p = rng.uniform(0.15, 1.35)
     phi_q = rng.uniform(0.15, 1.35)
     x_p = math.cos(phi_p) * pole + math.sin(phi_p) * p1
     x_q = math.cos(phi_q) * pole + math.sin(phi_q) * q1
-    n2 = unit(np.cross(x_p, x_q))
+    n2 = unit(cross3(x_p, x_q))
     return p1, q1, nu_p, nu_q, n2
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 QUAD_ABS_TOL = 1e-10
 QUAD_ERR_CAP = 1e-8
@@ -49,14 +48,35 @@ def phi(profile: ConnectionProfile, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _phi_prime_coefficients(profile: ConnectionProfile):
+    """(k, p, q) with phi'(t) = k * t ** p / q."""
+    g = (1.0 + profile.h) ** profile.alpha
+    return -profile.alpha * g, -profile.alpha - 1.0, g - 1.0
+
+
 def phi_prime(profile: ConnectionProfile, t):
     """Derivative of phi; strictly negative on [1, 1+h]."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 1.0 - 1e-12) or np.any(t > 1.0 + profile.h + 1e-12):
         raise ValueError("t must lie in [1, 1+h]")
-    g = (1.0 + profile.h) ** profile.alpha
-    out = -profile.alpha * g * t ** (-profile.alpha - 1.0) / (g - 1.0)
+    k, p, q = _phi_prime_coefficients(profile)
+    out = k * t ** p / q
     return float(out) if out.ndim == 0 else out
+
+
+def _scalar_phi_prime(profile: ConnectionProfile):
+    """phi_prime of one float t, bit for bit, for the integrands to call once
+    per quadrature node: coefficients computed once and a float range check.
+    The power stays numpy's, whose last ulp can differ from libm's."""
+    k, p, q = _phi_prime_coefficients(profile)
+    top = 1.0 + profile.h + 1e-12
+
+    def dphi(t: float) -> float:
+        if t < 1.0 - 1e-12 or t > top:
+            raise ValueError("t must lie in [1, 1+h]")
+        return k * float(np.power(t, p)) / q
+
+    return dphi
 
 
 def weighted_energy(profile: ConnectionProfile) -> float:
@@ -129,10 +149,13 @@ class CompetitorSpec:
 def ruled_area(spec: CompetitorSpec) -> float:
     """Area of the ruled bridge x1 = eps*phi(x3) over the trapezium,
     ∫₁^{1+h} (2t/b)·sqrt(1 + eps²·phi'(t)²) dt by adaptive quadrature."""
+    from scipy.integrate import quad
+
     eps2 = spec.epsilon * spec.epsilon
+    dphi = _scalar_phi_prime(spec.profile)
 
     def f(t):
-        d = phi_prime(spec.profile, t)
+        d = dphi(t)
         return (2.0 * t / spec.b) * math.sqrt(1.0 + eps2 * d * d)
 
     val, err = quad(f, 1.0, 1.0 + spec.profile.h,
@@ -161,14 +184,17 @@ def area_deficit(spec: CompetitorSpec) -> DeficitReport:
     ruled_area − trapezium is integrated as (2t/b)·(sqrt(1+u)−1) with the
     stable form u/(1+sqrt(1+u)), u = eps²·phi'², so no cancellation occurs.
     """
+    from scipy.integrate import quad
+
     a, b, eps = spec.a, spec.b, spec.epsilon
     h = spec.profile.h
     A0, A_eps = section_areas(a, b, eps)
     T = trapezium_area(b, h)
     eps2 = eps * eps
+    dphi = _scalar_phi_prime(spec.profile)
 
     def g(t):
-        d = phi_prime(spec.profile, t)
+        d = dphi(t)
         u = eps2 * d * d
         return (2.0 * t / b) * u / (1.0 + math.sqrt(1.0 + u))
 
@@ -187,25 +213,40 @@ def area_deficit(spec: CompetitorSpec) -> DeficitReport:
     )
 
 
-def find_epsilon_star(a: float, b: float, profile: ConnectionProfile,
-                      grid: int) -> float:
-    """Largest grid value of eps in (0, 1/(2a)] below which the deficit
-    stays negative at every smaller grid point."""
+def deficit_sweep(a: float, b: float, profile: ConnectionProfile,
+                  grid: int):
+    """(eps, area_deficit report) at eps = (1/(2a))·i/grid for i = 1..grid,
+    generated lazily in increasing eps."""
     if int(grid) != grid or grid < 1:
         raise ValueError("grid must be a positive integer")
     grid = int(grid)
     cap = 0.5 / a
-    best = None
     for i in range(1, grid + 1):
         eps = cap * i / grid
-        report = area_deficit(CompetitorSpec(a=a, b=b, profile=profile,
-                                             epsilon=eps))
+        yield eps, area_deficit(CompetitorSpec(a=a, b=b, profile=profile,
+                                               epsilon=eps))
+
+
+def epsilon_star(sweep):
+    """The last (eps, report) of a sweep, in increasing eps, before its first
+    non-negative deficit; None when the first deficit is non-negative.
+    Reads a lazy sweep no further than that first non-negative deficit."""
+    star = None
+    for eps, report in sweep:
         if report.deficit >= 0:
-            if best is None:
-                raise ValueError(f"profile infeasible at resolution {grid}")
             break
-        best = eps
-    return best
+        star = eps, report
+    return star
+
+
+def find_epsilon_star(a: float, b: float, profile: ConnectionProfile,
+                      grid: int) -> float:
+    """Largest grid value of eps in (0, 1/(2a)] below which the deficit
+    stays negative at every smaller grid point."""
+    star = epsilon_star(deficit_sweep(a, b, profile, grid))
+    if star is None:
+        raise ValueError(f"profile infeasible at resolution {grid}")
+    return star[0]
 
 
 def export_competitor_mesh(spec: CompetitorSpec, resolution: int):

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PolyhedralCone
-from .mesh import TriMesh, VertexClass, _edge_keys, triangle_normals
+from .mesh import TriMesh, VertexClass, _edge_keys, row_norms, triangle_normals
 
 DEVIATION_CHUNK = 262144
 FACET_TOL = 1e-7
 EPS = np.finfo(float).eps
+COLLINEAR_ULPS = 4.0   # |ab x ac|^2 at or below this many ulps of |ab|^2 |ac|^2
 
 
 def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
@@ -34,8 +35,10 @@ def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
 
     Minimum over seven closed-form candidates: three vertices, three edges
     with clamped projection, and the plane point when its barycentric
-    coordinates land inside.  Degenerate triangles fall back to the
-    vertex/edge candidates, which are exact for them.
+    coordinates land inside.  Triangles collinear to rounding, with
+    |ab x ac|^2 <= COLLINEAR_ULPS ulps of |ab|^2 |ac|^2, fall back to the
+    vertex/edge candidates: their normal would be rounding noise, while the
+    edges are exact for them.
     """
 
     def edge(p, q):
@@ -43,24 +46,20 @@ def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
         dd = np.einsum("ij,ij->i", d, d)
         t = np.where(dd > 0, -np.einsum("ij,ij->i", p, d) / np.where(dd > 0, dd, 1.0), 0.0)
         t = np.clip(t, 0.0, 1.0)
-        return np.linalg.norm(p + t[:, None] * d, axis=1)
+        return row_norms(p + t[:, None] * d)
 
-    cands = [
-        np.linalg.norm(a, axis=1),
-        np.linalg.norm(b, axis=1),
-        np.linalg.norm(c, axis=1),
-        edge(a, b), edge(a, c), edge(b, c),
-    ]
+    cands = [row_norms(a), row_norms(b), row_norms(c),
+             edge(a, b), edge(a, c), edge(b, c)]
     ab, ac = b - a, c - a
     n = np.cross(ab, ac)
     nn = np.einsum("ij,ij->i", n, n)
-    ok = nn > 0
-    nhat = n / np.sqrt(np.where(ok, nn, 1.0))[:, None]
-    off = np.einsum("ij,ij->i", a, nhat)
-    foot = off[:, None] * nhat - a
     g11 = np.einsum("ij,ij->i", ab, ab)
     g12 = np.einsum("ij,ij->i", ab, ac)
     g22 = np.einsum("ij,ij->i", ac, ac)
+    ok = nn > COLLINEAR_ULPS * EPS * g11 * g22
+    nhat = n / np.sqrt(np.where(ok, nn, 1.0))[:, None]
+    off = np.einsum("ij,ij->i", a, nhat)
+    foot = off[:, None] * nhat - a
     det = g11 * g22 - g12 * g12
     ok &= det > 0
     det = np.where(ok, det, 1.0)
@@ -167,9 +166,9 @@ def _extents(a, b, c):
     """Nearest and farthest distances from the origin, areas and unit
     normals of the triangles (a[i], b[i], c[i])."""
     n = np.cross(b - a, c - a)
-    areas = 0.5 * np.linalg.norm(n, axis=1)
+    areas = 0.5 * row_norms(n)
     nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
-    d_max = np.maximum.reduce([np.linalg.norm(x, axis=1) for x in (a, b, c)])
+    d_max = np.maximum.reduce([row_norms(x) for x in (a, b, c)])
     return _point_triangle_distances(a, b, c), d_max, areas, nhat
 
 

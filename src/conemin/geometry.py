@@ -5,21 +5,23 @@ with unit normals and apex at the origin.  Points and directions are plain
 numpy arrays of shape (3,).  The module provides the constructions needed by
 the rest of the toolkit: wedges, rectangular pyramids
 C = {x3 >= max(a|x1|, b|x2|)}, the one parser of the JSON cone spec, and the
-open-hemisphere linear program behind the cone interior test and the
-spherical polygon check.
+exact open-hemisphere margin, computed in closed form without a solver,
+behind the cone interior test and the spherical polygon check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 UNIT_TOL = 1e-12          # |normal| must be 1 within this
 DEDUP_TOL = 1e-10         # normals with dot > 1 - DEDUP_TOL are duplicates
 RANK_TOL = 1e-9           # relative SVD threshold for the vertex test
+HEMISPHERE_TOL = 1e-9     # points fit in an open hemisphere iff slack > this
+HEMISPHERE_BLOCK = 1 << 16  # dot products per block of the hemisphere test
 
 
 def as_vec3(x) -> np.ndarray:
@@ -68,18 +70,81 @@ class HalfSpace:
         return self.signed_distance(p) <= tol
 
 
+def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v of two 3-vectors, bit for bit np.cross(u, v) (the same products
+    and differences) without its per-call array overhead."""
+    u0, u1, u2 = u.tolist()
+    v0, v1, v2 = v.tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+
+
+def _hemisphere_tables():
+    """The Levi-Civita tensor L, (w x e)_i = L_ijk w_j e_k; the 8 corners
+    (+-1, +-1, +-1) of the cube; and the (3, 36) matrix W with w @ W the 12
+    products w x e with the normals e (one entry 0, two +-1) of the planes
+    through the origin that hold the cube's edges."""
+    levi = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        levi[i, j, k], levi[i, k, j] = 1.0, -1.0
+    signs = list(itertools.product((-1.0, 0.0, 1.0), repeat=3))
+    corners = np.array([s for s in signs if 0.0 not in s])
+    edges = np.array([s for s in signs if s.count(0.0) == 1])
+    return levi, corners, np.einsum("ijk,ek->jei", levi, edges).reshape(3, -1)
+
+
+_LEVI_CIVITA, _CUBE_CORNERS, _EDGE_CROSS = _hemisphere_tables()
+
+
+def _index_block(tuples, count: int, k: int) -> np.ndarray:
+    """The next up-to-count k-tuples of an iterator, as a (n, k) array."""
+    flat = itertools.chain.from_iterable(itertools.islice(tuples, count))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+
+
+def _candidate_directions(v: np.ndarray):
+    """Blocks of the directions at which open_hemisphere_slack's program
+    can peak, each block holding at most HEMISPHERE_BLOCK dot products with
+    the m rows of v (one block for a few points)."""
+    m = len(v)
+    # each pair gives 12 directions, each triple 2, the first block adds 8
+    count = max(1, (HEMISPHERE_BLOCK // m - 8) // 14)
+    pairs = itertools.combinations(range(m), 2)
+    triples = itertools.combinations(range(m), 3)
+    corners = [_CUBE_CORNERS]  # in the first block only
+    while True:
+        ab, abc = _index_block(pairs, count, 2), _index_block(triples, count, 3)
+        if not (corners or len(ab) or len(abc)):
+            return
+        d = np.einsum("ijk,nj,nk->ni", _LEVI_CIVITA,
+                      v[abc[:, 1]] - v[abc[:, 0]], v[abc[:, 2]] - v[abc[:, 0]])
+        yield np.concatenate(corners + [
+            ((v[ab[:, 1]] - v[ab[:, 0]]) @ _EDGE_CROSS).reshape(-1, 3), d, -d])
+        corners = []
+
+
 def open_hemisphere_slack(points: np.ndarray) -> float:
-    """Best margin t of {v_i . n >= t, |n|_inf <= 1} over the rows v_i of
-    points; positive iff they fit in an open hemisphere.  A cone
-    {n_i . x <= 0} has nonempty interior iff the -n_i do."""
-    m = points.shape[0]
-    c = np.array([0.0, 0.0, 0.0, -1.0])
-    a_ub = np.hstack([-points, np.ones((m, 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m),
-                  bounds=[(-1, 1)] * 3 + [(0, 1)], method="highs")
-    if not res.success:
-        return -1.0
-    return float(res.x[3])
+    """Best margin t of {v_i . n >= t, |n|_inf <= 1, 0 <= t <= 1} over the
+    rows v_i of points; positive iff they fit in an open hemisphere.  A cone
+    {n_i . x <= 0} has nonempty interior iff the -n_i do.
+
+    Exact, no solver: without the bounds on t this is a linear program in
+    (n, t) whose optimum, when positive, sits at a vertex where k = 1, 2 or 3
+    rows v_i . n = t and 4 - k faces |n_j| = 1 of the cube are active (k = 4
+    gives the origin, t = 0).  Up to a positive factor n is then a cube
+    corner (k = 1), the meet (v_a - v_b) x e of the plane of equal margins
+    with a plane through a cube edge, edge normal e (k = 2), or
+    +-(v_b - v_a) x (v_c - v_a) (k = 3).  For any direction d != 0,
+    n = d / |d|_inf with t = min_i v_i . n is feasible, so the largest such
+    t over these directions, clipped to [0, 1], is the optimum.
+    """
+    v = np.asarray(points, dtype=float).reshape(-1, 3)
+    best = 0.0
+    for d in _candidate_directions(v):
+        scale = np.abs(d).max(axis=1)
+        margins = np.divide((d @ v.T).min(axis=1), scale,
+                            out=np.zeros(len(d)), where=scale > 0)
+        best = max(best, float(margins.max()))
+    return min(1.0, best)
 
 
 class PolyhedralCone:
@@ -107,7 +172,7 @@ class PolyhedralCone:
         if not kept:
             raise ValueError("a cone needs at least one half-space")
         self.halfspaces: tuple[HalfSpace, ...] = tuple(kept)
-        if open_hemisphere_slack(-self.normals) <= 1e-9:
+        if open_hemisphere_slack(-self.normals) <= HEMISPHERE_TOL:
             raise ValueError("cone has empty interior")
 
     @property

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vec3, open_hemisphere_slack, unit
+from .geometry import (HEMISPHERE_TOL, as_vec3, cross3, open_hemisphere_slack,
+                       unit)
 
 ANTIPODAL_TOL = 1e-10
 COINCIDENT_TOL = 1e-10
@@ -33,7 +34,11 @@ def sphere_point(v) -> np.ndarray:
 
 def arc_length(p, q) -> float:
     """Length of the minor arc between p and q; errors on antipodal pairs."""
-    p, q = sphere_point(p), sphere_point(q)
+    return _arc_length(sphere_point(p), sphere_point(q))
+
+
+def _arc_length(p: np.ndarray, q: np.ndarray) -> float:
+    """arc_length of points that are already validated unit 3-vectors."""
     d = float(p @ q)
     if d <= -1.0 + ANTIPODAL_TOL:
         raise ValueError("antipodal endpoints: minor arc undefined")
@@ -50,7 +55,7 @@ def interior_angle(vertex, u, w) -> float:
     if nu <= 1e-10 or nw <= 1e-10:
         raise ValueError("angle undefined: neighbor (anti)parallel to vertex")
     tu, tw = tu / nu, tw / nw
-    return float(math.atan2(float(np.linalg.norm(np.cross(tu, tw))), float(tu @ tw)))
+    return float(math.atan2(float(np.linalg.norm(cross3(tu, tw))), float(tu @ tw)))
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,13 @@ class GeodesicArc:
 
 def equator_pole(arc: GeodesicArc) -> np.ndarray:
     """Pole of the great circle through the arc: normalize(p x q)."""
-    return unit(np.cross(arc.p, arc.q))
+    return unit(cross3(arc.p, arc.q))
 
 
 def _strictly_inside_arc(x: np.ndarray, a: np.ndarray, b: np.ndarray,
                          tol: float = 1e-9) -> bool:
     """True when x lies on the minor arc (a, b), excluding the endpoints."""
-    dax, dxb, dab = arc_length(a, x), arc_length(x, b), arc_length(a, b)
+    dax, dxb, dab = _arc_length(a, x), _arc_length(x, b), _arc_length(a, b)
     return abs(dax + dxb - dab) <= tol and min(dax, dxb) > tol
 
 
@@ -102,7 +107,7 @@ def _arcs_cross(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     if (_strictly_inside_arc(c, a, b) or _strictly_inside_arc(d, a, b)
             or _strictly_inside_arc(a, c, d) or _strictly_inside_arc(b, c, d)):
         return True
-    line = np.cross(np.cross(a, b), np.cross(c, d))
+    line = cross3(cross3(a, b), cross3(c, d))
     nl = float(np.linalg.norm(line))
     if nl <= 1e-12:
         return False
@@ -142,7 +147,7 @@ class GeodesicPolygon:
                 c, d = pts[j], pts[(j + 1) % k]
                 if _arcs_cross(a, b, c, d):
                     raise ValueError("polygon edges cross")
-        if open_hemisphere_slack(np.array(pts)) <= 1e-9:
+        if open_hemisphere_slack(np.array(pts)) <= HEMISPHERE_TOL:
             raise ValueError("polygon is not contained in an open hemisphere")
         object.__setattr__(self, "vertices", pts)
 
@@ -241,8 +246,8 @@ def _meridian_plane_crossing(base: np.ndarray, pole: np.ndarray,
                              plane_normal: np.ndarray) -> np.ndarray:
     """Intersection of a plane through the origin with the meridian from
     `pole` through `base`, chosen on the pole side of the equator."""
-    m_normal = unit(np.cross(base, pole))
-    d = np.cross(m_normal, plane_normal)
+    m_normal = unit(cross3(base, pole))
+    d = cross3(m_normal, plane_normal)
     nd = float(np.linalg.norm(d))
     if nd <= 1e-10:
         raise ValueError("plane contains the meridian: degenerate configuration")

@@ -1,13 +1,14 @@
 """End-to-end tests of the scenario runner: exit codes, outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conemin import cli
+from conemin import cli, competitor
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -192,6 +193,45 @@ def test_run_competitor_scenario(tmp_path, capsys):
     assert report["results"]["epsilon_star"] is not None
     assert (tmp_path / "out" / "sweep.csv").exists()
     assert (tmp_path / "out" / "competitor.obj").exists()
+
+
+def test_run_competitor_sweeps_each_deficit_once(tmp_path, capsys,
+                                                monkeypatch):
+    calls = []
+    deficit = competitor.area_deficit
+
+    def counted(spec):
+        calls.append(spec.epsilon)
+        return deficit(spec)
+
+    monkeypatch.setattr(competitor, "area_deficit", counted)
+    cfg = write_cfg(tmp_path, {"kind": "competitor",
+                               "cone": {"pyramid": {"a": 1.0, "b": 1.0}},
+                               "sweep_grid": 16,
+                               "mesh_resolution": 8,
+                               "out": str(tmp_path / "out")})
+    assert cli.main(["run", cfg]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 16
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    eps_star = report["results"]["epsilon_star"]
+    monkeypatch.undo()
+    assert eps_star == competitor.find_epsilon_star(
+        1.0, 1.0, competitor.feasible_params(1.0), 16)
+    star = competitor.area_deficit(competitor.CompetitorSpec(
+        a=1.0, b=1.0, profile=competitor.feasible_params(1.0),
+        epsilon=eps_star))
+    assert report["results"]["report_at_epsilon_star"]["deficit"] == star.deficit
+
+
+def test_import_loads_no_scipy():
+    src = Path(competitor.__file__).resolve().parents[1]
+    code = ("import sys, conemin, conemin.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 def test_run_competitor_infeasible_profile_fails(tmp_path, capsys):

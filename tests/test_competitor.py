@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conemin import competitor
 from conemin.competitor import (
     CompetitorSpec,
     ConnectionProfile,
@@ -58,6 +59,21 @@ def test_phi_domain_errors():
         phi(p, 0.5)
     with pytest.raises(ValueError):
         phi_prime(p, 2.5)
+
+
+def test_scalar_phi_prime_is_phi_prime_bit_for_bit():
+    # the quadrature integrands use the float form at each node, where they
+    # once called phi_prime with a float; the deficits stay the same only if
+    # every node agrees exactly
+    rng = np.random.default_rng(11)
+    for h, alpha in ((1.0, 1.0), (2.5, 1.3), (8.0, 0.49), (64.0, 2.25)):
+        p = ConnectionProfile(h=h, alpha=alpha)
+        dphi = competitor._scalar_phi_prime(p)
+        t = [1.0, 1.0 + h] + rng.uniform(1.0, 1.0 + h, 500).tolist()
+        assert [dphi(x) for x in t] == [phi_prime(p, x) for x in t]
+        for bad in (1.0 - 1e-9, 1.0 + h + 1e-9):
+            with pytest.raises(ValueError, match=r"\[1, 1\+h\]"):
+                dphi(bad)
 
 
 def test_profile_validation():

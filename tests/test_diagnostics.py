@@ -134,9 +134,10 @@ def test_vertex_distance_pruned_with_degenerate_triangles():
 
 
 def test_vertex_distance_pruning_keeps_near_collinear_triangles():
-    # corners 10 away and collinear to rounding: the kernel's plane candidate
-    # uses a normal made of rounding noise and reads 0.14, under the bound
-    # 9.39; pruning must keep the triangle and give the kernel's minimum
+    # corners 10 away and collinear to rounding: a plane candidate built on
+    # their noise normal read 0.14, under the bound 9.39; the kernel now
+    # skips it, so the sliver's exact edge distance loses to the small
+    # triangle's corner at distance 1
     sliver = [[float.fromhex(x) for x in corner] for corner in (
         ("-0x1.ef7c52dedce8ep-2", "0x1.3dc86415ed043p+3", "-0x1.12269e70bee69p+0"),
         ("-0x1.1f92b1b954754p-1", "0x1.5142567a14580p+3", "-0x1.0cbe45fc801adp+0"),
@@ -145,7 +146,44 @@ def test_vertex_distance_pruning_keeps_near_collinear_triangles():
                                [1.0, 0.1, 0.0]])
     m = msh.TriMesh(verts, np.array([[3, 4, 5], [0, 1, 2]]),
                     np.zeros(6, dtype=np.int64))
-    assert diag.vertex_distance(m) == unpruned_vertex_distance(m) < 1.0
+    assert diag.vertex_distance(m) == unpruned_vertex_distance(m) == 1.0
+    assert diag._point_triangle_distances(*verts[:3, None])[0] > 9.39
+
+
+def vertex_edge_distances(a, b, c):
+    """Distance from the origin to each triangle's corners and edges only,
+    with the kernel's clamped projection."""
+    def edge(p, q):
+        d = q - p
+        t = np.clip(-np.einsum("ij,ij->i", p, d) / np.einsum("ij,ij->i", d, d),
+                    0.0, 1.0)
+        return np.linalg.norm(p + t[:, None] * d, axis=1)
+
+    return np.min([np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1),
+                   np.linalg.norm(c, axis=1), edge(a, b), edge(a, c),
+                   edge(b, c)], axis=0)
+
+
+def test_point_triangle_distances_exact_on_near_collinear_triangles():
+    # 20,000 triangles 10 from the origin, collinear to 1e-17..1e-12: their
+    # cross product is rounding noise, so only corners and edges may count
+    rng = np.random.default_rng(31)
+    n = 20000
+    a = rng.standard_normal((n, 3))
+    a *= 10.0 / np.linalg.norm(a, axis=1, keepdims=True)
+    u = rng.standard_normal((n, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    w = rng.standard_normal((n, 3))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    s, t = rng.uniform(0.05, 2.0, (2, n, 1))
+    off = 10.0 ** rng.uniform(-17.0, -12.0, (n, 1))
+    b = a + s * u
+    c = a + t * rng.choice([-1.0, 1.0], (n, 1)) * (u + off * w)
+    got = diag._point_triangle_distances(a, b, c)
+    corners = np.linalg.norm(np.stack([a, b, c]), axis=2).min(axis=0)
+    edges = np.linalg.norm(np.stack([b - a, c - a, c - b]), axis=2).max(axis=0)
+    assert np.all(got >= corners - edges)
+    npt.assert_array_equal(got, vertex_edge_distances(a, b, c))
 
 
 def test_vertex_distance_zero_when_origin_on_surface():

@@ -115,3 +115,67 @@ def test_halfspace_errors_name_the_halfspace():
 def test_cone_from_dict_rejects(spec, message):
     with pytest.raises(ValueError, match=message):
         geo.cone_from_dict(spec)
+
+
+# ------------------------------------------------------ open-hemisphere slack
+
+def linprog_slack(points):
+    """The margin as the linear program max t subject to v_i . n >= t,
+    |n|_inf <= 1, 0 <= t <= 1, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    m = points.shape[0]
+    res = linprog([0.0, 0.0, 0.0, -1.0],
+                  A_ub=np.hstack([-points, np.ones((m, 1))]),
+                  b_ub=np.zeros(m), bounds=[(-1, 1)] * 3 + [(0, 1)],
+                  method="highs")
+    assert res.success
+    return float(res.x[3])
+
+
+def test_open_hemisphere_slack_matches_linprog():
+    rng = np.random.default_rng(2024)
+    interior = 0
+    for _ in range(2000):
+        points = rng.standard_normal((int(rng.integers(1, 9)), 3))
+        points *= rng.choice([0.1, 1.0, 3.0])
+        expect = linprog_slack(points)
+        assert geo.open_hemisphere_slack(points) == pytest.approx(
+            expect, abs=1e-12)
+        interior += 0.0 < expect < 1.0
+    assert interior > 500  # the comparison is not all clipped 0s and 1s
+
+
+def test_open_hemisphere_slack_closed_forms():
+    e = np.eye(3)
+    assert geo.open_hemisphere_slack(e) == 1.0
+    assert geo.open_hemisphere_slack(np.array([e[0], -e[0]])) == 0.0
+    # a single point v: n = sign(v) gives the margin |v|_1
+    for v in ([0.2, -0.3, 0.1], [0.0, 0.0, -0.25], [1.0, 2.0, -3.0],
+              [0.5, 0.5, 0.0]):
+        assert geo.open_hemisphere_slack(np.array([v])) == pytest.approx(
+            min(1.0, float(np.sum(np.abs(v)))), abs=1e-15)
+    # a great circle's points fit in no open hemisphere, a cap's do
+    t = np.linspace(0.0, 2.0 * math.pi, 7)[:-1]
+    ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+    assert geo.open_hemisphere_slack(ring) == 0.0
+    assert geo.open_hemisphere_slack(ring + [0.0, 0.0, 0.1]) == pytest.approx(
+        0.1, abs=1e-15)
+
+
+def test_open_hemisphere_slack_blocks_agree(monkeypatch):
+    rng = np.random.default_rng(5)
+    sets = [0.1 * rng.standard_normal((12, 3)) + [0.0, 0.0, shift]
+            for shift in (0.0, 0.25, 0.5)]
+    whole = [geo.open_hemisphere_slack(p) for p in sets]
+    # a few directions per block: every block boundary is crossed
+    monkeypatch.setattr(geo, "HEMISPHERE_BLOCK", 40)
+    assert [geo.open_hemisphere_slack(p) for p in sets] == whole
+    assert whole[0] == 0.0 < whole[1] < whole[2] < 1.0
+
+
+def test_two_halfspace_wedge_builds():
+    cone = geo.wedge_above(0.5, 0).to_cone()
+    assert len(cone.halfspaces) == 2
+    assert geo.contains(cone, [0.0, 3.0, 1.0])
+    assert not geo.contains(cone, [3.0, 0.0, 1.0])
