@@ -4,12 +4,8 @@ pyramid cones, spherical-geodesic audits, and a discrete minimizer whose
 surfaces detach from the cone apex."""
 
 from .geometry import (
-    HalfSpace,
     PolyhedralCone,
-    Pyramid,
-    Wedge,
     cone_from_dict,
-    contains,
     is_vertex,
     pyramid_to_cone,
     wedge_above,
@@ -17,14 +13,10 @@ from .geometry import (
 from .spherical import (
     GeodesicArc,
     GeodesicPolygon,
-    Meridian,
     TwoArcReport,
     arc_length,
     equator_pole,
-    geodesic_residual,
     interior_angle,
-    meets_orthogonally,
-    meridian,
     spherical_excess,
     two_arc_audit,
 )
@@ -46,8 +38,6 @@ from .competitor import (
 from .mesh import (
     TriMesh,
     VertexClass,
-    euler_characteristic,
-    load_obj,
     save_obj,
     surface_area,
     triangle_areas,
@@ -74,17 +64,15 @@ from .diagnostics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HalfSpace", "PolyhedralCone", "Pyramid", "Wedge", "cone_from_dict",
-    "contains", "is_vertex", "pyramid_to_cone", "wedge_above",
-    "GeodesicArc", "GeodesicPolygon", "Meridian", "TwoArcReport",
-    "arc_length", "equator_pole", "geodesic_residual", "interior_angle",
-    "meets_orthogonally", "meridian", "spherical_excess", "two_arc_audit",
+    "PolyhedralCone", "cone_from_dict", "is_vertex", "pyramid_to_cone",
+    "wedge_above",
+    "GeodesicArc", "GeodesicPolygon", "TwoArcReport", "arc_length",
+    "equator_pole", "interior_angle", "spherical_excess", "two_arc_audit",
     "CompetitorSpec", "ConnectionProfile", "DeficitReport", "area_deficit",
     "export_competitor_mesh", "feasible_params", "find_epsilon_star", "phi",
     "phi_prime", "ruled_area", "section_areas", "trapezium_area",
     "weighted_energy",
-    "TriMesh", "VertexClass", "euler_characteristic",
-    "load_obj", "save_obj", "surface_area", "triangle_areas",
+    "TriMesh", "VertexClass", "save_obj", "surface_area", "triangle_areas",
     "triangle_normals", "validate",
     "Diagnostics", "MinimizeConfig", "area_gradient", "make_initial_plane",
     "minimize", "project_gradient", "project_to_constraints",

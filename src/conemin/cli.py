@@ -37,8 +37,8 @@ from .competitor import (
     feasible_params,
     weighted_energy,
 )
-from .descent import (MinimizeConfig, _sector_rays, make_initial_plane,
-                      minimize)
+from .descent import (RADII_FRACTIONS, MinimizeConfig, _sector_rays,
+                      make_initial_plane, minimize)
 from .diagnostics import monotonicity_ratio
 from .geometry import as_number, cone_from_dict, cross3, unit
 from .mesh import save_obj, surface_area
@@ -61,10 +61,10 @@ NUMBERS = {
                    "mesh_resolution": (64, int, POSITIVE)},
     "minimize": {"R": (1.0, float, POSITIVE),
                  "resolution": (64, int, POSITIVE),
-                 "max_iters": (2000, int, None),
-                 "grad_tol": (1e-6, float, None),
-                 "initial_step": (0.25, float, None),
-                 "armijo_c": (0.3, float, None),
+                 "max_iters": (MinimizeConfig.max_iters, int, None),
+                 "grad_tol": (MinimizeConfig.grad_tol, float, None),
+                 "initial_step": (MinimizeConfig.initial_step, float, None),
+                 "armijo_c": (MinimizeConfig.armijo_c, float, None),
                  "jitter": (0.0, float, NONNEGATIVE)},
     "audit-geodesics": {"count": (500, int, POSITIVE)},
     "monotonicity": {"R": (1.0, float, POSITIVE),
@@ -148,7 +148,7 @@ def _check_config(raw) -> dict:
     elif kind == "monotonicity":
         radii = raw.get("radii")
         if radii is None:
-            radii = [float(f) * cfg["R"] for f in np.linspace(0.15, 0.95, 10)]
+            radii = [float(f) * cfg["R"] for f in RADII_FRACTIONS]
         if not isinstance(radii, list) or not radii:
             raise ValueError("field 'radii' must be a nonempty list of numbers")
         cfg["radii"] = [as_number(r, "radii") for r in radii]
@@ -182,6 +182,15 @@ def _write_csv(path: Path, header, rows):
 def _verdict(value, tolerance, passed, detail=""):
     return {"pass": bool(passed), "value": value, "tolerance": tolerance,
             "detail": detail}
+
+
+def _monotone_verdict(values, tolerance,
+                      detail="p(r) nondecreasing across sampled radii"):
+    """Pass when no forward increment of values falls below -tolerance; the
+    value is the smallest increment, None for fewer than two values."""
+    floor = min((b - a for a, b in zip(values, values[1:])), default=None)
+    return _verdict(floor, tolerance, floor is None or floor >= -tolerance,
+                    detail)
 
 
 def _run_competitor(cfg, outdir: Path):
@@ -232,13 +241,6 @@ def _run_competitor(cfg, outdir: Path):
     return results, verdicts
 
 
-def _monotone_floor(values):
-    """Smallest forward increment; +inf for sequences of length < 2."""
-    if len(values) < 2:
-        return math.inf
-    return min(b - a for a, b in zip(values, values[1:]))
-
-
 def _run_minimize(cfg, outdir: Path):
     cone = cone_from_dict(cfg["cone"])
     tol = cfg["tolerances"]
@@ -278,21 +280,16 @@ def _run_minimize(cfg, outdir: Path):
         }
 
     burn = len(diag.vertex_distance_history) // 10
-    vfloor = _monotone_floor(diag.vertex_distance_history[burn:])
-    pfloor = _monotone_floor([p for _, p in diag.p_ratios])
     verdicts = {
         "area_decreased": _verdict(
             initial_area - final_area, tol["area_decrease"],
             final_area < initial_area - tol["area_decrease"],
             "final area below initial area"),
-        "vertex_distance_monotone": _verdict(
-            None if vfloor is math.inf else vfloor, tol["vertex_monotone"],
-            vfloor >= -tol["vertex_monotone"],
+        "vertex_distance_monotone": _monotone_verdict(
+            diag.vertex_distance_history[burn:], tol["vertex_monotone"],
             "vertex distance nondecreasing after 10% burn-in"),
-        "p_nondecreasing": _verdict(
-            None if pfloor is math.inf else pfloor, tol["p_monotone"],
-            pfloor >= -tol["p_monotone"],
-            "p(r) nondecreasing across sampled radii"),
+        "p_nondecreasing": _monotone_verdict(
+            [p for _, p in diag.p_ratios], tol["p_monotone"]),
     }
     return results, verdicts
 
@@ -350,15 +347,9 @@ def _run_monotonicity(cfg, outdir: Path):
     table = monotonicity_ratio(mesh, cfg["radii"])
     _write_csv(outdir / "ratios.csv", ("r", "p_r"), table)
     ps = [p for _, p in table]
-    pfloor = _monotone_floor(ps)
     results = {"p_table": [list(row) for row in table],
                "p_min": min(ps), "p_max": max(ps)}
-    verdicts = {
-        "p_nondecreasing": _verdict(
-            None if pfloor is math.inf else pfloor, tol["p_monotone"],
-            pfloor >= -tol["p_monotone"],
-            "p(r) nondecreasing across sampled radii"),
-    }
+    verdicts = {"p_nondecreasing": _monotone_verdict(ps, tol["p_monotone"])}
     return results, verdicts
 
 

@@ -1,23 +1,21 @@
 """Polyhedral cone primitives in R^3.
 
-Cones are finite intersections of homogeneous half-spaces {x : n . x <= 0}
-with unit normals and apex at the origin.  Points and directions are plain
-numpy arrays of shape (3,).  The module provides the constructions needed by
-the rest of the toolkit: wedges, rectangular pyramids
-C = {x3 >= max(a|x1|, b|x2|)}, the one parser of the JSON cone spec, and the
-exact open-hemisphere margin, computed in closed form without a solver,
-behind the cone interior test and the spherical polygon check.
+A cone {x : n_i . x <= 0 for all i}, apex at the origin, is its array of
+outward unit normals n_i.  Points and directions are plain numpy arrays of
+shape (3,).  The module provides the constructions needed by the rest of
+the toolkit: wedges, rectangular pyramids C = {x3 >= max(a|x1|, b|x2|)},
+the one parser of the JSON cone spec, and the exact open-hemisphere margin,
+computed in closed form without a solver, behind the cone interior test and
+the spherical polygon check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-UNIT_TOL = 1e-12          # |normal| must be 1 within this
 DEDUP_TOL = 1e-10         # normals with dot > 1 - DEDUP_TOL are duplicates
 RANK_TOL = 1e-9           # relative SVD threshold for the vertex test
 HEMISPHERE_TOL = 1e-9     # points fit in an open hemisphere iff slack > this
@@ -38,36 +36,6 @@ def unit(x) -> np.ndarray:
     if n <= 1e-14:
         raise ValueError("cannot normalize a zero vector")
     return v / n
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """Closed half-space {x : normal . x <= offset} with a unit normal."""
-
-    normal: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        n = as_vec3(self.normal)
-        if abs(float(np.linalg.norm(n)) - 1.0) > UNIT_TOL:
-            raise ValueError("half-space normal must be unit length within 1e-12")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @classmethod
-    def from_raw(cls, normal, offset: float = 0.0) -> "HalfSpace":
-        """Build from an unnormalized normal, rescaling the offset to match."""
-        n = as_vec3(normal)
-        length = float(np.linalg.norm(n))
-        if length <= 1e-14:
-            raise ValueError("half-space normal must be nonzero")
-        return cls(n / length, float(offset) / length)
-
-    def signed_distance(self, p) -> float:
-        return float(self.normal @ as_vec3(p)) - self.offset
-
-    def contains(self, p, tol: float = 1e-12) -> bool:
-        return self.signed_distance(p) <= tol
 
 
 def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -148,44 +116,33 @@ def open_hemisphere_slack(points: np.ndarray) -> float:
 
 
 class PolyhedralCone:
-    """Intersection of one or more homogeneous half-spaces, apex at the
-    origin.
+    """Intersection of one or more homogeneous half-spaces {x : n . x <= 0},
+    apex at the origin, kept as the read-only (k, 3) array `normals` of
+    their outward unit normals.
 
-    Half-spaces may be given as HalfSpace objects or as raw normals of any
-    nonzero length.  Near-duplicate half-spaces (normal dot product within
-    1e-10 of 1) are dropped at construction.  Errors about one half-space
-    name its index in the input.
+    Normals may have any nonzero length.  Near-duplicates (unit normals
+    with dot product within DEDUP_TOL of 1) are dropped at construction.
+    Errors about one half-space name its index in the input.
     """
 
-    def __init__(self, halfspaces):
-        kept: list[HalfSpace] = []
-        for i, h in enumerate(halfspaces):
+    def __init__(self, normals):
+        kept: list[np.ndarray] = []
+        for i, n in enumerate(normals):
             try:
-                h = h if isinstance(h, HalfSpace) else HalfSpace(unit(h))
+                n = unit(n)
             except ValueError as exc:
                 raise ValueError(f"halfspace {i}: {exc}") from exc
-            if abs(h.offset) > UNIT_TOL:
-                raise ValueError(f"halfspace {i}: cone half-spaces must pass "
-                                 "through the origin")
-            if all(float(h.normal @ k.normal) < 1.0 - DEDUP_TOL for k in kept):
-                kept.append(HalfSpace(h.normal, 0.0))
+            if all(float(n @ k) < 1.0 - DEDUP_TOL for k in kept):
+                kept.append(n)
         if not kept:
             raise ValueError("a cone needs at least one half-space")
-        self.halfspaces: tuple[HalfSpace, ...] = tuple(kept)
+        self.normals = np.array(kept)
+        self.normals.flags.writeable = False
         if open_hemisphere_slack(-self.normals) <= HEMISPHERE_TOL:
             raise ValueError("cone has empty interior")
 
-    @property
-    def normals(self) -> np.ndarray:
-        return np.array([h.normal for h in self.halfspaces])
-
     def __repr__(self):
-        return f"PolyhedralCone({len(self.halfspaces)} half-spaces)"
-
-
-def contains(cone: PolyhedralCone, p, tol: float = 1e-12) -> bool:
-    """Membership predicate; pure, never raises on geometric input."""
-    return bool(np.all(cone.normals @ as_vec3(p) <= tol))
+        return f"PolyhedralCone({len(self.normals)} half-spaces)"
 
 
 def is_vertex(cone: PolyhedralCone, tol: float = RANK_TOL) -> bool:
@@ -195,67 +152,24 @@ def is_vertex(cone: PolyhedralCone, tol: float = RANK_TOL) -> bool:
     return int(np.sum(s > tol * s[0])) == 3
 
 
-@dataclass(frozen=True)
-class Wedge:
-    """Intersection of two half-spaces whose boundary planes meet along a
-    line (the spine); basepoint lies on the spine."""
-
-    h1: HalfSpace
-    h2: HalfSpace
-    basepoint: np.ndarray = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        p = as_vec3(self.basepoint)
-        object.__setattr__(self, "basepoint", p)
-        if float(np.linalg.norm(np.cross(self.h1.normal, self.h2.normal))) <= 1e-9:
-            raise ValueError("wedge faces are parallel: no spine")
-        for h in (self.h1, self.h2):
-            if abs(h.signed_distance(p)) > 1e-9:
-                raise ValueError("basepoint must lie on both wedge faces")
-
-    def to_cone(self) -> PolyhedralCone:
-        if float(np.linalg.norm(self.basepoint)) > UNIT_TOL:
-            raise ValueError("only wedges based at the origin form cones here")
-        return PolyhedralCone([self.h1, self.h2])
-
-
-def wedge_above(slope: float, axis: int, basepoint=(0.0, 0.0, 0.0)) -> Wedge:
-    """The wedge {x3 >= slope * |x_axis|} for axis in {0, 1}."""
+def wedge_above(slope: float, axis: int) -> PolyhedralCone:
+    """The wedge {x3 >= slope * |x_axis|} for axis in {0, 1}: normals, in
+    order, slope * e_axis - e3 and -slope * e_axis - e3, each normalized."""
     if slope <= 1e-12:
         raise ValueError("wedge slope must be > 0")
     e = np.zeros(3)
     e[axis] = 1.0
     e3 = np.array([0.0, 0.0, 1.0])
-    h1 = HalfSpace.from_raw(slope * e - e3, 0.0)
-    h2 = HalfSpace.from_raw(-slope * e - e3, 0.0)
-    return Wedge(h1, h2, basepoint)
-
-
-@dataclass(frozen=True)
-class Pyramid:
-    """Rectangular pyramid cone {x : x3 >= max(a|x1|, b|x2|)}."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 1e-12 or self.b <= 1e-12:
-            raise ValueError("pyramid slopes a, b must be > 0")
-
-    def to_cone(self) -> PolyhedralCone:
-        return pyramid_to_cone(self.a, self.b)
+    return PolyhedralCone([slope * e - e3, -slope * e - e3])
 
 
 def pyramid_to_cone(a: float, b: float) -> PolyhedralCone:
-    """Half-space form of the pyramid: normals, in order,
-    (+a,0,-1), (-a,0,-1), (0,+b,-1), (0,-b,-1), each normalized."""
-    p = Pyramid(a, b)
-    return PolyhedralCone([
-        HalfSpace.from_raw([p.a, 0.0, -1.0]),
-        HalfSpace.from_raw([-p.a, 0.0, -1.0]),
-        HalfSpace.from_raw([0.0, p.b, -1.0]),
-        HalfSpace.from_raw([0.0, -p.b, -1.0]),
-    ])
+    """The rectangular pyramid {x : x3 >= max(a|x1|, b|x2|)}: normals, in
+    order, (+a,0,-1), (-a,0,-1), (0,+b,-1), (0,-b,-1), each normalized."""
+    if a <= 1e-12 or b <= 1e-12:
+        raise ValueError("pyramid slopes a, b must be > 0")
+    return PolyhedralCone([[a, 0.0, -1.0], [-a, 0.0, -1.0],
+                           [0.0, b, -1.0], [0.0, -b, -1.0]])
 
 
 def as_number(x, name: str) -> float:

@@ -4,7 +4,7 @@ A mesh stands for a surface-with-boundary inside a convex polyhedral cone.
 Each vertex carries a constraint class: free interior point, point confined
 to one cone facet plane, point pinned to the line where two facets meet, or
 point clamped to the sphere of radius ``clamp_radius``.  Wavefront text
-import/export keeps the classes in a JSON sidecar keyed by vertex index.
+export keeps the classes in a JSON sidecar keyed by vertex index.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _CLASS_NAMES = {
     VertexClass.EDGE_PINNED: "edge_pinned",
     VertexClass.CLAMPED: "clamped",
 }
-_NAME_CLASSES = {v: k for k, v in _CLASS_NAMES.items()}
 
 
 @dataclass
@@ -196,70 +195,27 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
         raise ValueError(message(i))
 
 
-def euler_characteristic(mesh: TriMesh) -> int:
-    n_edges = np.unique(_edge_keys(mesh)[1]).size
-    used = np.unique(mesh.triangles)
-    return int(used.size - n_edges + mesh.n_triangles)
-
-
 def save_obj(mesh: TriMesh, path) -> None:
     """Write vertices/faces as Wavefront text plus a JSON class sidecar."""
     path = Path(path)
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    for tri in mesh.triangles:
-        lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(
+        ("v %.17g %.17g %.17g\n" * mesh.n_vertices)
+        % tuple(mesh.vertices.ravel().tolist())
+        + ("f %d %d %d\n" * mesh.n_triangles)
+        % tuple((mesh.triangles + 1).ravel().tolist()))
 
+    on_facet = (VertexClass.FREE_BOUNDARY, VertexClass.EDGE_PINNED)
+    pinned = VertexClass.EDGE_PINNED
     classes = {}
-    for i in range(mesh.n_vertices):
-        cls = VertexClass(mesh.vertex_class[i])
+    for i, (cls, f, g) in enumerate(zip(mesh.vertex_class.tolist(),
+                                        mesh.facet.tolist(),
+                                        mesh.facet2.tolist())):
         rec = {"class": _CLASS_NAMES[cls]}
-        if cls in (VertexClass.FREE_BOUNDARY, VertexClass.EDGE_PINNED):
-            rec["facet"] = int(mesh.facet[i])
-        if cls == VertexClass.EDGE_PINNED:
-            rec["facet2"] = int(mesh.facet2[i])
+        if cls in on_facet:
+            rec["facet"] = f
+        if cls == pinned:
+            rec["facet2"] = g
         classes[str(i)] = rec
     sidecar = {"clamp_radius": mesh.clamp_radius, "classes": classes}
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, indent=1, sort_keys=True) + "\n")
-
-
-def load_obj(path) -> TriMesh:
-    """Read a Wavefront triangle mesh; classes come from the sidecar when
-    present, otherwise every vertex is interior."""
-    path = Path(path)
-    verts, tris = [], []
-    for line in path.read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-            if len(idx) != 3:
-                raise ValueError("only triangle faces are supported")
-            tris.append(idx)
-    vertices = np.array(verts, dtype=float).reshape(len(verts), 3)
-    triangles = np.array(tris, dtype=np.int64).reshape(len(tris), 3)
-
-    n = len(verts)
-    vertex_class = np.zeros(n, dtype=np.int64)
-    facet = np.full(n, -1, dtype=np.int64)
-    facet2 = np.full(n, -1, dtype=np.int64)
-    clamp_radius = None
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
-        clamp_radius = sidecar.get("clamp_radius")
-        for key, rec in sidecar.get("classes", {}).items():
-            i = int(key)
-            cls = _NAME_CLASSES[rec["class"]]
-            vertex_class[i] = cls
-            if "facet" in rec:
-                facet[i] = rec["facet"]
-            if "facet2" in rec:
-                facet2[i] = rec["facet2"]
-    return TriMesh(vertices, triangles, vertex_class, facet, facet2, clamp_radius)

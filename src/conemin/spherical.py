@@ -1,12 +1,12 @@
 """Geodesic geometry on the unit sphere S^2.
 
 Points are unit numpy 3-vectors.  The module provides minor geodesic arcs,
-interior angles via tangent-plane projections, polygon excess, a discrete
-geodesic-deviation residual, meridians, and the two-arc quadrilateral audit:
-given a boundary arc that meets its two supporting planes orthogonally and a
-second plane disjoint from it, the induced meridian quadrilateral has two
-right base angles, and its total angle sum exceeds 2*pi, certifying that the
-configuration cannot bound a second geodesic arc.
+interior angles via tangent-plane projections, polygon excess, and the
+two-arc quadrilateral audit: given a boundary arc that meets its two
+supporting planes orthogonally and a second plane disjoint from it, the
+induced meridian quadrilateral has two right base angles, and its total
+angle sum exceeds 2*pi, certifying that the configuration cannot bound a
+second geodesic arc.
 """
 
 from __future__ import annotations
@@ -71,20 +71,6 @@ class GeodesicArc:
             raise ValueError("arc endpoints must be neither equal nor antipodal")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @property
-    def length(self) -> float:
-        return arc_length(self.p, self.q)
-
-    def point(self, t: float) -> np.ndarray:
-        """Arc point at parameter t in [0, 1] (spherical interpolation)."""
-        theta = self.length
-        s = math.sin(theta)
-        return (math.sin((1.0 - t) * theta) * self.p + math.sin(t * theta) * self.q) / s
-
-    def samples(self, n: int) -> np.ndarray:
-        """n points uniformly spaced in arc length, endpoints included."""
-        return np.array([self.point(t) for t in np.linspace(0.0, 1.0, n)])
 
 
 def equator_pole(arc: GeodesicArc) -> np.ndarray:
@@ -165,67 +151,6 @@ def spherical_excess(poly: GeodesicPolygon) -> float:
     """Sum of interior angles minus (k - 2) * pi."""
     angles = poly.interior_angles()
     return float(sum(angles) - (len(angles) - 2) * math.pi)
-
-
-def meets_orthogonally(n1, n2, tol: float = 1e-6) -> bool:
-    """True when the two unit directions are orthogonal within tol."""
-    return abs(float(unit(n1) @ unit(n2))) <= tol
-
-
-@dataclass(frozen=True)
-class Meridian:
-    """Half great circle from a pole to its antipode, as two chained minor
-    arcs through the equator crossing."""
-
-    first: GeodesicArc
-    second: GeodesicArc
-
-    @property
-    def pole(self) -> np.ndarray:
-        return self.first.p
-
-    @property
-    def equator_point(self) -> np.ndarray:
-        return self.first.q
-
-    @property
-    def length(self) -> float:
-        return self.first.length + self.second.length
-
-
-def meridian(pole, through) -> Meridian:
-    """Meridian from `pole` through the point `through`; errors when the
-    point is at either pole."""
-    p = sphere_point(pole)
-    t = sphere_point(through)
-    m = t - float(t @ p) * p
-    nm = float(np.linalg.norm(m))
-    if nm <= 1e-10:
-        raise ValueError("meridian undefined: point lies at a pole")
-    m = m / nm
-    return Meridian(GeodesicArc(p, m), GeodesicArc(m, -p))
-
-
-def geodesic_residual(samples) -> float:
-    """Max of |det[g, g', g'']| over interior samples, with central finite
-    differences in arc length.  Zero (to rounding) exactly for geodesics;
-    equal to |geodesic curvature| in the limit for circles.
-
-    Requires >= 5 samples, uniformly spaced within 1%.
-    """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 5:
-        raise ValueError("need at least 5 sphere points of shape (k, 3)")
-    dots = np.clip(np.einsum("ij,ij->i", pts[:-1], pts[1:]), -1.0, 1.0)
-    gaps = np.arccos(dots)
-    spacing = float(gaps.mean())
-    if spacing <= 0 or float(np.max(np.abs(gaps - spacing))) > 0.01 * spacing:
-        raise ValueError("samples must be uniformly spaced within 1%")
-    g = pts[1:-1]
-    gp = (pts[2:] - pts[:-2]) / (2.0 * spacing)
-    gpp = (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) / (spacing * spacing)
-    dets = np.einsum("ij,ij->i", g, np.cross(gp, gpp))
-    return float(np.max(np.abs(dets)))
 
 
 @dataclass(frozen=True)

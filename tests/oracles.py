@@ -2,11 +2,13 @@
 
 Everything in this file is deliberately written from first principles
 (composite Simpson, shoelace, brute-force distances, classical spherical
-trigonometry) so that the production code can be checked against routes it
-does not share.
+trigonometry, edge sets, line-by-line Wavefront text) so that the
+production code can be checked against routes it does not share.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -133,25 +135,55 @@ def annulus_inverse_cube_integral(rho, r):
     return simpson(integrand, s0, s1, 20000)
 
 
-def latitude_circle_samples(z, n):
-    """n uniformly spaced samples of the latitude circle at height z on S^2."""
-    rad = math.sqrt(1.0 - z * z)
-    ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.stack(
-        [rad * np.cos(ang), rad * np.sin(ang), np.full(n, z)], axis=1
-    )
+def contains(cone, p, tol=1e-12):
+    """Whether p lies in the cone: n . p <= tol for every outward normal n."""
+    return all(float(n @ np.asarray(p, dtype=float)) <= tol
+               for n in cone.normals)
 
 
-def great_circle_samples(n, axis=(0.0, 0.0, 1.0), phase=0.0):
-    """n uniformly spaced samples of the great circle orthogonal to axis."""
-    axis = np.asarray(axis, float)
-    axis = axis / np.linalg.norm(axis)
-    # build an orthonormal frame
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(axis @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    u = np.cross(axis, ref)
-    u /= np.linalg.norm(u)
-    w = np.cross(axis, u)
-    ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False) + phase
-    return np.outer(np.cos(ang), u) + np.outer(np.sin(ang), w)
+def euler_characteristic(triangles):
+    """V - E + F of a triangle list: the vertices it uses, each undirected
+    edge once, each face once."""
+    tris = np.asarray(triangles).tolist()
+    edges = {frozenset(e) for a, b, c in tris for e in ((a, b), (b, c), (c, a))}
+    return len({v for tri in tris for v in tri}) - len(edges) + len(tris)
+
+
+OBJ_CLASS_NAMES = ("interior", "free_boundary", "edge_pinned", "clamped")
+
+
+def save_obj_per_vertex(mesh, path):
+    """Reference Wavefront writer: one f-string per vertex and per face, one
+    class record per vertex, the byte format conemin.mesh.save_obj keeps."""
+    path = Path(path)
+    lines = []
+    for v in mesh.vertices:
+        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
+    for tri in mesh.triangles:
+        lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
+    path.write_text("\n".join(lines) + "\n")
+    classes = {}
+    for i in range(len(mesh.vertices)):
+        cls = int(mesh.vertex_class[i])
+        rec = {"class": OBJ_CLASS_NAMES[cls]}
+        if cls in (1, 2):  # free-boundary and edge-pinned name a facet
+            rec["facet"] = int(mesh.facet[i])
+        if cls == 2:
+            rec["facet2"] = int(mesh.facet2[i])
+        classes[str(i)] = rec
+    sidecar = {"clamp_radius": mesh.clamp_radius, "classes": classes}
+    path.with_suffix(path.suffix + ".json").write_text(
+        json.dumps(sidecar, indent=1, sort_keys=True) + "\n")
+
+
+def read_obj(path):
+    """Vertices (n, 3) and zero-based triangles (m, 3) of a Wavefront file
+    of 'v x y z' and 'f i j k' lines."""
+    verts, tris = [], []
+    for line in Path(path).read_text().splitlines():
+        kind, *fields = line.split()
+        if kind == "v":
+            verts.append([float(x) for x in fields])
+        elif kind == "f":
+            tris.append([int(i) - 1 for i in fields])
+    return np.array(verts), np.array(tris, dtype=np.int64)

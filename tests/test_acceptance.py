@@ -221,7 +221,7 @@ def test_c08_gradient_matches_finite_differences():
 
 def test_c09_wedge_plane_stationarity():
     t0 = time.perf_counter()
-    cone = geo.wedge_above(1.0, 1).to_cone()
+    cone = geo.wedge_above(1.0, 1)
     m = dsc.make_initial_plane(cone, 1.0, 24)
     a0 = msh.surface_area(m)
     gnorm = float(np.linalg.norm(

@@ -290,7 +290,7 @@ def test_deviation_rejects_bad_window():
 # ---------------------------------------------------------------- boundary angles
 
 def test_boundary_angles_orthogonal_plane_in_wedge():
-    cone = geo.wedge_above(1.0, 1).to_cone()
+    cone = geo.wedge_above(1.0, 1)
     m = dsc.make_initial_plane(cone, 1.0, 12)
     stats = diag.boundary_angle_audit(m, cone)
     assert stats.count > 0
@@ -302,7 +302,7 @@ def test_boundary_angles_tilted_plane_splits():
     # rotating the section plane by 10 degrees about x3 tilts the surface
     # against both facets of the wedge {x3 >= |x2|}; the triangle planes
     # meet the facets at 90 +- asin(sin(10 deg)/sqrt(2)) degrees
-    cone = geo.wedge_above(1.0, 1).to_cone()
+    cone = geo.wedge_above(1.0, 1)
     m = dsc.make_initial_plane(cone, 1.0, 12)
     th = math.radians(10.0)
     rot = np.array([[math.cos(th), -math.sin(th), 0.0],

@@ -1,5 +1,6 @@
-"""Tests for conemin.mesh: TriMesh invariants, areas, OBJ round-trip."""
+"""Tests for conemin.mesh: TriMesh invariants, areas, OBJ export."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from conemin import geometry as geo
 from conemin import mesh as msh
+from conemin.descent import make_initial_plane
+from oracles import read_obj, save_obj_per_vertex
 
 
 def right_triangle_mesh():
@@ -36,10 +39,6 @@ def test_triangle_normals_unit_length():
     n = msh.triangle_normals(m)
     npt.assert_allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-15)
     npt.assert_allclose(n[0], n[1], atol=1e-15)
-
-
-def test_euler_characteristic_disk():
-    assert msh.euler_characteristic(quad_mesh()) == 1
 
 
 def test_validate_rejects_degenerate_triangle():
@@ -142,30 +141,32 @@ def test_validate_rejects_unknown_class():
         msh.validate(m, cone)
 
 
-def test_obj_round_trip_with_sidecar(tmp_path):
-    cone = geo.pyramid_to_cone(1.0, 2.0)
-    from conemin.descent import make_initial_plane
-    m = make_initial_plane(cone, 1.0, 6)
-    path = tmp_path / "mesh.obj"
-    msh.save_obj(m, path)
-    assert path.exists()
-    assert path.with_suffix(".obj.json").exists()
-    back = msh.load_obj(path)
-    npt.assert_allclose(back.vertices, m.vertices, atol=0.0)
-    npt.assert_array_equal(back.triangles, m.triangles)
-    npt.assert_array_equal(back.vertex_class, m.vertex_class)
-    npt.assert_array_equal(back.facet, m.facet)
-    assert back.clamp_radius == pytest.approx(m.clamp_radius)
-    msh.validate(back, cone)
+def test_save_obj_matches_per_vertex_writer(tmp_path):
+    # the wedge's initial plane has every vertex class: an edge-pinned apex,
+    # free-boundary rays, a clamped rim and interior vertices
+    m = make_initial_plane(geo.wedge_above(1.0, 1), 1.0, 6)
+    assert sorted(set(m.vertex_class.tolist())) == [0, 1, 2, 3]
+    msh.save_obj(m, tmp_path / "mesh.obj")
+    save_obj_per_vertex(m, tmp_path / "reference.obj")
+    for suffix in (".obj", ".obj.json"):
+        assert ((tmp_path / f"mesh{suffix}").read_bytes()
+                == (tmp_path / f"reference{suffix}").read_bytes())
 
-
-def test_load_obj_without_sidecar(tmp_path):
-    path = tmp_path / "plain.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
-    m = msh.load_obj(path)
-    assert m.n_vertices == 3 and m.n_triangles == 1
-    assert np.all(m.vertex_class == msh.VertexClass.INTERIOR)
-    assert msh.surface_area(m) == pytest.approx(0.5)
+    vertices, triangles = read_obj(tmp_path / "mesh.obj")
+    npt.assert_array_equal(vertices, m.vertices)
+    npt.assert_array_equal(triangles, m.triangles)
+    sidecar = json.loads((tmp_path / "mesh.obj.json").read_text())
+    assert sidecar["clamp_radius"] == m.clamp_radius
+    classes = sidecar["classes"]
+    assert sorted(classes, key=int) == [str(i) for i in range(m.n_vertices)]
+    names = [c.name.lower() for c in msh.VertexClass]
+    for i, cls in enumerate(m.vertex_class.tolist()):
+        rec = {"class": names[cls]}
+        if cls in (msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.EDGE_PINNED):
+            rec["facet"] = int(m.facet[i])
+        if cls == msh.VertexClass.EDGE_PINNED:
+            rec["facet2"] = int(m.facet2[i])
+        assert classes[str(i)] == rec
 
 
 def test_copy_is_deep():

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import conemin.spherical as sph
-from oracles import great_circle_samples, latitude_circle_samples, lhuilier_excess
+from oracles import lhuilier_excess
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -78,22 +78,6 @@ def test_interior_angle_degenerate_neighbor_raises():
 
 # --------------------------------------------------------------------- arcs
 
-def test_arc_endpoint_interpolation():
-    arc = sph.GeodesicArc(E1, E2)
-    npt.assert_allclose(arc.point(0.0), E1, atol=1e-15)
-    npt.assert_allclose(arc.point(1.0), E2, atol=1e-15)
-    mid = arc.point(0.5)
-    npt.assert_allclose(mid, np.array([1.0, 1.0, 0.0]) / math.sqrt(2), atol=1e-15)
-
-
-def test_arc_samples_uniform_spacing():
-    arc = sph.GeodesicArc(E1, np.array([0.0, 0.6, 0.8]))
-    pts = arc.samples(17)
-    assert pts.shape == (17, 3)
-    gaps = [sph.arc_length(pts[i], pts[i + 1]) for i in range(16)]
-    npt.assert_allclose(gaps, arc.length / 16, rtol=1e-12)
-
-
 def test_arc_rejects_equal_and_antipodal():
     with pytest.raises(ValueError):
         sph.GeodesicArc(E1, E1)
@@ -165,13 +149,13 @@ def test_polygon_rejects_bowtie():
 
 
 def test_polygon_rejects_vertex_on_edge():
-    mid = sph.GeodesicArc(E1, E2).point(0.5)
+    mid = sph.unit(np.array([1.0, 1.0, 0.0]))  # midpoint of the arc E1 E2
     with pytest.raises(ValueError, match="cross"):
         sph.GeodesicPolygon((E1, E2, mid, E3))
 
 
 def test_polygon_allows_straight_through_vertex():
-    mid = sph.GeodesicArc(E1, E2).point(0.5)
+    mid = sph.unit(np.array([1.0, 1.0, 0.0]))  # midpoint of the arc E1 E2
     poly = sph.GeodesicPolygon((E1, mid, E2, E3))
     assert sph.spherical_excess(poly) == pytest.approx(math.pi / 2, abs=1e-12)
 
@@ -212,66 +196,6 @@ def test_random_convex_quadrilateral_angle_sum_exceeds_two_pi():
             continue  # nearly collinear draw
         made += 1
         assert sum(poly.interior_angles()) > 2.0 * math.pi
-
-
-# ---------------------------------------------------------------- meridians
-
-def test_meridian_structure():
-    m = sph.meridian(E3, np.array([0.0, 0.6, 0.8]))
-    npt.assert_allclose(m.pole, E3, atol=1e-15)
-    npt.assert_allclose(m.equator_point, E2, atol=1e-12)
-    assert m.length == pytest.approx(math.pi, abs=1e-12)
-    assert m.first.length == pytest.approx(math.pi / 2, abs=1e-12)
-
-
-def test_meridian_through_pole_raises():
-    with pytest.raises(ValueError, match="pole"):
-        sph.meridian(E3, -E3)
-
-
-def test_meets_orthogonally():
-    assert sph.meets_orthogonally(E1, E2)
-    assert not sph.meets_orthogonally(E1, np.array([1.0, 1.0, 0.0]))
-    assert sph.meets_orthogonally(E1, np.array([1e-8, 1.0, 0.0]), tol=1e-6)
-
-
-# ---------------------------------------------------- geodesic residual
-
-def test_residual_zero_on_great_circles():
-    for axis, phase in ((E3, 0.0), (np.array([1.0, 2.0, 2.0]) / 3.0, 0.7)):
-        pts = great_circle_samples(400, axis=axis, phase=phase)
-        assert sph.geodesic_residual(pts) < 1e-9
-
-
-def test_residual_great_circle_arc_segment():
-    arc = sph.GeodesicArc(E1, np.array([0.0, 0.6, 0.8]))
-    assert sph.geodesic_residual(arc.samples(200)) < 1e-9
-
-
-def test_residual_latitude_circle_value():
-    # circle at height z on the unit sphere has geodesic curvature
-    # z / sqrt(1 - z^2); at z = 1/2 that is 1/sqrt(3) = 0.5773...
-    pts = latitude_circle_samples(0.5, 4000)
-    got = sph.geodesic_residual(pts)
-    assert got == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-5)
-    assert got > 0.3
-
-
-def test_residual_latitude_circle_second_order_convergence():
-    target = 1.0 / math.sqrt(3.0)
-    errs = [abs(sph.geodesic_residual(latitude_circle_samples(0.5, n)) - target)
-            for n in (500, 1000, 2000)]
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
-
-
-def test_residual_rejects_short_and_nonuniform_input():
-    with pytest.raises(ValueError, match="at least 5"):
-        sph.geodesic_residual(great_circle_samples(400)[:4])
-    pts = great_circle_samples(100)
-    bad = np.vstack([pts[:50], pts[51::2]])
-    with pytest.raises(ValueError, match="uniform"):
-        sph.geodesic_residual(bad)
 
 
 # ------------------------------------------------------------ two-arc audit
