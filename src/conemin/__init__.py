@@ -30,7 +30,6 @@ from .competitor import (
     find_epsilon_star,
     phi,
     phi_prime,
-    ruled_area,
     section_areas,
     trapezium_area,
     weighted_energy,
@@ -70,8 +69,7 @@ __all__ = [
     "equator_pole", "interior_angle", "spherical_excess", "two_arc_audit",
     "CompetitorSpec", "ConnectionProfile", "DeficitReport", "area_deficit",
     "export_competitor_mesh", "feasible_params", "find_epsilon_star", "phi",
-    "phi_prime", "ruled_area", "section_areas", "trapezium_area",
-    "weighted_energy",
+    "phi_prime", "section_areas", "trapezium_area", "weighted_energy",
     "TriMesh", "VertexClass", "save_obj", "surface_area", "triangle_areas",
     "triangle_normals", "validate",
     "Diagnostics", "MinimizeConfig", "area_gradient", "make_initial_plane",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolyhedralCone, is_vertex, unit
+from .geometry import PolyhedralCone, is_vertex
 from .mesh import TriMesh, VertexClass, surface_area, validate
 from .diagnostics import (
     boundary_angle_audit,
@@ -247,33 +247,19 @@ def project_gradient(mesh: TriMesh, cone: PolyhedralCone,
         nf = normals[mesh.facet[fb]]
         g[fb] -= np.einsum("ij,ij->i", g[fb], nf)[:, None] * nf
     for i in np.nonzero(cls == VertexClass.EDGE_PINNED)[0]:
-        s = unit(np.cross(normals[mesh.facet[i]], normals[mesh.facet2[i]]))
+        s = _pinned_edge(mesh, cone, i)[0]
         g[i] = float(g[i] @ s) * s
     g[cls == VertexClass.CLAMPED] = 0.0
     return g
 
 
-def _cone_edge_rays(cone: PolyhedralCone):
-    """All (i, j, direction, is_full_line) cone edges from facet pairs."""
-    normals = cone.normals
-    k = normals.shape[0]
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            s = np.cross(normals[i], normals[j])
-            ns = float(np.linalg.norm(s))
-            if ns <= 1e-9:
-                continue
-            s = s / ns
-            ok_p = float(np.max(normals @ s)) <= 1e-9
-            ok_m = float(np.max(normals @ -s)) <= 1e-9
-            if ok_p and ok_m:
-                edges.append((i, j, s, True))
-            elif ok_p:
-                edges.append((i, j, s, False))
-            elif ok_m:
-                edges.append((i, j, -s, False))
-    return edges
+def _pinned_edge(mesh: TriMesh, cone: PolyhedralCone, i: int):
+    """(d, is_full_line) of the cone edge that pins vertex i."""
+    key = tuple(sorted((int(mesh.facet[i]), int(mesh.facet2[i]))))
+    edge = cone.edges.get(key)
+    if edge is None:
+        raise ValueError(f"vertex {i}: pinned facets do not meet in an edge")
+    return edge
 
 
 def _onto_edge(x: np.ndarray, d: np.ndarray, is_line: bool) -> np.ndarray:
@@ -283,11 +269,11 @@ def _onto_edge(x: np.ndarray, d: np.ndarray, is_line: bool) -> np.ndarray:
     return (t if is_line else max(t, 0.0)) * d
 
 
-def _nearest_edge(x: np.ndarray, edges, normals=None):
+def _nearest_edge(x: np.ndarray, edges: dict, normals=None):
     """(point, facet i, facet j) of the cone edge nearest to x, or None;
     with normals given, only points inside the cone qualify."""
     best, dist = None, np.inf
-    for fi, fj, d, is_line in edges:
+    for (fi, fj), (d, is_line) in edges.items():
         p = _onto_edge(x, d, is_line)
         dd = float(np.linalg.norm(x - p))
         if dd < dist and (normals is None
@@ -319,16 +305,8 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
             raise ValueError("clamped vertex at the origin cannot be renormalized")
         v[clamped] *= (mesh.clamp_radius / norms)[:, None]
 
-    edges = None
     for i in np.nonzero(cls == VertexClass.EDGE_PINNED)[0]:
-        if edges is None:
-            edges = _cone_edge_rays(cone)
-        match = [e for e in edges
-                 if (e[0], e[1]) == tuple(sorted((mesh.facet[i], mesh.facet2[i])))]
-        if not match:
-            raise ValueError(f"vertex {i}: pinned facets do not meet in an edge")
-        _, _, d, is_line = match[0]
-        v[i] = _onto_edge(v[i], d, is_line)
+        v[i] = _onto_edge(v[i], *_pinned_edge(mesh, cone, i))
 
     fb = np.nonzero(cls == VertexClass.FREE_BOUNDARY)[0]
     if fb.size:
@@ -343,17 +321,14 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
                 break
             mesh.facet[fb[viol]] = worst[viol]
             fb = fb[viol]
-        if fb.size:
-            if edges is None:
-                edges = _cone_edge_rays(cone)
-            for i in fb:
-                found = _nearest_edge(v[i], edges)
-                if found is None:
-                    raise ValueError("cone has no edges to pin to")
-                v[i], mesh.facet[i], mesh.facet2[i] = found
-                cls[i] = VertexClass.EDGE_PINNED
-                if pinned is not None:
-                    pinned.append(int(i))
+        for i in fb:
+            found = _nearest_edge(v[i], cone.edges)
+            if found is None:
+                raise ValueError("cone has no edges to pin to")
+            v[i], mesh.facet[i], mesh.facet2[i] = found
+            cls[i] = VertexClass.EDGE_PINNED
+            if pinned is not None:
+                pinned.append(int(i))
 
     # interior vertices act against the cone as an obstacle: positions that
     # poked out come back to the nearest wall, keeping their class so they
@@ -371,9 +346,7 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
                     break
                 x = x - (x @ normals[k]) * normals[k]
             if np.max(normals @ x) > CONTAIN_TOL:
-                if edges is None:
-                    edges = _cone_edge_rays(cone)
-                found = _nearest_edge(v[i], edges, normals)
+                found = _nearest_edge(v[i], cone.edges, normals)
                 x = np.zeros(3) if found is None else found[0]
             v[i] = x
     return mesh

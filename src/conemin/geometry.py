@@ -11,6 +11,7 @@ the spherical polygon check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -141,15 +142,35 @@ class PolyhedralCone:
         if open_hemisphere_slack(-self.normals) <= HEMISPHERE_TOL:
             raise ValueError("cone has empty interior")
 
+    @functools.cached_property
+    def edges(self) -> dict:
+        """The cone's edges, {(i, j): (d, is_full_line)} for facets i < j:
+        the unit direction d of the line n_i x n_j that the cone holds as
+        the ray t * d, t >= 0, or, when is_full_line, as the whole line.
+        Computed once; the normals are read-only."""
+        normals = self.normals
+        edges = {}
+        for i, j in itertools.combinations(range(len(normals)), 2):
+            s = np.cross(normals[i], normals[j])
+            ns = float(np.linalg.norm(s))
+            if ns <= 1e-9:
+                continue
+            s = s / ns
+            ok_p = float(np.max(normals @ s)) <= 1e-9
+            ok_m = float(np.max(normals @ -s)) <= 1e-9
+            if ok_p or ok_m:
+                edges[i, j] = (s if ok_p else -s, ok_p and ok_m)
+        return edges
+
     def __repr__(self):
         return f"PolyhedralCone({len(self.normals)} half-spaces)"
 
 
-def is_vertex(cone: PolyhedralCone, tol: float = RANK_TOL) -> bool:
+def is_vertex(cone: PolyhedralCone) -> bool:
     """True iff the cone's normal matrix has full rank 3 (SVD, relative
-    threshold), i.e. the apex is a genuine corner."""
+    threshold RANK_TOL), i.e. the apex is a genuine corner."""
     s = np.linalg.svd(cone.normals, compute_uv=False)
-    return int(np.sum(s > tol * s[0])) == 3
+    return int(np.sum(s > RANK_TOL * s[0])) == 3
 
 
 def wedge_above(slope: float, axis: int) -> PolyhedralCone:

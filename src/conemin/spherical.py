@@ -21,6 +21,7 @@ from .geometry import (HEMISPHERE_TOL, as_vec3, cross3, open_hemisphere_slack,
 
 ANTIPODAL_TOL = 1e-10
 COINCIDENT_TOL = 1e-10
+CONTACT_TOL = 1e-6  # base arc orthogonal to a supporting plane within this
 
 
 def sphere_point(v) -> np.ndarray:
@@ -186,8 +187,7 @@ def _meridian_plane_crossing(base: np.ndarray, pole: np.ndarray,
     return x
 
 
-def two_arc_audit(p1, q1, nu0_p1, nu0_q1, plane2_normal,
-                  tol: float = 1e-6) -> TwoArcReport:
+def two_arc_audit(p1, q1, nu0_p1, nu0_q1, plane2_normal) -> TwoArcReport:
     """Audit the configuration of a base boundary arc and a second plane.
 
     Inputs: the base arc endpoints p1, q1; the outward normals of the
@@ -197,8 +197,8 @@ def two_arc_audit(p1, q1, nu0_p1, nu0_q1, plane2_normal,
 
     Preconditions checked: the base arc meets both supporting planes
     orthogonally (the arc's pole and the endpoint itself both lie in each
-    supporting plane, within tol), and the second plane is strictly disjoint
-    from the closed base arc.
+    supporting plane, within CONTACT_TOL), and the second plane is strictly
+    disjoint from the closed base arc.
 
     The report carries the four interior angles of the quadrilateral
     (p1, p2t, q2t, q1) built from the meridian crossings of the second plane,
@@ -210,7 +210,8 @@ def two_arc_audit(p1, q1, nu0_p1, nu0_q1, plane2_normal,
     pole = equator_pole(base)
     for point, nu in ((p1, nu0_p1), (q1, nu0_q1)):
         nu = unit(nu)
-        if abs(float(pole @ nu)) > tol or abs(float(point @ nu)) > tol:
+        if (abs(float(pole @ nu)) > CONTACT_TOL
+                or abs(float(point @ nu)) > CONTACT_TOL):
             raise ValueError(
                 "base arc does not meet the supporting planes orthogonally")
     n2 = unit(plane2_normal)
@@ -219,11 +220,8 @@ def two_arc_audit(p1, q1, nu0_p1, nu0_q1, plane2_normal,
         raise ValueError("second plane meets the closed base arc")
     p2t = _meridian_plane_crossing(p1, pole, n2)
     q2t = _meridian_plane_crossing(q1, pole, n2)
-    GeodesicPolygon((p1, p2t, q2t, q1))  # validates the quadrilateral
-    alpha1 = interior_angle(p1, q1, p2t)
-    alpha2t = interior_angle(p2t, p1, q2t)
-    beta2t = interior_angle(q2t, p2t, q1)
-    beta1 = interior_angle(q1, q2t, p1)
+    quad = GeodesicPolygon((p1, p2t, q2t, q1))  # validates the quadrilateral
+    alpha1, alpha2t, beta2t, beta1 = quad.interior_angles()
     angle_sum = alpha1 + alpha2t + beta2t + beta1
     excess = angle_sum - 2.0 * math.pi
     return TwoArcReport(

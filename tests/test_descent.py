@@ -240,6 +240,23 @@ def test_project_gradient_classes():
     npt.assert_allclose(gp[interior], 1.0, atol=0.0)
 
 
+def test_project_gradient_edge_pinned_is_line_projection():
+    # the cone's edge table stores each direction once, sign chosen by the
+    # cone; (g . s) s is the same bit for bit for s, -s and either facet order
+    rng = np.random.default_rng(3)
+    cases = ((geo.wedge_above(1.0, 1), ((0, 1), (1, 0))),
+             (geo.pyramid_to_cone(1.0, 2.0), ((0, 2), (2, 0), (1, 3), (3, 1))))
+    for cone, pairs in cases:
+        m = dsc.make_initial_plane(cone, 1.0, 6)
+        m.vertex_class[0] = msh.VertexClass.EDGE_PINNED
+        g = rng.standard_normal(m.vertices.shape)
+        for f, f2 in pairs:
+            m.facet[0], m.facet2[0] = f, f2
+            s = geo.unit(np.cross(cone.normals[f], cone.normals[f2]))
+            gp = dsc.project_gradient(m, cone, g)
+            assert np.array_equal(gp[0], float(g[0] @ s) * s)
+
+
 def test_project_to_constraints_idempotent_on_feasible_mesh():
     cone = geo.pyramid_to_cone(1.0, 1.0)
     m = dsc.make_initial_plane(cone, 1.0, 6)
