@@ -1,7 +1,7 @@
 """Numerical toolkit for free-boundary area minimization in convex
 polyhedral cones: explicit sliding competitors for plane sections of
-pyramid cones, spherical-geodesic audits, and a discrete minimizer whose
-surfaces detach from the cone apex."""
+pyramid cones, spherical-geodesic audits, and a discrete area descent that
+does not yet converge (where it stops follows its seeded jitter)."""
 
 from .geometry import (
     PolyhedralCone,
@@ -25,9 +25,10 @@ from .competitor import (
     ConnectionProfile,
     DeficitReport,
     area_deficit,
+    deficit_sweep,
+    epsilon_star,
     export_competitor_mesh,
     feasible_params,
-    find_epsilon_star,
     phi,
     phi_prime,
     section_areas,
@@ -68,8 +69,9 @@ __all__ = [
     "GeodesicArc", "GeodesicPolygon", "TwoArcReport", "arc_length",
     "equator_pole", "interior_angle", "spherical_excess", "two_arc_audit",
     "CompetitorSpec", "ConnectionProfile", "DeficitReport", "area_deficit",
-    "export_competitor_mesh", "feasible_params", "find_epsilon_star", "phi",
-    "phi_prime", "section_areas", "trapezium_area", "weighted_energy",
+    "deficit_sweep", "epsilon_star", "export_competitor_mesh",
+    "feasible_params", "phi", "phi_prime", "section_areas", "trapezium_area",
+    "weighted_energy",
     "TriMesh", "VertexClass", "save_obj", "surface_area", "triangle_areas",
     "triangle_normals", "validate",
     "Diagnostics", "MinimizeConfig", "area_gradient", "make_initial_plane",

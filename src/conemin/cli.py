@@ -20,6 +20,7 @@ reduces in a fixed order, so repeated runs produce byte-identical tables.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -216,12 +217,7 @@ def _run_competitor(cfg, outdir: Path):
     }
     if star is not None:
         eps_star, rep = star
-        results["report_at_epsilon_star"] = {
-            "A0": rep.A0, "A_eps": rep.A_eps, "T_h_area": rep.T_h_area,
-            "ruled_area": rep.ruled_area, "deficit": rep.deficit,
-            "second_derivative": rep.second_derivative,
-            "support_radius": rep.support_radius,
-        }
+        results["report_at_epsilon_star"] = dataclasses.asdict(rep)
         mesh = export_competitor_mesh(
             CompetitorSpec(a=a, b=b, profile=profile, epsilon=eps_star),
             cfg["mesh_resolution"])
@@ -260,6 +256,7 @@ def _run_minimize(cfg, outdir: Path):
     save_obj(mesh, outdir / "final_mesh.obj")
 
     final_area = diag.area_history[-1] if diag.area_history else initial_area
+    ps = [p for _, p in diag.p_ratios]
     results = {
         "initial_area": initial_area,
         "final_area": final_area,
@@ -269,8 +266,7 @@ def _run_minimize(cfg, outdir: Path):
                                   if diag.vertex_distance_history else None),
         "pinned_vertices": sorted(set(diag.pinned_vertices)),
         "conical_deviation": [list(row) for row in diag.conical_deviation],
-        "density_ratio_bounds": (list(diag.density_ratio_bounds)
-                                 if diag.density_ratio_bounds else None),
+        "density_ratio_bounds": [min(ps), max(ps)],
     }
     if diag.boundary_angle_stats is not None:
         s = diag.boundary_angle_stats
@@ -288,8 +284,7 @@ def _run_minimize(cfg, outdir: Path):
         "vertex_distance_monotone": _monotone_verdict(
             diag.vertex_distance_history[burn:], tol["vertex_monotone"],
             "vertex distance nondecreasing after 10% burn-in"),
-        "p_nondecreasing": _monotone_verdict(
-            [p for _, p in diag.p_ratios], tol["p_monotone"]),
+        "p_nondecreasing": _monotone_verdict(ps, tol["p_monotone"]),
     }
     return results, verdicts
 

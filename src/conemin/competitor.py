@@ -195,16 +195,6 @@ def epsilon_star(sweep):
     return star
 
 
-def find_epsilon_star(a: float, b: float, profile: ConnectionProfile,
-                      grid: int) -> float:
-    """Largest grid value of eps in (0, 1/(2a)] below which the deficit
-    stays negative at every smaller grid point."""
-    star = epsilon_star(deficit_sweep(a, b, profile, grid))
-    if star is None:
-        raise ValueError(f"profile infeasible at resolution {grid}")
-    return star[0]
-
-
 def export_competitor_mesh(spec: CompetitorSpec, resolution: int):
     """Triangulated competitor surface, clipped to {x3 <= 1+h}.
 

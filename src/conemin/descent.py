@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolyhedralCone, is_vertex
-from .mesh import TriMesh, VertexClass, surface_area, validate
+from .geometry import PolyhedralCone, cross3, is_vertex
+from .mesh import (TriMesh, VertexClass, row_cross, row_dots, row_norms,
+                   surface_area, validate)
 from .diagnostics import (
     boundary_angle_audit,
     conical_deviation,
@@ -69,7 +70,6 @@ class Diagnostics:
     p_ratios: list = field(default_factory=list)
     conical_deviation: list = field(default_factory=list)
     boundary_angle_stats: object = None
-    density_ratio_bounds: tuple | None = None
     status: str = ""
     accepted_steps: int = 0
     pinned_vertices: list = field(default_factory=list)
@@ -142,7 +142,7 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
         facet2.append(-1)
     else:
         n1, n2 = cone.normals[f1], cone.normals[f2]
-        if float(np.linalg.norm(np.cross(n1, n2))) <= 1e-9:
+        if float(np.linalg.norm(cross3(n1, n2))) <= 1e-9:
             raise ValueError("sector rays lie on parallel facets: cannot pin apex")
         verts.append((0.0, 0.0, 0.0))
         classes.append(VertexClass.EDGE_PINNED)
@@ -200,13 +200,6 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
     )
 
 
-def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cross product over the first axis, which holds the coordinates."""
-    return np.stack([u[1] * w[2] - u[2] * w[1],
-                     u[2] * w[0] - u[0] * w[2],
-                     u[0] * w[1] - u[1] * w[0]])
-
-
 def area_gradient(mesh: TriMesh) -> np.ndarray:
     """Per-vertex gradient of surface_area, shape (n, 3).
 
@@ -216,23 +209,24 @@ def area_gradient(mesh: TriMesh) -> np.ndarray:
     """
     t = mesh.triangles
     p = np.take(mesh.vertices.T, t.T, axis=1)  # (coordinate, corner, tri)
-    # e[:, k] is the edge opposite corner k: c - b, a - c, b - a
-    e = np.roll(p, 1, axis=1) - np.roll(p, -1, axis=1)
-    ab, ac = e[:, 2], -e[:, 1]
-    n = _cross(ab, ac)
-    lens = np.sqrt(np.einsum("im,im->m", n, n))
+    # e[k] is the edge opposite corner k: c - b, a - c, b - a, a (tri,
+    # coordinate) view of contiguous coordinate planes, which row_cross keeps
+    e = np.moveaxis(np.roll(p, 1, axis=1) - np.roll(p, -1, axis=1), 0, -1)
+    ab, ac = e[2], -e[1]
+    n = row_cross(ab, ac)
+    lens = row_norms(n)
     # a triangle squeezed flat has no usable normal; its |area| sits at a
     # kink where the zero branch is the valid descent choice, so drop it
     # rather than inject a roundoff-signed slope
-    scale = np.maximum(np.einsum("im,im->m", ab, ab),
-                       np.einsum("im,im->m", ac, ac))
+    scale = np.maximum(row_dots(ab, ab), row_dots(ac, ac))
     good = lens > DEGENERATE_REL_TOL * scale
-    n *= np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0)
-    terms = _cross(n[:, None], e).reshape(3, -1)
+    n *= (np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0))[:, None]
+    terms = row_cross(n, e)
     corner = t.T.ravel()
     grad = np.empty_like(mesh.vertices)
     for k in range(3):
-        grad[:, k] = np.bincount(corner, terms[k], minlength=mesh.n_vertices)
+        grad[:, k] = np.bincount(corner, terms[..., k].ravel(),
+                                 minlength=mesh.n_vertices)
     return grad
 
 
@@ -355,8 +349,8 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
 def _mean_unit_normal(mesh: TriMesh):
     """Area-weighted mean normal, or None when it cancels (closed or
     balanced surfaces have no preferred side to jitter toward)."""
-    v, t = mesh.vertices, mesh.triangles
-    n = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]).sum(axis=0)
+    a, b, c = mesh.triangle_corners()
+    n = row_cross(b - a, c - a).sum(axis=0)
     norm = float(np.linalg.norm(n))
     if norm <= 1e-12:
         return None
@@ -456,6 +450,4 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         diag.boundary_angle_stats = boundary_angle_audit(mesh, cone)
     except ValueError:
         diag.boundary_angle_stats = None
-    ps = [p for _, p in diag.p_ratios]
-    diag.density_ratio_bounds = (min(ps), max(ps)) if ps else None
     return mesh, diag

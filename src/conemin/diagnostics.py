@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PolyhedralCone
-from .mesh import TriMesh, VertexClass, _edge_keys, row_norms, triangle_normals
+from .mesh import (TriMesh, VertexClass, edge_table, row_cross, row_norms,
+                   triangle_normals)
 
 DEVIATION_CHUNK = 262144
 FACET_TOL = 1e-7
@@ -51,7 +52,7 @@ def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
     cands = [row_norms(a), row_norms(b), row_norms(c),
              edge(a, b), edge(a, c), edge(b, c)]
     ab, ac = b - a, c - a
-    n = np.cross(ab, ac)
+    n = row_cross(ab, ac)
     nn = np.einsum("ij,ij->i", n, n)
     g11 = np.einsum("ij,ij->i", ab, ab)
     g12 = np.einsum("ij,ij->i", ab, ac)
@@ -150,7 +151,7 @@ def _charts(a, b, c, nhat):
     foot = off[:, None] * nhat
     eu = b - a
     eu = eu / np.linalg.norm(eu, axis=1)[:, None]
-    ev = np.cross(nhat, eu)
+    ev = row_cross(nhat, eu)
     rel = np.stack([a, b, c], axis=1) - foot[:, None, :]
     pts = np.stack([np.einsum("mkj,mj->mk", rel, eu),
                     np.einsum("mkj,mj->mk", rel, ev)], axis=2)
@@ -165,7 +166,7 @@ def _disk_radius(r, off):
 def _extents(a, b, c):
     """Nearest and farthest distances from the origin, areas and unit
     normals of the triangles (a[i], b[i], c[i])."""
-    n = np.cross(b - a, c - a)
+    n = row_cross(b - a, c - a)
     areas = 0.5 * row_norms(n)
     nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
     d_max = np.maximum.reduce([row_norms(x) for x in (a, b, c)])
@@ -278,46 +279,40 @@ def boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone,
     means orthogonal contact.  Only edges with midpoint norm > min_norm are
     reported.
     """
-    t = mesh.triangles
-    edges, key = _edge_keys(mesh)
-    owner = np.tile(np.arange(t.shape[0]), 3)
-    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
-    bmask = counts[inv] == 1
-    bedges, bowner = edges[bmask], owner[bmask]
-
-    normals, v, tn = cone.normals, mesh.vertices, triangle_normals(mesh)
-
-    def declared(idx):
-        if mesh.vertex_class[idx] in (VertexClass.FREE_BOUNDARY,
-                                      VertexClass.EDGE_PINNED):
-            return {f for f in (mesh.facet[idx], mesh.facet2[idx]) if f >= 0}
-        return set()
-
-    records = []
-    for (i, j), tri in zip(bedges, bowner):
-        common = declared(i) & declared(j)
-        if common:
-            k = min(common)
-        else:
-            ri = np.abs(normals @ v[i])
-            rj = np.abs(normals @ v[j])
-            resid = np.maximum(ri, rj)
-            k = int(np.argmin(resid))
-            if resid[k] > FACET_TOL * max(1.0, float(np.linalg.norm(v[i]))):
-                continue
-        mid = 0.5 * (v[i] + v[j])
-        midnorm = float(np.linalg.norm(mid))
-        if midnorm <= min_norm:
-            continue
-        ang = math.degrees(math.acos(float(np.clip(tn[tri] @ normals[k], -1.0, 1.0))))
-        records.append((k, midnorm, ang))
-    if not records:
+    table = edge_table(mesh)
+    boundary = table.multiplicity == 1
+    i, j = table.edges[boundary].T
+    normals, v = cone.normals, mesh.vertices
+    # first rule: the lowest facet that both ends declare; free-boundary and
+    # edge-pinned vertices declare their facet tags
+    tags = np.stack([mesh.facet, mesh.facet2], axis=1)
+    tags[~np.isin(mesh.vertex_class, (VertexClass.FREE_BOUNDARY,
+                                      VertexClass.EDGE_PINNED))] = -1
+    ti, tj = tags[i], tags[j]
+    shared = (ti >= 0) & ((ti == tj[:, :1]) | (ti == tj[:, 1:]))
+    k = np.min(np.where(shared, ti, len(normals)), axis=1)
+    tagged = k < len(normals)
+    # second rule: the facet plane both ends lie on, within FACET_TOL; the
+    # row-by-row np.matmul adds each dot product in the order normals @ x does
+    resid = np.maximum(np.abs(np.matmul(normals, v[i, :, None])[..., 0]),
+                       np.abs(np.matmul(normals, v[j, :, None])[..., 0]))
+    nearest = np.argmin(resid, axis=1)
+    on_plane = (np.min(resid, axis=1)
+                <= FACET_TOL * np.maximum(1.0, row_norms(v[i])))
+    midnorm = row_norms(0.5 * (v[i] + v[j]))
+    keep = (tagged | on_plane) & (midnorm > min_norm)
+    k = np.where(tagged, k, nearest)[keep]
+    tri = table.owner[boundary][keep]
+    cos = np.matmul(triangle_normals(mesh)[tri, None], normals[k, :, None])
+    # math.acos: np.arccos differs from it in the last bit on 1 input in 10
+    angs = [math.degrees(math.acos(c))
+            for c in np.clip(cos, -1.0, 1.0).ravel().tolist()]
+    if not angs:
         raise ValueError("mesh has no free-boundary edges on cone facets")
-    angs = np.array([rec[2] for rec in records])
     return BoundaryAngleStats(
-        count=len(records),
-        min_deg=float(np.min(angs)),
+        count=len(angs),
+        min_deg=min(angs),
         mean_deg=float(np.mean(angs)),
-        max_deg=float(np.max(angs)),
-        records=tuple(records),
+        max_deg=max(angs),
+        records=tuple(zip(k.tolist(), midnorm[keep].tolist(), angs)),
     )

@@ -40,8 +40,8 @@ def unit(x) -> np.ndarray:
 
 
 def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v of two 3-vectors, bit for bit np.cross(u, v) (the same products
-    and differences) without its per-call array overhead."""
+    """u x v of two 3-vectors, bit for bit numpy.cross(u, v) (the same
+    products and differences) without its per-call array overhead."""
     u0, u1, u2 = u.tolist()
     v0, v1, v2 = v.tolist()
     return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
@@ -151,7 +151,7 @@ class PolyhedralCone:
         normals = self.normals
         edges = {}
         for i, j in itertools.combinations(range(len(normals)), 2):
-            s = np.cross(normals[i], normals[j])
+            s = cross3(normals[i], normals[j])
             ns = float(np.linalg.norm(s))
             if ns <= 1e-9:
                 continue

@@ -48,15 +48,17 @@ def _arc_length(p: np.ndarray, q: np.ndarray) -> float:
 
 def interior_angle(vertex, u, w) -> float:
     """Angle at `vertex` between the arcs toward u and toward w, computed
-    from tangent-plane projections with atan2 (never arccos)."""
-    v = sphere_point(vertex)
-    tu = as_vec3(u) - float(as_vec3(u) @ v) * v
-    tw = as_vec3(w) - float(as_vec3(w) @ v) * v
-    nu, nw = float(np.linalg.norm(tu)), float(np.linalg.norm(tw))
+    from tangent-plane projections with atan2 (never arccos).  Norms are
+    sqrt(x @ x), which is what np.linalg.norm computes, without its
+    overhead."""
+    v, u, w = sphere_point(vertex), as_vec3(u), as_vec3(w)
+    tu, tw = u - float(u @ v) * v, w - float(w @ v) * v
+    nu, nw = math.sqrt(float(tu @ tu)), math.sqrt(float(tw @ tw))
     if nu <= 1e-10 or nw <= 1e-10:
         raise ValueError("angle undefined: neighbor (anti)parallel to vertex")
     tu, tw = tu / nu, tw / nw
-    return float(math.atan2(float(np.linalg.norm(cross3(tu, tw))), float(tu @ tw)))
+    c = cross3(tu, tw)
+    return math.atan2(math.sqrt(float(c @ c)), float(tu @ tw))
 
 
 @dataclass(frozen=True)
@@ -139,13 +141,18 @@ class GeodesicPolygon:
         object.__setattr__(self, "vertices", pts)
 
     def interior_angles(self) -> list[float]:
-        k = len(self.vertices)
-        return [
-            interior_angle(self.vertices[i],
-                           self.vertices[(i - 1) % k],
-                           self.vertices[(i + 1) % k])
-            for i in range(k)
-        ]
+        """Interior angles in vertex order.  At a vertex where the polygon
+        turns against its orientation (the next vertex lies on the other
+        side of the arc from the previous one) the angle is reflex, 2*pi
+        minus interior_angle's.  The orientation is the one whose angle sum,
+        (k - 2)*pi + area, is below k*pi; the other sum is 2*k*pi minus it."""
+        pts, k = self.vertices, len(self.vertices)
+        turns = [(interior_angle(v, pts[i - 1], pts[(i + 1) % k]),
+                  float(cross3(pts[i - 1], v) @ pts[(i + 1) % k]) > 0.0)
+                 for i, v in enumerate(pts)]
+        ccw = sum(a if left else 2.0 * math.pi - a
+                  for a, left in turns) < k * math.pi
+        return [a if left == ccw else 2.0 * math.pi - a for a, left in turns]
 
 
 def spherical_excess(poly: GeodesicPolygon) -> float:

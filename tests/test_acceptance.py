@@ -95,11 +95,9 @@ def test_c04_nonminimality_witness_all_pyramids():
     worst = -math.inf
     for a in (0.5, 1.0, 2.0):
         for b in (0.5, 1.0, 2.0):
-            prof = cmp.feasible_params(a)
-            eps = cmp.find_epsilon_star(a, b, prof, grid=32)
-            rep = cmp.area_deficit(cmp.CompetitorSpec(
-                a=a, b=b, profile=prof, epsilon=eps))
-            worst = max(worst, rep.deficit)
+            star = cmp.epsilon_star(cmp.deficit_sweep(
+                a, b, cmp.feasible_params(a), grid=32))
+            worst = max(worst, math.inf if star is None else star[1].deficit)
     el = time.perf_counter() - t0
     ok = worst < -1e-9 and el < 10.0
     report(4, "non-minimality witness", ok,

@@ -216,8 +216,8 @@ def test_run_competitor_sweeps_each_deficit_once(tmp_path, capsys,
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     eps_star = report["results"]["epsilon_star"]
     monkeypatch.undo()
-    assert eps_star == competitor.find_epsilon_star(
-        1.0, 1.0, competitor.feasible_params(1.0), 16)
+    assert eps_star == competitor.epsilon_star(competitor.deficit_sweep(
+        1.0, 1.0, competitor.feasible_params(1.0), 16))[0]
     star = competitor.area_deficit(competitor.CompetitorSpec(
         a=1.0, b=1.0, profile=competitor.feasible_params(1.0),
         epsilon=eps_star))

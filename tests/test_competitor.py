@@ -9,9 +9,10 @@ from conemin.competitor import (
     CompetitorSpec,
     ConnectionProfile,
     area_deficit,
+    deficit_sweep,
+    epsilon_star,
     export_competitor_mesh,
     feasible_params,
-    find_epsilon_star,
     phi,
     phi_prime,
     section_areas,
@@ -210,29 +211,30 @@ def test_deficit_negative_on_grid_for_all_pyramids():
     for a in (0.5, 1.0, 2.0):
         for b in (0.5, 1.0, 2.0):
             profile = feasible_params(a)
-            eps_star = find_epsilon_star(a, b, profile, grid=32)
-            rep = area_deficit(CompetitorSpec(a=a, b=b, profile=profile,
-                                              epsilon=eps_star))
+            eps, rep = epsilon_star(deficit_sweep(a, b, profile, grid=32))
+            assert rep == area_deficit(CompetitorSpec(a=a, b=b,
+                                                      profile=profile,
+                                                      epsilon=eps))
             assert rep.deficit < -1e-9
 
 
-def test_find_epsilon_star_respects_grid():
+def test_epsilon_star_respects_grid():
     profile = feasible_params(1.0)
-    eps = find_epsilon_star(1.0, 1.0, profile, grid=8)
+    eps, _ = epsilon_star(deficit_sweep(1.0, 1.0, profile, grid=8))
     assert eps in {0.5 * i / 8 for i in range(1, 9)}
 
 
-def test_find_epsilon_star_infeasible_profile():
+def test_epsilon_star_infeasible_profile():
     # energy(alpha=1, h=1) = 3/2 > a^2 = 1: positive curvature, so the
     # first grid point already has nonnegative deficit
     bad = ConnectionProfile(h=1.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        find_epsilon_star(1.0, 1.0, bad, grid=16)
+    assert epsilon_star(deficit_sweep(1.0, 1.0, bad, grid=16)) is None
 
 
-def test_find_epsilon_star_grid_validation():
-    with pytest.raises(ValueError):
-        find_epsilon_star(1.0, 1.0, feasible_params(1.0), grid=0)
+def test_deficit_sweep_grid_validation():
+    for grid in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="grid"):
+            next(deficit_sweep(1.0, 1.0, feasible_params(1.0), grid=grid))
 
 
 def test_support_radius_formula():

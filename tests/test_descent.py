@@ -213,7 +213,7 @@ def test_gradient_unreferenced_and_flattened():
     npt.assert_array_equal(g[3:], 0.0)
 
 
-def test_gradient_deterministic_across_threads():
+def test_gradient_deterministic_across_calls():
     # repeated calls sum the corner terms in the same index order
     rng = np.random.default_rng(5)
     cone = geo.pyramid_to_cone(1.0, 1.0)

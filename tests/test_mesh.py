@@ -59,6 +59,30 @@ def test_validate_rejects_inconsistent_orientation():
         msh.validate(m, cone)
 
 
+def test_validate_rejects_non_manifold_edge():
+    # three non-degenerate triangles on the edge (0, 1), oriented as
+    # consistently as three can be: two of them walk 0 -> 1
+    verts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.5, 1.0, 1.0],
+                      [0.5, -1.0, 1.0], [0.5, 0.0, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    m = msh.TriMesh(verts, tris, np.zeros(5, dtype=np.int64))
+    table = msh.edge_table(m)
+    assert table.multiplicity[[0, 1, 2]].tolist() == [3, 3, 3]
+    assert table.repeated_direction
+    with pytest.raises(ValueError, match="repeated directed edge"):
+        msh.validate(m, geo.pyramid_to_cone(1.0, 1.0))
+
+
+def test_edge_table_of_a_square():
+    table = msh.edge_table(quad_mesh())
+    # (0, 1), (0, 2) | (1, 2), (2, 3) | (2, 0), (3, 0)
+    npt.assert_array_equal(table.edges, [[0, 1], [0, 2], [1, 2], [2, 3],
+                                         [2, 0], [3, 0]])
+    npt.assert_array_equal(table.owner, [0, 1, 0, 1, 0, 1])
+    npt.assert_array_equal(table.multiplicity, [1, 2, 1, 1, 2, 1])
+    assert not table.repeated_direction
+
+
 def test_validate_checks_free_boundary_residual():
     cone = geo.pyramid_to_cone(1.0, 1.0)
     verts = np.array([

@@ -168,8 +168,8 @@ def test_thin_triangle_excess_small_but_positive():
 
 
 def test_random_convex_quadrilateral_angle_sum_exceeds_two_pi():
-    # interior_angle folds reflex angles below pi, so the angle-sum identity
-    # sum = 2*pi + area is only probed on convex draws
+    # the angle-sum identity sum = 2*pi + area on convex draws; darts, with
+    # a reflex vertex, are tested against L'Huilier below
     rng = np.random.default_rng(90125)
     made = 0
     while made < 50:
@@ -196,6 +196,36 @@ def test_random_convex_quadrilateral_angle_sum_exceeds_two_pi():
             continue  # nearly collinear draw
         made += 1
         assert sum(poly.interior_angles()) > 2.0 * math.pi
+
+
+def test_nonconvex_quadrilateral_excess_matches_two_triangles():
+    # a dart (tip, wing, notch, wing) drawn in the tangent plane at a cap
+    # centre and mapped to the sphere by central projection, which keeps
+    # segments on great circles: the notch lies inside the triangle of the
+    # other three, so it is the one reflex vertex, and the diagonal
+    # tip-notch splits the dart into two triangles
+    rng = np.random.default_rng(4417)
+    for _ in range(100):
+        center = sph.unit(rng.normal(size=3))
+        t1 = sph.unit(np.cross(center, rng.normal(size=3)))
+        t2 = np.cross(center, t1)
+        scale = rng.uniform(0.02, 1.5)
+        tip, left, right = (rng.uniform(-1.0, 1.0, 2) for _ in range(3))
+        (ux, uy), (vx, vy) = left - tip, right - tip
+        if abs(ux * vy - uy * vx) < 0.2:
+            continue  # nearly flat outer triangle
+        w = rng.uniform(0.1, 1.0, 3)
+        notch = (w[0] * tip + w[1] * left + w[2] * right) / w.sum()
+        tip, left, notch, right = (
+            sph.unit(center + scale * (x * t1 + y * t2))
+            for x, y in (tip, left, notch, right))
+        want = sum(lhuilier_excess(sph.arc_length(p, q), sph.arc_length(q, r),
+                                   sph.arc_length(r, p))
+                   for p, q, r in ((tip, left, notch), (tip, notch, right)))
+        dart = (tip, left, notch, right)
+        for pts in (dart, dart[::-1], dart[2:] + dart[:2]):
+            got = sph.spherical_excess(sph.GeodesicPolygon(pts))
+            assert got == pytest.approx(want, abs=1e-10)
 
 
 # ------------------------------------------------------------ two-arc audit
