@@ -4,7 +4,9 @@ The mesh lives inside a convex polyhedral cone; free-boundary vertices slide
 in their facet planes, edge-pinned vertices slide along the line where two
 facets meet, clamped vertices stay on the sphere of radius R.  Descent uses
 Armijo backtracking on the post-projection area, so the recorded area history
-is monotone by construction.
+is monotone by construction.  Each accepted state's triangle_geometry (one
+gather, one cross product per triangle) serves three uses: the Armijo test
+that accepted it, its vertex distance and the next step's gradient.
 
 The area gradient scatters its per-corner terms onto the vertices with
 np.bincount, which sums in index order, so results are bit-identical from
@@ -18,15 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolyhedralCone, cross3, is_vertex
-from .mesh import (TriMesh, VertexClass, row_cross, row_dots, row_norms,
-                   surface_area, validate)
-from .diagnostics import (
-    boundary_angle_audit,
-    conical_deviation,
-    monotonicity_ratio,
-    vertex_distance,
-)
+from .geometry import PolyhedralCone, cross3, is_vertex, row_cross, row_dots
+from .mesh import TriMesh, VertexClass, triangle_geometry, validate
+from .diagnostics import _ball_audits, _vertex_distance, boundary_angle_audit
 
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
@@ -207,22 +203,20 @@ def area_gradient(mesh: TriMesh) -> np.ndarray:
     e_k the opposite edge in the triangle's orientation; np.bincount sums
     the corner terms per vertex, one coordinate at a time.
     """
-    t = mesh.triangles
-    p = np.take(mesh.vertices.T, t.T, axis=1)  # (coordinate, corner, tri)
-    # e[k] is the edge opposite corner k: c - b, a - c, b - a, a (tri,
-    # coordinate) view of contiguous coordinate planes, which row_cross keeps
-    e = np.moveaxis(np.roll(p, 1, axis=1) - np.roll(p, -1, axis=1), 0, -1)
-    ab, ac = e[2], -e[1]
-    n = row_cross(ab, ac)
-    lens = row_norms(n)
+    return _area_gradient(mesh, triangle_geometry(mesh))
+
+
+def _area_gradient(mesh: TriMesh, geometry) -> np.ndarray:
+    """area_gradient of the mesh whose triangle_geometry is given."""
+    e, n, lens = geometry
     # a triangle squeezed flat has no usable normal; its |area| sits at a
     # kink where the zero branch is the valid descent choice, so drop it
     # rather than inject a roundoff-signed slope
-    scale = np.maximum(row_dots(ab, ab), row_dots(ac, ac))
+    scale = np.maximum(row_dots(e[2], e[2]), row_dots(e[1], e[1]))
     good = lens > DEGENERATE_REL_TOL * scale
-    n *= (np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0))[:, None]
-    terms = row_cross(n, e)
-    corner = t.T.ravel()
+    half = np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0)
+    terms = row_cross(n * half[:, None], e)
+    corner = mesh.triangles.T.ravel()
     grad = np.empty_like(mesh.vertices)
     for k in range(3):
         grad[:, k] = np.bincount(corner, terms[..., k].ravel(),
@@ -400,11 +394,12 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         project_to_constraints(mesh, cone, diag.pinned_vertices)
     validate(mesh, cone)
 
-    area = surface_area(mesh)
+    geometry = triangle_geometry(mesh)
+    area = geometry.area
     step = config.initial_step
     status = "max_iters"
     for _ in range(config.max_iters):
-        g = project_gradient(mesh, cone, area_gradient(mesh))
+        g = project_gradient(mesh, cone, _area_gradient(mesh, geometry))
         if float(np.max(np.abs(g))) <= config.grad_tol:
             status = "converged"
             break
@@ -418,7 +413,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             mesh.vertices -= step * g
             trial_pins = []
             project_to_constraints(mesh, cone, trial_pins)
-            trial = surface_area(mesh)
+            geometry = triangle_geometry(mesh)
+            trial = geometry.area
             if trial <= area - config.armijo_c * step * gsq:
                 accepted = True
                 break
@@ -434,18 +430,17 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         area = trial
         diag.accepted_steps += 1
         diag.area_history.append(area)
-        diag.vertex_distance_history.append(vertex_distance(mesh))
+        diag.vertex_distance_history.append(_vertex_distance(mesh, geometry))
         step = min(2.0 * step, config.initial_step)
+    del geometry  # not held through the post-run audits
 
     diag.status = status
-    radii = [float(f * config.clamp_radius) for f in RADII_FRACTIONS]
-    diag.p_ratios = monotonicity_ratio(mesh, radii)
-    diag.conical_deviation = [
-        (lo * config.clamp_radius, hi * config.clamp_radius,
-         conical_deviation(mesh, lo * config.clamp_radius,
-                           hi * config.clamp_radius))
-        for lo, hi in DEVIATION_WINDOWS
-    ]
+    R = config.clamp_radius
+    windows = [(lo * R, hi * R) for lo, hi in DEVIATION_WINDOWS]
+    diag.p_ratios, deviations = _ball_audits(
+        mesh, [float(f * R) for f in RADII_FRACTIONS], windows)
+    diag.conical_deviation = [(rho, r, d) for (rho, r), d
+                              in zip(windows, deviations)]
     try:
         diag.boundary_angle_stats = boundary_angle_audit(mesh, cone)
     except ValueError:

@@ -10,7 +10,8 @@ disk centered at the foot of the perpendicular from the origin.  One
 batched kernel, _disk_clip, gives the exact area and first moment of every
 triangle ∩ disk, circular segments included: p(r) is exact to rounding,
 and the deviation integral uses it for the pieces that still cross a
-sphere after two refinement rounds.
+sphere after two refinement rounds.  A p(r) table and deviation windows of
+one mesh share its corners and its per-triangle distance extents.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolyhedralCone
-from .mesh import (TriMesh, VertexClass, edge_table, row_cross, row_norms,
+from .geometry import PolyhedralCone, row_cross, row_dots, row_norms
+from .mesh import (TriMesh, VertexClass, edge_table, triangle_geometry,
                    triangle_normals)
 
 DEVIATION_CHUNK = 262144
@@ -81,12 +82,18 @@ def vertex_distance(mesh: TriMesh) -> float:
     the nearest corner norm go through _point_triangle_distances, so the
     result is the unpruned minimum bit for bit.
     """
-    v, a, b, c = mesh.vertices, *mesh.triangle_corners()
-    ab, ac, bc = b - a, c - a, c - b
-    norms = np.take(np.sqrt(np.einsum("ij,ij->i", v, v)), mesh.triangles)
+    return _vertex_distance(mesh, triangle_geometry(mesh))
+
+
+def _vertex_distance(mesh: TriMesh, geometry) -> float:
+    """vertex_distance of the mesh whose triangle_geometry is given."""
+    v, t = mesh.vertices, mesh.triangles
+    bc, ca, ab = geometry.edges
+    norms = np.take(np.sqrt(np.einsum("ij,ij->i", v, v)), t)
     cmin = np.minimum(np.minimum(norms[:, 0], norms[:, 1]), norms[:, 2])
-    g11, g22, g33, g12 = (np.einsum("ij,ij->i", x, y) for x, y in
-                          ((ab, ab), (ac, ac), (bc, bc), (ab, ac)))
+    # g12 is -(ab . ac); only its square enters
+    g11, g22, g33, g12 = (row_dots(x, y) for x, y in
+                          ((ab, ab), (ca, ca), (bc, bc), (ab, ca)))
     e2 = np.maximum(np.maximum(g11, g22), g33)
     emax = np.sqrt(e2)
     # the margin, 128 ulps of (corner norm + edge), grows with the squared
@@ -94,9 +101,9 @@ def vertex_distance(mesh: TriMesh) -> float:
     # its rounding; a triangle too flat to bound |ab × ac|² is always kept
     n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * EPS) - g12 * g12, 0.0)
     slack = 128.0 * EPS * (cmin + emax)
-    keep = (cmin - emax - np.min(cmin)) * n2 <= slack * (n2 + e2 * e2)
-    return float(np.min(_point_triangle_distances(a[keep], b[keep],
-                                                  c[keep])))
+    keep = t[(cmin - emax - np.min(cmin)) * n2 <= slack * (n2 + e2 * e2)]
+    return float(np.min(_point_triangle_distances(
+        *(np.take(v, keep[:, k], axis=0) for k in range(3)))))
 
 
 def _disk_clip(pts: np.ndarray, s: np.ndarray):
@@ -175,6 +182,13 @@ def _extents(a, b, c):
 
 def monotonicity_ratio(mesh: TriMesh, radii) -> list:
     """Table of (r, p(r)) with p(r) = area(mesh ∩ B_r) / r²."""
+    return _ball_audits(mesh, radii, ())[0]
+
+
+def _ball_audits(mesh: TriMesh, radii, windows):
+    """The monotonicity_ratio table over radii and the conical_deviation of
+    each (rho, r) window, with their checks, from one corner gather and one
+    _extents pass shared by the table and level 0 of every window."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
@@ -182,8 +196,11 @@ def monotonicity_ratio(mesh: TriMesh, radii) -> list:
         raise ValueError("radii must be strictly increasing")
     if mesh.clamp_radius is not None and radii and radii[-1] > mesh.clamp_radius + 1e-9:
         raise ValueError("radii must not exceed the clamp radius")
-    a, b, c = mesh.triangle_corners()
-    d_min, d_max, areas, nhat = _extents(a, b, c)
+    windows = [(float(rho), float(r)) for rho, r in windows]
+    if not all(0 < rho < r for rho, r in windows):
+        raise ValueError("need 0 < rho < r")
+    a, b, c = corners = mesh.triangle_corners()
+    d_min, d_max, areas, nhat = extents = _extents(a, b, c)
     table = []
     for r in radii:
         inside = d_max <= r
@@ -192,7 +209,7 @@ def monotonicity_ratio(mesh: TriMesh, radii) -> list:
         clipped, _ = _disk_clip(pts, _disk_radius(r, off))
         total = float(np.sum(areas[inside])) + float(np.sum(clipped))
         table.append((r, total / (r * r)))
-    return table
+    return table, [_deviation(corners, extents, rho, r) for rho, r in windows]
 
 
 def _subdivide(a, b, c):
@@ -226,17 +243,20 @@ def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
     still crossing after that are clipped exactly against both balls by
     _disk_clip, and their area and centroid enter the centroid rule.
     """
-    rho, r = float(rho), float(r)
-    if not 0 < rho < r:
-        raise ValueError("need 0 < rho < r")
+    return _ball_audits(mesh, (), ((rho, r),))[1][0]
+
+
+def _deviation(corners, extents, rho, r) -> float:
+    """conical_deviation over (rho, r) of the triangles with these corners
+    and _extents."""
     total = 0.0
-    ta, tb, tc = mesh.triangle_corners()
-    for lo in range(0, mesh.n_triangles, DEVIATION_CHUNK):
-        a = ta[lo:lo + DEVIATION_CHUNK]
-        b = tb[lo:lo + DEVIATION_CHUNK]
-        c = tc[lo:lo + DEVIATION_CHUNK]
+    for lo in range(0, len(corners[0]), DEVIATION_CHUNK):
+        part = slice(lo, lo + DEVIATION_CHUNK)
+        a, b, c = (x[part] for x in corners)
+        d_min, d_max, areas, nhat = (x[part] for x in extents)
         for level in range(3):
-            d_min, d_max, areas, nhat = _extents(a, b, c)
+            if level:
+                d_min, d_max, areas, nhat = _extents(a, b, c)
             inside = (d_min >= rho) & (d_max <= r)
             if np.any(inside):
                 cen = (a[inside] + b[inside] + c[inside]) / 3.0

@@ -13,10 +13,11 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PolyhedralCone
+from .geometry import PolyhedralCone, row_cross, row_norms
 
 AREA_TOL = 1e-14
 PLANE_TOL = 1e-9
@@ -97,44 +98,52 @@ class TriMesh:
         return tuple(np.take(v, t[:, k], axis=0) for k in range(3))
 
 
-def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of two (k, 3) arrays, in coordinate order."""
-    return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
+class TriangleGeometry(NamedTuple):
+    """One mesh state's triangles (a, b, c).  edges[k] is the edge opposite
+    corner k in the triangle's orientation (c - b, a - c, b - a), each a
+    (tri, coordinate) view of contiguous coordinate planes; normals is
+    n = ab x ac, laid out the same way, and norms is |n|."""
+
+    edges: np.ndarray
+    normals: np.ndarray
+    norms: np.ndarray
+
+    @property
+    def areas(self) -> np.ndarray:
+        return 0.5 * self.norms
+
+    @property
+    def area(self) -> float:
+        return float(self.areas.sum())
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a (k, 3) array, bit for bit those of
-    np.linalg.norm(x, axis=1) (the same sum order), at a third of its cost."""
-    return np.sqrt(row_dots(x, x))
-
-
-def row_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u x w over the last axis, u broadcast to the shape of w; bit for bit
-    numpy's cross (the same products and differences), but faster.  Laid
-    out like w: C-contiguous rows for rows, coordinate planes for views of
-    planes."""
-    out = np.empty_like(w)
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(u[..., i], w[..., j], out=out[..., k])
-        out[..., k] -= u[..., j] * w[..., i]
-    return out
+def triangle_geometry(mesh: TriMesh) -> TriangleGeometry:
+    """Edges and normals of every triangle from one coordinate-major
+    np.take gather; the corners are not kept."""
+    # (coordinate, corner, tri) planes
+    p = np.take(mesh.vertices.T, mesh.triangles.T, axis=1)
+    e = np.empty_like(p)
+    for k in range(3):
+        np.subtract(p[:, k - 1], p[:, (k + 1) % 3], out=e[:, k])
+    e = np.moveaxis(e, 0, -1)
+    # (a - c) x (b - a) is ab x ac from the same products and differences,
+    # so the same bits up to the sign of a zero component
+    n = row_cross(e[1], e[2])
+    return TriangleGeometry(e, n, row_norms(n))
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
-    a, b, c = mesh.triangle_corners()
-    return 0.5 * row_norms(row_cross(b - a, c - a))
+    return triangle_geometry(mesh).areas
 
 
 def triangle_normals(mesh: TriMesh) -> np.ndarray:
     """Unit normals; degenerate triangles yield zero vectors."""
-    a, b, c = mesh.triangle_corners()
-    n = row_cross(b - a, c - a)
-    lens = row_norms(n)
+    _, n, lens = triangle_geometry(mesh)
     return n / np.where(lens > 0, lens, 1.0)[:, None]
 
 
 def surface_area(mesh: TriMesh) -> float:
-    return float(triangle_areas(mesh).sum())
+    return triangle_geometry(mesh).area
 
 
 @dataclass(frozen=True)
@@ -233,6 +242,16 @@ def save_obj(mesh: TriMesh, path) -> None:
         if cls == VertexClass.EDGE_PINNED:
             rec["facet2"] = g
         classes[str(i)] = rec
-    sidecar = {"clamp_radius": mesh.clamp_radius, "classes": classes}
+    # the bytes of json.dumps(sidecar, indent=1, sort_keys=True), whose
+    # indent runs the pure-Python encoder: the C encoder puts each record's
+    # fields on lines of their own, and three replacements lay out the rest
+    # (no key or value holds a brace)
+    records = json.dumps(classes, sort_keys=True,
+                         separators=(",\n   ", ": "))
+    if classes:
+        records = "{\n  %s\n }" % (records[1:-1].replace("}", "\n  }")
+                                   .replace('{"class"', '{\n   "class"')
+                                   .replace('},\n   "', '},\n  "'))
     path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=1, sort_keys=True) + "\n")
+        '{\n "clamp_radius": %s,\n "classes": %s\n}\n'
+        % (json.dumps(mesh.clamp_radius), records))

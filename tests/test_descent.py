@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from conemin import descent as dsc
+from conemin import diagnostics as dg
 from conemin import geometry as geo
 from conemin import mesh as msh
 from oracles import contains, euler_characteristic, fd_surface_gradient
@@ -390,6 +391,26 @@ def test_minimize_vertex_distance_grows_in_pyramid():
     # with resolution, so the growth factor here is modest
     assert diag.vertex_distance_history[-1] > 2 * d0
     assert diag.vertex_distance_history[-1] > 0.05
+
+
+@pytest.mark.parametrize("cone", (geo.pyramid_to_cone(1.0, 1.0),
+                                  geo.wedge_above(1.0, 1)),
+                         ids=("pyramid", "wedge"))
+def test_minimize_outputs_equal_public_kernels(cone):
+    # minimize reuses each accepted state's triangle geometry and shares one
+    # corner gather between its post-run audits; the numbers it records must
+    # be those of the public calls on its final mesh, bit for bit
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
+    final, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
+    assert diag.accepted_steps > 0
+    assert diag.area_history[-1] == msh.surface_area(final)
+    assert diag.vertex_distance_history[-1] == dg.vertex_distance(final)
+    radii = [float(f * cfg.clamp_radius) for f in dsc.RADII_FRACTIONS]
+    assert diag.p_ratios == dg.monotonicity_ratio(final, radii)
+    assert len(diag.conical_deviation) == len(dsc.DEVIATION_WINDOWS)
+    for rho, r, dev in diag.conical_deviation:
+        assert dev == dg.conical_deviation(final, rho, r)
 
 
 def test_minimize_config_validation():

@@ -170,17 +170,21 @@ def test_save_obj_matches_per_vertex_writer(tmp_path):
     # free-boundary rays, a clamped rim and interior vertices
     m = make_initial_plane(geo.wedge_above(1.0, 1), 1.0, 6)
     assert sorted(set(m.vertex_class.tolist())) == [0, 1, 2, 3]
-    msh.save_obj(m, tmp_path / "mesh.obj")
-    save_obj_per_vertex(m, tmp_path / "reference.obj")
-    for suffix in (".obj", ".obj.json"):
-        assert ((tmp_path / f"mesh{suffix}").read_bytes()
-                == (tmp_path / f"reference{suffix}").read_bytes())
+    # a mesh without a clamp radius: its sidecar holds null
+    unclamped = make_initial_plane(geo.pyramid_to_cone(1.0, 2.0), 1.0, 5)
+    unclamped.clamp_radius = None
+    for mesh in (unclamped, m):
+        msh.save_obj(mesh, tmp_path / "mesh.obj")
+        save_obj_per_vertex(mesh, tmp_path / "reference.obj")
+        for suffix in (".obj", ".obj.json"):
+            assert ((tmp_path / f"mesh{suffix}").read_bytes()
+                    == (tmp_path / f"reference{suffix}").read_bytes())
+        sidecar = json.loads((tmp_path / "mesh.obj.json").read_text())
+        assert sidecar["clamp_radius"] == mesh.clamp_radius
 
     vertices, triangles = read_obj(tmp_path / "mesh.obj")
     npt.assert_array_equal(vertices, m.vertices)
     npt.assert_array_equal(triangles, m.triangles)
-    sidecar = json.loads((tmp_path / "mesh.obj.json").read_text())
-    assert sidecar["clamp_radius"] == m.clamp_radius
     classes = sidecar["classes"]
     assert sorted(classes, key=int) == [str(i) for i in range(m.n_vertices)]
     names = [c.name.lower() for c in msh.VertexClass]
