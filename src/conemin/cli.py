@@ -53,8 +53,9 @@ class ConfigError(ValueError):
 # The config check is this table: kind -> field -> (default, number kind,
 # bound).  A default of None marks a required field.  A bound is a
 # (test, wording) pair; None leaves the range to MinimizeConfig, whose own
-# checks run on the minimize fields, or to nobody for tolerances.  Every
-# number must be finite.
+# checks run on the minimize fields.  Every number must be finite, and every
+# tolerance >= 0: a negative one would let its verdict pass on the opposite
+# outcome, such as an area increase.
 POSITIVE = (lambda x: x > 0, "> 0")
 NONNEGATIVE = (lambda x: x >= 0, ">= 0")
 NUMBERS = {
@@ -74,12 +75,12 @@ NUMBERS = {
 SEED = (0, int, NONNEGATIVE)
 PROFILE = {"h": (None, float, POSITIVE), "alpha": (None, float, POSITIVE)}
 TOLERANCES = {
-    "competitor": {"deficit_witness": (1e-9, float, None)},
-    "minimize": {"area_decrease": (0.0, float, None),
-                 "vertex_monotone": (1e-6, float, None),
-                 "p_monotone": (1e-3, float, None)},
-    "audit-geodesics": {"excess_witness": (1e-9, float, None)},
-    "monotonicity": {"p_monotone": (1e-3, float, None)},
+    "competitor": {"deficit_witness": (1e-9, float, NONNEGATIVE)},
+    "minimize": {"area_decrease": (0.0, float, NONNEGATIVE),
+                 "vertex_monotone": (1e-6, float, NONNEGATIVE),
+                 "p_monotone": (1e-3, float, NONNEGATIVE)},
+    "audit-geodesics": {"excess_witness": (1e-9, float, NONNEGATIVE)},
+    "monotonicity": {"p_monotone": (1e-3, float, NONNEGATIVE)},
 }
 COMMON_KEYS = {"kind", "cone", "seed", "out", "tolerances"}
 OTHER_KEYS = {"competitor": {"profile"}, "monotonicity": {"radii"}}

@@ -31,16 +31,16 @@ EPS = np.finfo(float).eps
 COLLINEAR_ULPS = 4.0   # |ab x ac|^2 at or below this many ulps of |ab|^2 |ac|^2
 
 
-def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
-                              c: np.ndarray) -> np.ndarray:
-    """Exact distance from the origin to each triangle (a[i], b[i], c[i]).
+def _extents(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Nearest and farthest distances from the origin, areas and unit
+    normals of the triangles (a[i], b[i], c[i]).
 
-    Minimum over seven closed-form candidates: three vertices, three edges
-    with clamped projection, and the plane point when its barycentric
-    coordinates land inside.  Triangles collinear to rounding, with
-    |ab x ac|^2 <= COLLINEAR_ULPS ulps of |ab|^2 |ac|^2, fall back to the
-    vertex/edge candidates: their normal would be rounding noise, while the
-    edges are exact for them.
+    The nearest distance is exact: the minimum over seven closed-form
+    candidates, three vertices, three edges with clamped projection, and
+    the plane point when its barycentric coordinates land inside.
+    Triangles collinear to rounding, with |ab x ac|^2 <= COLLINEAR_ULPS ulps
+    of |ab|^2 |ac|^2, fall back to the vertex/edge candidates: their normal
+    would be rounding noise, while the edges are exact for them.
     """
 
     def edge(p, q):
@@ -50,18 +50,22 @@ def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
         t = np.clip(t, 0.0, 1.0)
         return row_norms(p + t[:, None] * d)
 
-    cands = [row_norms(a), row_norms(b), row_norms(c),
-             edge(a, b), edge(a, c), edge(b, c)]
+    corner_norms = [row_norms(a), row_norms(b), row_norms(c)]
+    cands = corner_norms + [edge(a, b), edge(a, c), edge(b, c)]
     ab, ac = b - a, c - a
     n = row_cross(ab, ac)
+    areas = 0.5 * row_norms(n)
+    nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
+    # the plane candidate scales n by its einsum |n|^2, which can differ from
+    # row_norms' in the last bit; nhat in its place would move the distances
     nn = np.einsum("ij,ij->i", n, n)
     g11 = np.einsum("ij,ij->i", ab, ab)
     g12 = np.einsum("ij,ij->i", ab, ac)
     g22 = np.einsum("ij,ij->i", ac, ac)
     ok = nn > COLLINEAR_ULPS * EPS * g11 * g22
-    nhat = n / np.sqrt(np.where(ok, nn, 1.0))[:, None]
-    off = np.einsum("ij,ij->i", a, nhat)
-    foot = off[:, None] * nhat - a
+    plane_hat = n / np.sqrt(np.where(ok, nn, 1.0))[:, None]
+    off = np.einsum("ij,ij->i", a, plane_hat)
+    foot = off[:, None] * plane_hat - a
     det = g11 * g22 - g12 * g12
     ok &= det > 0
     det = np.where(ok, det, 1.0)
@@ -71,7 +75,8 @@ def _point_triangle_distances(a: np.ndarray, b: np.ndarray,
     be = (g11 * r2 - g12 * r1) / det
     inside = ok & (al >= 0) & (be >= 0) & (al + be <= 1)
     cands.append(np.where(inside, np.abs(off), np.inf))
-    return np.min(np.stack(cands), axis=0)
+    d_min = np.min(np.stack(cands), axis=0)
+    return d_min, np.maximum.reduce(corner_norms), areas, nhat
 
 
 def vertex_distance(mesh: TriMesh) -> float:
@@ -79,8 +84,8 @@ def vertex_distance(mesh: TriMesh) -> float:
 
     No point of a triangle is nearer than its smallest corner norm minus its
     longest edge; only triangles whose bound, less a rounding margin, reaches
-    the nearest corner norm go through _point_triangle_distances, so the
-    result is the unpruned minimum bit for bit.
+    the nearest corner norm go through _extents, so the result is the
+    unpruned minimum bit for bit.
     """
     return _vertex_distance(mesh, triangle_geometry(mesh))
 
@@ -102,8 +107,8 @@ def _vertex_distance(mesh: TriMesh, geometry) -> float:
     n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * EPS) - g12 * g12, 0.0)
     slack = 128.0 * EPS * (cmin + emax)
     keep = t[(cmin - emax - np.min(cmin)) * n2 <= slack * (n2 + e2 * e2)]
-    return float(np.min(_point_triangle_distances(
-        *(np.take(v, keep[:, k], axis=0) for k in range(3)))))
+    return float(np.min(_extents(
+        *(np.take(v, keep[:, k], axis=0) for k in range(3)))[0]))
 
 
 def _disk_clip(pts: np.ndarray, s: np.ndarray):
@@ -168,16 +173,6 @@ def _charts(a, b, c, nhat):
 def _disk_radius(r, off):
     """Radius of the disk B_r cuts in a plane at distance |off| (0 if none)."""
     return np.sqrt(np.maximum(r * r - off * off, 0.0))
-
-
-def _extents(a, b, c):
-    """Nearest and farthest distances from the origin, areas and unit
-    normals of the triangles (a[i], b[i], c[i])."""
-    n = row_cross(b - a, c - a)
-    areas = 0.5 * row_norms(n)
-    nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
-    d_max = np.maximum.reduce([row_norms(x) for x in (a, b, c)])
-    return _point_triangle_distances(a, b, c), d_max, areas, nhat
 
 
 def monotonicity_ratio(mesh: TriMesh, radii) -> list:

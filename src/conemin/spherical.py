@@ -7,6 +7,10 @@ supporting planes orthogonally and a second plane disjoint from it, the
 induced meridian quadrilateral has two right base angles, and its total
 angle sum exceeds 2*pi, certifying that the configuration cannot bound a
 second geodesic arc.
+
+A polygon is checked to lie in an open hemisphere first; inside one, every
+incidence of its edges is decided by the sign of det[a, b, c] = (a x b) . c
+(see GeodesicPolygon).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HEMISPHERE_TOL, as_vec3, cross3, open_hemisphere_slack,
-                       unit)
+                       row_cross, row_dots, row_norms, unit)
 
 ANTIPODAL_TOL = 1e-10
 COINCIDENT_TOL = 1e-10
@@ -34,16 +38,15 @@ def sphere_point(v) -> np.ndarray:
 
 
 def arc_length(p, q) -> float:
-    """Length of the minor arc between p and q; errors on antipodal pairs."""
-    return _arc_length(sphere_point(p), sphere_point(q))
-
-
-def _arc_length(p: np.ndarray, q: np.ndarray) -> float:
-    """arc_length of points that are already validated unit 3-vectors."""
+    """Length of the minor arc between p and q, atan2(|p x q|, p . q) as in
+    interior_angle, so tiny arcs keep full relative accuracy; errors on
+    antipodal pairs."""
+    p, q = sphere_point(p), sphere_point(q)
     d = float(p @ q)
     if d <= -1.0 + ANTIPODAL_TOL:
         raise ValueError("antipodal endpoints: minor arc undefined")
-    return float(math.acos(min(1.0, max(-1.0, d))))
+    c = cross3(p, q)
+    return math.atan2(math.sqrt(float(c @ c)), d)
 
 
 def interior_angle(vertex, u, w) -> float:
@@ -81,71 +84,68 @@ def equator_pole(arc: GeodesicArc) -> np.ndarray:
     return unit(cross3(arc.p, arc.q))
 
 
-def _strictly_inside_arc(x: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         tol: float = 1e-9) -> bool:
-    """True when x lies on the minor arc (a, b), excluding the endpoints."""
-    dax, dxb, dab = _arc_length(a, x), _arc_length(x, b), _arc_length(a, b)
-    return abs(dax + dxb - dab) <= tol and min(dax, dxb) > tol
-
-
-def _arcs_cross(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                d: np.ndarray) -> bool:
-    """Whether minor arcs (a, b) and (c, d) meet away from shared endpoints."""
-    # arcs on one great circle meet only where one holds an endpoint of the
-    # other strictly inside
-    if (_strictly_inside_arc(c, a, b) or _strictly_inside_arc(d, a, b)
-            or _strictly_inside_arc(a, c, d) or _strictly_inside_arc(b, c, d)):
-        return True
-    line = cross3(cross3(a, b), cross3(c, d))
-    nl = float(np.linalg.norm(line))
-    if nl <= 1e-12:
-        return False
-    x = line / nl
-    return any(_strictly_inside_arc(cand, a, b)
-               and _strictly_inside_arc(cand, c, d) for cand in (x, -x))
-
-
 @dataclass(frozen=True)
 class GeodesicPolygon:
     """Closed spherical polygon, vertices in order, contained in an open
-    hemisphere, consecutive vertices neither equal nor antipodal."""
+    hemisphere, consecutive vertices neither equal nor antipodal, and edges
+    that meet only where consecutive ones share a vertex.
+
+    The hemisphere is checked first: inside one, central projection maps
+    minor arcs to segments and keeps the sign of det[a, b, c] = (a x b) . c,
+    so edges meet where the planar segment test on those signs says.  The
+    sign is 0 when c lies within a distance COINCIDENT_TOL of the great
+    circle through a and b; such a c lies on the arc (a, b) when the great
+    circle through c orthogonal to it separates a from b."""
 
     vertices: tuple
 
     def __post_init__(self):
         pts = tuple(sphere_point(v) for v in self.vertices)
-        if len(pts) < 3:
+        k = len(pts)
+        if k < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
+        for i in range(k):
+            for j in range(i + 1, k):
                 if float(np.linalg.norm(pts[i] - pts[j])) <= COINCIDENT_TOL:
                     raise ValueError("degenerate polygon: coincident vertices")
-        k = len(pts)
-        for i in range(k):
-            GeodesicArc(pts[i], pts[(i + 1) % k])
-        for i in range(k):
-            a, b = pts[i], pts[(i + 1) % k]
-            # consecutive edges may share only the one vertex: folding back
-            # onto the previous edge or running through a vertex is a cross
-            c_next = pts[(i + 2) % k]
-            if _strictly_inside_arc(c_next, a, b) or _strictly_inside_arc(a, b, c_next):
-                raise ValueError("polygon edges cross at a fold-back vertex")
-            for j in range(i + 2, k):
-                if i == 0 and j == k - 1:
-                    continue  # adjacent through closure
-                c, d = pts[j], pts[(j + 1) % k]
-                if _arcs_cross(a, b, c, d):
-                    raise ValueError("polygon edges cross")
-        if open_hemisphere_slack(np.array(pts)) <= HEMISPHERE_TOL:
+        p = np.array(pts)
+        if open_hemisphere_slack(p) <= HEMISPHERE_TOL:
             raise ValueError("polygon is not contained in an open hemisphere")
+        q = np.array(pts[1:] + pts[:1])
+        if np.any(np.abs(row_dots(p, q)) >= 1.0 - ANTIPODAL_TOL):
+            raise ValueError("arc endpoints must be neither equal nor antipodal")
+        poles = row_cross(p, q)  # edge i runs from pts[i] to pts[i + 1]
+        dets = poles @ p.T       # dets[i, j] = det[pts[i], pts[i + 1], pts[j]]
+        side = (np.sign(dets) * (np.abs(dets) > COINCIDENT_TOL
+                                 * row_norms(poles)[:, None])).tolist()
+
+        def on_edge(j, i):
+            """Whether vertex j lies on edge i, short of its ends."""
+            if side[i][j]:
+                return False
+            t = cross3(pts[j], poles[i])
+            return float(t @ pts[i]) * float(t @ pts[(i + 1) % k]) < 0.0
+
+        for i in range(k):
+            # consecutive edges meet beyond their shared vertex only when
+            # the polygon folds back along the edge it came in on
+            if on_edge((i + 2) % k, i) or on_edge(i, (i + 1) % k):
+                raise ValueError("polygon edges cross at a fold-back vertex")
+            for j in range(i + 2, k if i else k - 1):
+                a, b, c, d = i, (i + 1) % k, j, (j + 1) % k
+                if (side[i][c] * side[i][d] < 0 and side[j][a] * side[j][b] < 0
+                        or on_edge(c, i) or on_edge(d, i)
+                        or on_edge(a, j) or on_edge(b, j)):
+                    raise ValueError("polygon edges cross")
         object.__setattr__(self, "vertices", pts)
 
     def interior_angles(self) -> list[float]:
         """Interior angles in vertex order.  At a vertex where the polygon
-        turns against its orientation (the next vertex lies on the other
-        side of the arc from the previous one) the angle is reflex, 2*pi
-        minus interior_angle's.  The orientation is the one whose angle sum,
-        (k - 2)*pi + area, is below k*pi; the other sum is 2*k*pi minus it."""
+        turns against its orientation (the sign of det[previous, vertex,
+        next], the incidence test's determinant, says so) the angle is
+        reflex, 2*pi minus interior_angle's.  The orientation is the one
+        whose angle sum, (k - 2)*pi + area, is below k*pi; the other sum is
+        2*k*pi minus it."""
         pts, k = self.vertices, len(self.vertices)
         turns = [(interior_angle(v, pts[i - 1], pts[(i + 1) % k]),
                   float(cross3(pts[i - 1], v) @ pts[(i + 1) % k]) > 0.0)

@@ -118,6 +118,24 @@ def test_validate_rejects_out_of_range_minimize_field(tmp_path, capsys, field,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"kind": "competitor", "cone": {"pyramid": {"a": 1.0, "b": 1.0}}},
+     "deficit_witness"),
+    (MINIMIZE_CFG, "area_decrease"),
+    ({"kind": "audit-geodesics"}, "excess_witness"),
+    ({"kind": "monotonicity", "cone": {"pyramid": {"a": 1.0, "b": 1.0}}},
+     "p_monotone"),
+])
+def test_negative_tolerance_rejected(tmp_path, capsys, payload, field):
+    # a negative tolerance would turn its verdict's test around
+    cfg = write_cfg(tmp_path, dict(payload, out=str(tmp_path / "out"),
+                                   tolerances={field: -5}))
+    assert cli.main(["run", cfg]) == 1
+    assert (f"config error: field '{field}' must be >= 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_rejects_empty_interior_halfspaces(tmp_path, capsys):
     box = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
            [0, 0, -1]]

@@ -97,7 +97,7 @@ def test_vertex_distance_handles_degenerate_triangle():
 
 
 def unpruned_vertex_distance(m):
-    return float(np.min(diag._point_triangle_distances(*m.triangle_corners())))
+    return float(np.min(diag._extents(*m.triangle_corners())[0]))
 
 
 def test_vertex_distance_pruned_equals_unpruned_on_jittered_meshes():
@@ -147,7 +147,7 @@ def test_vertex_distance_pruning_keeps_near_collinear_triangles():
     m = msh.TriMesh(verts, np.array([[3, 4, 5], [0, 1, 2]]),
                     np.zeros(6, dtype=np.int64))
     assert diag.vertex_distance(m) == unpruned_vertex_distance(m) == 1.0
-    assert diag._point_triangle_distances(*verts[:3, None])[0] > 9.39
+    assert diag._extents(*verts[:3, None])[0][0] > 9.39
 
 
 def vertex_edge_distances(a, b, c):
@@ -179,7 +179,7 @@ def test_point_triangle_distances_exact_on_near_collinear_triangles():
     off = 10.0 ** rng.uniform(-17.0, -12.0, (n, 1))
     b = a + s * u
     c = a + t * rng.choice([-1.0, 1.0], (n, 1)) * (u + off * w)
-    got = diag._point_triangle_distances(a, b, c)
+    got = diag._extents(a, b, c)[0]
     corners = np.linalg.norm(np.stack([a, b, c]), axis=2).min(axis=0)
     edges = np.linalg.norm(np.stack([b - a, c - a, c - b]), axis=2).max(axis=0)
     assert np.all(got >= corners - edges)

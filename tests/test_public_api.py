@@ -97,3 +97,27 @@ def test_reference_finder_ignores_words_and_own_body():
     assert referenced_names(tree) == {
         "conemin", "cmp", "dataclass", "float", "report", "phi_prime",
         "mesh", "validate"}
+
+
+def test_every_private_name_is_read():
+    # a module-level _name that no package code reads is dead code
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("_") and not name.startswith("__")):
+                    continue
+                if not any(name in referenced_names(
+                        other, {name} if other is tree else frozenset())
+                        for other in trees.values()):
+                    unread.append(f"{module}.{name}")
+    assert not unread, f"private names that nothing reads: {unread}"

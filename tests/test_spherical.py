@@ -10,6 +10,7 @@ from oracles import lhuilier_excess
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
+MID = sph.unit(np.array([1.0, 1.0, 0.0]))  # midpoint of the arc E1 E2
 
 
 def random_cap_point(rng, center, cap_radius):
@@ -48,9 +49,9 @@ def test_arc_length_rejects_non_unit():
 def test_arc_length_small_angle_accuracy():
     ang = 1e-8
     q = np.array([math.cos(ang), math.sin(ang), 0.0])
-    # acos of a clipped dot loses relative accuracy at tiny angles, but the
-    # absolute error stays below 1e-8 which is all downstream code needs
-    assert sph.arc_length(E1, q) == pytest.approx(ang, abs=1e-8)
+    # acos of the dot would lose every digit here (cos 1e-8 rounds to 1);
+    # atan2 of |p x q| and p . q keeps full relative accuracy
+    assert sph.arc_length(E1, q) == pytest.approx(ang, rel=1e-12)
 
 
 # ------------------------------------------------------------------- angles
@@ -148,16 +149,49 @@ def test_polygon_rejects_bowtie():
         sph.GeodesicPolygon(tuple(quad))
 
 
+def chart(*xy):
+    """Points of the tangent plane at (1, 2, 3)/|.| mapped to the sphere by
+    central projection, which keeps segments on great circles."""
+    center = sph.unit(np.array([1.0, 2.0, 3.0]))
+    t1 = sph.unit(np.cross(center, [0.0, 0.0, 1.0]))
+    t2 = np.cross(center, t1)
+    return tuple(sph.unit(center + 0.4 * (x * t1 + y * t2)) for x, y in xy)
+
+
 def test_polygon_rejects_vertex_on_edge():
-    mid = sph.unit(np.array([1.0, 1.0, 0.0]))  # midpoint of the arc E1 E2
     with pytest.raises(ValueError, match="cross"):
-        sph.GeodesicPolygon((E1, E2, mid, E3))
+        sph.GeodesicPolygon((E1, E2, MID, E3))
+    # a chart pentagon whose vertex 3 lies inside the edge (0, 1)
+    with pytest.raises(ValueError, match="edges cross"):
+        sph.GeodesicPolygon(chart((0, 0), (1, 0), (1.5, -1), (0.5, 0), (1, 2)))
+
+
+def rotations_and_reversals(pts):
+    """Every cyclic order of pts in both directions."""
+    return [seq[r:] + seq[:r] for seq in (pts, pts[::-1])
+            for r in range(len(pts))]
 
 
 def test_polygon_allows_straight_through_vertex():
-    mid = sph.unit(np.array([1.0, 1.0, 0.0]))  # midpoint of the arc E1 E2
-    poly = sph.GeodesicPolygon((E1, mid, E2, E3))
-    assert sph.spherical_excess(poly) == pytest.approx(math.pi / 2, abs=1e-12)
+    # the great circles of two non-adjacent edges meet at a vertex of one of
+    # them, whose antipode is no crossing
+    for pts in rotations_and_reversals((E1, MID, E2, E3)):
+        poly = sph.GeodesicPolygon(pts)
+        assert sph.spherical_excess(poly) == pytest.approx(math.pi / 2,
+                                                           abs=1e-12)
+
+
+def test_polygon_allows_vertex_on_circle_of_far_edge():
+    # vertex 3 lies on the great circle of the non-adjacent edge (0, 1),
+    # beyond vertex 1; three triangles tile the pentagon
+    pts = chart((0, 0), (1, 0), (1.5, -1), (2, 0), (1, 2))
+    want = sum(lhuilier_excess(sph.arc_length(pts[i], pts[j]),
+                               sph.arc_length(pts[j], pts[m]),
+                               sph.arc_length(pts[m], pts[i]))
+               for i, j, m in ((0, 1, 4), (1, 3, 4), (1, 2, 3)))
+    for order in rotations_and_reversals(tuple(range(5))):
+        poly = sph.GeodesicPolygon(tuple(pts[i] for i in order))
+        assert sph.spherical_excess(poly) == pytest.approx(want, abs=1e-12)
 
 
 def test_thin_triangle_excess_small_but_positive():
