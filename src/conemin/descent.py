@@ -6,7 +6,10 @@ facets meet, clamped vertices stay on the sphere of radius R.  Descent uses
 Armijo backtracking on the post-projection area, so the recorded area history
 is monotone by construction.  Each accepted state's triangle_geometry (one
 gather, one cross product per triangle) serves three uses: the Armijo test
-that accepted it, its vertex distance and the next step's gradient.
+that accepted it, its vertex distance and the next step's gradient.  The
+triangles never change, so one edge table serves the whole run: the
+validation of the start state and, through its boundary rows, the
+boundary angle audit of the final one.
 
 The area gradient scatters its per-corner terms onto the vertices with
 np.bincount, which sums in index order, so results are bit-identical from
@@ -20,9 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolyhedralCone, cross3, is_vertex, row_cross, row_dots
-from .mesh import TriMesh, VertexClass, triangle_geometry, validate
-from .diagnostics import _ball_audits, _vertex_distance, boundary_angle_audit
+from .geometry import (PolyhedralCone, cross3, is_vertex, row_cross, row_dots,
+                       row_norms)
+from .mesh import (TriMesh, VertexClass, _validate, edge_table,
+                   triangle_geometry)
+from .diagnostics import (_ball_audits, _boundary_angle_audit,
+                          _vertex_distance)
 
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
@@ -121,64 +127,54 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
     (d1, f1), (d2, f2), w, t = _sector_rays(cone)
     phi_max = math.atan2(float(d2 @ t), float(d2 @ w))
 
-    verts = []
-    classes = []
-    facet = []
-    facet2 = []
-
     def embed(r, theta):
-        y = r * (math.cos(theta) * w + math.sin(theta) * t)
-        return (0.0, y[0], y[1])
+        """Points (0, r (cos theta w + sin theta t)); math.cos and math.sin,
+        since numpy's may differ from them in the last bit."""
+        cos = np.array([math.cos(x) for x in theta.tolist()])
+        sin = np.array([math.sin(x) for x in theta.tolist()])
+        y = r[:, None] * (cos[:, None] * w + sin[:, None] * t)
+        return np.column_stack([np.zeros(len(y)), y])
 
+    # vertex 0 is the apex node, then ring k = 1..resolution holds the
+    # vertices j = 0..k at radius R k / resolution, from index first[k - 1]
+    ring = np.arange(1, resolution + 1)
+    first = 1 + (ring - 1) * (ring + 2) // 2
+    k = np.repeat(ring, ring + 1)
+    j = np.arange(1, 1 + k.size) - np.repeat(first, ring + 1)
+    n = 1 + k.size
+    vertices = np.zeros((n, 3))
+    vertices[1:] = embed(R * k / resolution,
+                         -phi_max + 2.0 * phi_max * j / k)
+    classes = np.full(n, VertexClass.INTERIOR, dtype=np.int64)
+    facet = np.full(n, -1, dtype=np.int64)
+    facet2 = np.full(n, -1, dtype=np.int64)
     if is_vertex(cone):
-        delta0 = R / (4.0 * resolution)
-        verts.append(embed(delta0, 0.0))
-        classes.append(VertexClass.INTERIOR)
-        facet.append(-1)
-        facet2.append(-1)
+        vertices[0] = embed(np.array([R / (4.0 * resolution)]),
+                            np.zeros(1))[0]
     else:
         n1, n2 = cone.normals[f1], cone.normals[f2]
         if float(np.linalg.norm(cross3(n1, n2))) <= 1e-9:
             raise ValueError("sector rays lie on parallel facets: cannot pin apex")
-        verts.append((0.0, 0.0, 0.0))
-        classes.append(VertexClass.EDGE_PINNED)
-        facet.append(f1)
-        facet2.append(f2)
+        classes[0], facet[0], facet2[0] = VertexClass.EDGE_PINNED, f1, f2
+    # views of the ring vertices' entries
+    ring_classes, ring_facet = classes[1:], facet[1:]
+    ring_classes[(j == 0) | (j == k)] = VertexClass.FREE_BOUNDARY
+    ring_facet[j == 0] = f1
+    ring_facet[j == k] = f2
+    ring_classes[k == resolution] = VertexClass.CLAMPED
+    ring_facet[k == resolution] = -1
 
-    ring_start = [0, 1]
-    for k in range(1, resolution + 1):
-        r = R * k / resolution
-        for j in range(k + 1):
-            theta = -phi_max + 2.0 * phi_max * j / k
-            verts.append(embed(r, theta))
-            if k == resolution:
-                classes.append(VertexClass.CLAMPED)
-                facet.append(-1)
-                facet2.append(-1)
-            elif j == 0:
-                classes.append(VertexClass.FREE_BOUNDARY)
-                facet.append(f1)
-                facet2.append(-1)
-            elif j == k:
-                classes.append(VertexClass.FREE_BOUNDARY)
-                facet.append(f2)
-                facet2.append(-1)
-            else:
-                classes.append(VertexClass.INTERIOR)
-                facet.append(-1)
-                facet2.append(-1)
-        ring_start.append(len(verts))
-
-    tris = [(0, ring_start[1], ring_start[1] + 1)]
-    for k in range(1, resolution):
-        a0, b0 = ring_start[k], ring_start[k + 1]
-        for j in range(k + 1):
-            tris.append((a0 + j, b0 + j, b0 + j + 1))
-        for j in range(k):
-            tris.append((a0 + j, b0 + j + 1, a0 + j + 1))
-
-    vertices = np.array(verts, dtype=float)
-    triangles = np.array(tris, dtype=np.int64)
+    # between rings k and k+1, from a0 = first[k - 1] and b0 = first[k]:
+    # the k+1 triangles (a0+j, b0+j, b0+j+1), then the k triangles
+    # (a0+j, b0+j+1, a0+j+1)
+    inner = ring[:-1]
+    kk = np.repeat(inner, 2 * inner + 1)
+    q = np.arange(kk.size) - np.repeat(inner * inner - 1, 2 * inner + 1)
+    up = q <= kk
+    jj = np.where(up, q, q - kk - 1)
+    a0, b0 = first[kk - 1] + jj, first[kk] + jj
+    triangles = np.concatenate([[[0, 1, 2]], np.column_stack(
+        [a0, np.where(up, b0, b0 + 1), np.where(up, b0, a0) + 1])])
     # orient every triangle counter-clockwise in the (x2, x3) chart
     a, b, c = (vertices[triangles[:, i]] for i in range(3))
     signed = (b[:, 1] - a[:, 1]) * (c[:, 2] - a[:, 2]) \
@@ -186,14 +182,8 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
     flip = signed < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    return TriMesh(
-        vertices,
-        triangles,
-        np.array(classes, dtype=np.int64),
-        np.array(facet, dtype=np.int64),
-        np.array(facet2, dtype=np.int64),
-        clamp_radius=float(R),
-    )
+    return TriMesh(vertices, triangles, classes, facet, facet2,
+                   clamp_radius=float(R))
 
 
 def area_gradient(mesh: TriMesh) -> np.ndarray:
@@ -288,7 +278,7 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
     if clamped.size:
         if mesh.clamp_radius is None:
             raise ValueError("clamped vertices but no clamp_radius")
-        norms = np.linalg.norm(v[clamped], axis=1)
+        norms = row_norms(v[clamped])
         if np.any(norms <= 0):
             raise ValueError("clamped vertex at the origin cannot be renormalized")
         v[clamped] *= (mesh.clamp_radius / norms)[:, None]
@@ -323,8 +313,10 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
     # can detach again later
     interior = np.nonzero(cls == VertexClass.INTERIOR)[0]
     if interior.size:
-        slack = v[interior] @ normals.T
-        out = interior[np.max(slack, axis=1) > CONTAIN_TOL]
+        # the (k, n) facet slacks of all vertices, reduced across their k
+        # rows: numpy reduces the short axis of (n, k) rows many times slower
+        slack = np.max(normals @ v.T, axis=0)
+        out = interior[slack[interior] > CONTAIN_TOL]
         for i in out:
             x = v[i]
             for _ in range(2):
@@ -385,14 +377,19 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         normal = _mean_unit_normal(mesh)
         if normal is not None:
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            fade = np.clip(1.0 - np.linalg.norm(mesh.vertices, axis=1)
+            fade = np.clip(1.0 - row_norms(mesh.vertices)
                            / mesh.clamp_radius, 0.0, 1.0)
             mesh.vertices[movable] += ((sign * jitter) * fade[movable, None]
                                        * normal)
         mesh.vertices[movable] += (0.1 * jitter) * rng.standard_normal(
             (count, 3))
         project_to_constraints(mesh, cone, diag.pinned_vertices)
-    validate(mesh, cone)
+    table = edge_table(mesh)
+    on_boundary = table.multiplicity == 1
+    boundary = table.edges[on_boundary], table.owner[on_boundary]
+    repeated_direction = table.repeated_direction
+    del table  # not held through the validation and the descent loop
+    _validate(mesh, cone, repeated_direction)
 
     geometry = triangle_geometry(mesh)
     area = geometry.area
@@ -442,7 +439,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     diag.conical_deviation = [(rho, r, d) for (rho, r), d
                               in zip(windows, deviations)]
     try:
-        diag.boundary_angle_stats = boundary_angle_audit(mesh, cone)
+        diag.boundary_angle_stats = _boundary_angle_audit(mesh, cone,
+                                                          *boundary)
     except ValueError:
         diag.boundary_angle_stats = None
     return mesh, diag

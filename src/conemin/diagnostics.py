@@ -12,12 +12,27 @@ triangle ∩ disk, circular segments included: p(r) is exact to rounding,
 and the deviation integral uses it for the pieces that still cross a
 sphere after two refinement rounds.  A p(r) table and deviation windows of
 one mesh share its corners and its per-triangle distance extents.
+
+The kernels work one coordinate column at a time, so their results do not
+depend on the memory layout of their (m, 3) corner and (m, 3, 2) chart
+arrays.  The audits pass views of contiguous coordinate planes, the layout
+of mesh.triangle_geometry, gathered once by _corners and kept through every
+selection by _rows: a column is then one contiguous vector, where in
+row-major arrays it is strided.  Reducing a short row axis costs numpy
+many times more than adding whole columns, so no kernel calls np.einsum,
+np.linalg.norm or .sum over a length-2, 3 or 4 axis.  The column code adds
+in the order those calls add, so every distance, p(r) and deviation keeps
+the bits of the row-major kernels that used them: row_norms and _sum3 add
+left to right, and _dot adds a 3-vector as np.einsum does on x86-64 vector
+units, (x0 y0 + x2 y2) + x1 y1.  A zero sum is +0.0, as numpy's reduction
+identity makes it; the sign of a zero chart coordinate matters, because
+arctan2 turns it into ±pi in _disk_clip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +46,39 @@ EPS = np.finfo(float).eps
 COLLINEAR_ULPS = 4.0   # |ab x ac|^2 at or below this many ulps of |ab|^2 |ac|^2
 
 
+def _dot(x, y):
+    """Dot products over the last axis of (..., 3) arrays, in the order
+    np.einsum("ij,ij->i") adds a row on x86-64 vector units:
+    (x0 y0 + x2 y2) + x1 y1, and a zero sum is +0.0."""
+    dots = x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]
+    dots += x[..., 1] * y[..., 1]
+    dots += 0.0
+    return dots
+
+
+def _sum3(x):
+    """Sums of the three columns of an (m, 3) array, as x.sum(axis=1)
+    adds them: left to right, and a zero sum is +0.0."""
+    sums = x[:, 0] + x[:, 1]
+    sums += x[:, 2]
+    sums += 0.0
+    return sums
+
+
+def _corners(vertices, triangles):
+    """Corners (a, b, c) of the triangles, each an (m, 3) view of
+    contiguous coordinate planes."""
+    p = np.take(vertices.T, triangles.T, axis=1)
+    return p[:, 0].T, p[:, 1].T, p[:, 2].T
+
+
+def _rows(mask, *arrays):
+    """The rows where mask holds of (m, 3) arrays, as views of contiguous
+    coordinate planes."""
+    index = np.flatnonzero(mask)
+    return [np.take(x.T, index, axis=1).T for x in arrays]
+
+
 def _extents(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Nearest and farthest distances from the origin, areas and unit
     normals of the triangles (a[i], b[i], c[i]).
@@ -42,41 +90,40 @@ def _extents(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     of |ab|^2 |ac|^2, fall back to the vertex/edge candidates: their normal
     would be rounding noise, while the edges are exact for them.
     """
-
-    def edge(p, q):
+    cands = np.empty((7, len(a)))
+    for row, x in zip(cands, (a, b, c)):
+        np.sqrt(row_dots(x, x), out=row)
+    for row, (p, q) in zip(cands[3:], ((a, b), (a, c), (b, c))):
         d = q - p
-        dd = np.einsum("ij,ij->i", d, d)
-        t = np.where(dd > 0, -np.einsum("ij,ij->i", p, d) / np.where(dd > 0, dd, 1.0), 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        return row_norms(p + t[:, None] * d)
-
-    corner_norms = [row_norms(a), row_norms(b), row_norms(c)]
-    cands = corner_norms + [edge(a, b), edge(a, c), edge(b, c)]
+        dd = _dot(d, d)
+        t = np.where(dd > 0, -_dot(p, d) / np.where(dd > 0, dd, 1.0), 0.0)
+        foot = p + np.clip(t, 0.0, 1.0)[:, None] * d
+        np.sqrt(row_dots(foot, foot), out=row)
     ab, ac = b - a, c - a
     n = row_cross(ab, ac)
     areas = 0.5 * row_norms(n)
     nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
-    # the plane candidate scales n by its einsum |n|^2, which can differ from
-    # row_norms' in the last bit; nhat in its place would move the distances
-    nn = np.einsum("ij,ij->i", n, n)
-    g11 = np.einsum("ij,ij->i", ab, ab)
-    g12 = np.einsum("ij,ij->i", ab, ac)
-    g22 = np.einsum("ij,ij->i", ac, ac)
+    # the plane candidate scales n by its einsum-order |n|^2, which can
+    # differ from row_norms' in the last bit; nhat in its place would move
+    # the distances
+    nn = _dot(n, n)
+    g11 = _dot(ab, ab)
+    g12 = _dot(ab, ac)
+    g22 = _dot(ac, ac)
     ok = nn > COLLINEAR_ULPS * EPS * g11 * g22
     plane_hat = n / np.sqrt(np.where(ok, nn, 1.0))[:, None]
-    off = np.einsum("ij,ij->i", a, plane_hat)
+    off = _dot(a, plane_hat)
     foot = off[:, None] * plane_hat - a
     det = g11 * g22 - g12 * g12
     ok &= det > 0
     det = np.where(ok, det, 1.0)
-    r1 = np.einsum("ij,ij->i", foot, ab)
-    r2 = np.einsum("ij,ij->i", foot, ac)
+    r1 = _dot(foot, ab)
+    r2 = _dot(foot, ac)
     al = (g22 * r1 - g12 * r2) / det
     be = (g11 * r2 - g12 * r1) / det
     inside = ok & (al >= 0) & (be >= 0) & (al + be <= 1)
-    cands.append(np.where(inside, np.abs(off), np.inf))
-    d_min = np.min(np.stack(cands), axis=0)
-    return d_min, np.maximum.reduce(corner_norms), areas, nhat
+    cands[6] = np.where(inside, np.abs(off), np.inf)
+    return np.min(cands, axis=0), np.max(cands[:3], axis=0), areas, nhat
 
 
 def vertex_distance(mesh: TriMesh) -> float:
@@ -94,8 +141,7 @@ def _vertex_distance(mesh: TriMesh, geometry) -> float:
     """vertex_distance of the mesh whose triangle_geometry is given."""
     v, t = mesh.vertices, mesh.triangles
     bc, ca, ab = geometry.edges
-    norms = np.take(np.sqrt(np.einsum("ij,ij->i", v, v)), t)
-    cmin = np.minimum(np.minimum(norms[:, 0], norms[:, 1]), norms[:, 2])
+    cmin = np.min(np.take(np.sqrt(_dot(v, v)), t.T), axis=0)
     # g12 is -(ab . ac); only its square enters
     g11, g22, g33, g12 = (row_dots(x, y) for x, y in
                           ((ab, ab), (ca, ca), (bc, bc), (ab, ca)))
@@ -107,8 +153,7 @@ def _vertex_distance(mesh: TriMesh, geometry) -> float:
     n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * EPS) - g12 * g12, 0.0)
     slack = 128.0 * EPS * (cmin + emax)
     keep = t[(cmin - emax - np.min(cmin)) * n2 <= slack * (n2 + e2 * e2)]
-    return float(np.min(_extents(
-        *(np.take(v, keep[:, k], axis=0) for k in range(3)))[0]))
+    return float(np.min(_extents(*_corners(v, keep))[0]))
 
 
 def _disk_clip(pts: np.ndarray, s: np.ndarray):
@@ -122,51 +167,60 @@ def _disk_clip(pts: np.ndarray, s: np.ndarray):
     disjoint and crossing cases need no branches, and either orientation of
     a triangle gives the same result.  Returns areas (m,) and moments (m, 2).
     """
-    p, q = pts, np.roll(pts, -1, axis=1)
-    d = q - p
-    aa = np.einsum("mkj,mkj->mk", d, d)
-    bb = np.einsum("mkj,mkj->mk", p, d)
-    cc = np.einsum("mkj,mkj->mk", p, p) - (s * s)[:, None]
+    # (m, 3) arrays of x and y chart coordinates, one column per corner
+    px, py = pts[..., 0], pts[..., 1]
+    qx, qy = np.roll(px, -1, axis=1), np.roll(py, -1, axis=1)
+    dx, dy = qx - px, qy - py
+    aa = dx * dx + dy * dy
+    bb = px * dx + py * dy
+    bb += 0.0  # a zero dot is +0.0, as np.einsum gives it
+    cc = px * px + py * py - (s * s)[:, None]
     disc = bb * bb - aa * cc
     hit = (disc > 0) & (aa > 0)
     root = np.sqrt(np.where(hit, disc, 0.0))
     aa = np.where(hit, aa, 1.0)
-    lo = np.where(hit, np.clip((-bb - root) / aa, 0.0, 1.0), 0.0)[..., None]
-    hi = np.where(hit, np.clip((-bb + root) / aa, 0.0, 1.0), 0.0)[..., None]
+    lo = np.where(hit, np.clip((-bb - root) / aa, 0.0, 1.0), 0.0)
+    hi = np.where(hit, np.clip((-bb + root) / aa, 0.0, 1.0), 0.0)
     # p -> A and B -> q lie outside the disk, A -> B inside it
-    A, B = p + lo * d, p + hi * d
+    ax, ay = px + lo * dx, py + lo * dy
+    bx, by = px + hi * dx, py + hi * dy
 
-    def cross(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-    chord = cross(A, B)
+    chord = ax * by - ay * bx
     area = 0.5 * chord
-    moment = chord[..., None] * (A + B) / 6.0
-    for u, v in ((p, A), (B, q)):
-        dphi = np.arctan2(cross(u, v), np.einsum("mkj,mkj->mk", u, v))
-        area = area + 0.5 * (s * s)[:, None] * dphi
-        nu = np.linalg.norm(u, axis=2, keepdims=True)
-        nv = np.linalg.norm(v, axis=2, keepdims=True)
-        du = u / np.where(nu > 0, nu, 1.0)
-        dv = v / np.where(nv > 0, nv, 1.0)
-        moment = moment + (s ** 3 / 3.0)[:, None, None] * np.stack(
-            [dv[..., 1] - du[..., 1], du[..., 0] - dv[..., 0]], axis=2)
-    sign = np.sign(cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]))
-    return sign * area.sum(axis=1), sign[:, None] * moment.sum(axis=1)
+    mx = chord * (ax + bx) / 6.0
+    my = chord * (ay + by) / 6.0
+    sector = (0.5 * (s * s))[:, None]
+    arc = (s ** 3 / 3.0)[:, None]
+    for ux, uy, vx, vy in ((px, py, ax, ay), (bx, by, qx, qy)):
+        dot = ux * vx + uy * vy
+        dot += 0.0
+        area = area + sector * np.arctan2(ux * vy - uy * vx, dot)
+        nu = np.sqrt(ux * ux + uy * uy)
+        nv = np.sqrt(vx * vx + vy * vy)
+        nu = np.where(nu > 0, nu, 1.0)
+        nv = np.where(nv > 0, nv, 1.0)
+        mx = mx + arc * (vy / nv - uy / nu)
+        my = my + arc * (ux / nu - vx / nv)
+    sign = np.sign((px[:, 1] - px[:, 0]) * (py[:, 2] - py[:, 0])
+                   - (py[:, 1] - py[:, 0]) * (px[:, 2] - px[:, 0]))
+    return sign * _sum3(area), sign[:, None] * np.stack(
+        [_sum3(mx), _sum3(my)], axis=1)
 
 
 def _charts(a, b, c, nhat):
     """In-plane charts of triangles with unit normals nhat, origin at the
     foot of the perpendicular from 0: (m, 3, 2) corners, signed plane
     offsets, feet and chart axes eu, ev."""
-    off = np.einsum("ij,ij->i", a, nhat)
+    off = _dot(a, nhat)
     foot = off[:, None] * nhat
     eu = b - a
-    eu = eu / np.linalg.norm(eu, axis=1)[:, None]
+    eu = eu / row_norms(eu)[:, None]
     ev = row_cross(nhat, eu)
-    rel = np.stack([a, b, c], axis=1) - foot[:, None, :]
-    pts = np.stack([np.einsum("mkj,mj->mk", rel, eu),
-                    np.einsum("mkj,mj->mk", rel, ev)], axis=2)
+    pts = np.empty((2, 3, len(off))).T
+    for k, x in enumerate((a, b, c)):
+        rel = x - foot
+        pts[:, k, 0] = _dot(rel, eu)
+        pts[:, k, 1] = _dot(rel, ev)
     return pts, off, foot, eu, ev
 
 
@@ -194,13 +248,13 @@ def _ball_audits(mesh: TriMesh, radii, windows):
     windows = [(float(rho), float(r)) for rho, r in windows]
     if not all(0 < rho < r for rho, r in windows):
         raise ValueError("need 0 < rho < r")
-    a, b, c = corners = mesh.triangle_corners()
-    d_min, d_max, areas, nhat = extents = _extents(a, b, c)
+    corners = _corners(mesh.vertices, mesh.triangles)
+    d_min, d_max, areas, nhat = extents = _extents(*corners)
     table = []
     for r in radii:
         inside = d_max <= r
         cut = ~inside & (d_min < r) & (areas > 0)
-        pts, off, _, _, _ = _charts(a[cut], b[cut], c[cut], nhat[cut])
+        pts, off, _, _, _ = _charts(*_rows(cut, *corners, nhat))
         clipped, _ = _disk_clip(pts, _disk_radius(r, off))
         total = float(np.sum(areas[inside])) + float(np.sum(clipped))
         table.append((r, total / (r * r)))
@@ -208,12 +262,11 @@ def _ball_audits(mesh: TriMesh, radii, windows):
 
 
 def _subdivide(a, b, c):
-    """4-way midpoint split; returns corner arrays 4x longer."""
+    """4-way midpoint split; returns corner arrays 4x longer, views of
+    coordinate planes."""
     mab, mac, mbc = 0.5 * (a + b), 0.5 * (a + c), 0.5 * (b + c)
-    na = np.concatenate([a, mab, mac, mab])
-    nb = np.concatenate([mab, b, mbc, mbc])
-    nc = np.concatenate([mac, mbc, c, mac])
-    return na, nb, nc
+    return [np.concatenate([x.T for x in xs], axis=1).T for xs in
+            ((a, mab, mac, mab), (mab, b, mbc, mbc), (mac, mbc, c, mac))]
 
 
 def _annulus_pieces(a, b, c, nhat, rho, r) -> float:
@@ -226,9 +279,9 @@ def _annulus_pieces(a, b, c, nhat, rho, r) -> float:
     # a rounding-level piece can sit at the origin with zero offset: skip it
     ok = area > 64.0 * EPS * r * r
     cen2 = (mom_r - mom_rho)[ok] / area[ok, None]
-    cen3 = foot[ok] + cen2[:, :1] * eu[ok] + cen2[:, 1:] * ev[ok]
-    return float(np.sum(area[ok] * np.abs(off[ok])
-                        / np.linalg.norm(cen3, axis=1) ** 3))
+    foot, eu, ev = _rows(ok, foot, eu, ev)
+    cen3 = foot + cen2[:, :1] * eu + cen2[:, 1:] * ev
+    return float(np.sum(area[ok] * np.abs(off[ok]) / row_norms(cen3) ** 3))
 
 
 def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
@@ -254,18 +307,18 @@ def _deviation(corners, extents, rho, r) -> float:
                 d_min, d_max, areas, nhat = _extents(a, b, c)
             inside = (d_min >= rho) & (d_max <= r)
             if np.any(inside):
-                cen = (a[inside] + b[inside] + c[inside]) / 3.0
-                offs = np.abs(np.einsum("ij,ij->i", a[inside], nhat[inside]))
-                cn = np.linalg.norm(cen, axis=1)
+                ai, bi, ci, ni = _rows(inside, a, b, c, nhat)
+                offs = np.abs(_dot(ai, ni))
+                cn = row_norms((ai + bi + ci) / 3.0)
                 total += float(np.sum(areas[inside] * offs / cn ** 3))
             crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
             if not np.any(crossing):
                 break
             if level < 2:
-                a, b, c = _subdivide(a[crossing], b[crossing], c[crossing])
+                a, b, c = _subdivide(*_rows(crossing, a, b, c))
             else:
-                total += _annulus_pieces(a[crossing], b[crossing],
-                                         c[crossing], nhat[crossing], rho, r)
+                total += _annulus_pieces(*_rows(crossing, a, b, c, nhat),
+                                         rho, r)
     return total
 
 
@@ -295,8 +348,16 @@ def boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone,
     reported.
     """
     table = edge_table(mesh)
-    boundary = table.multiplicity == 1
-    i, j = table.edges[boundary].T
+    on_boundary = table.multiplicity == 1
+    return _boundary_angle_audit(mesh, cone, table.edges[on_boundary],
+                                 table.owner[on_boundary], min_norm)
+
+
+def _boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone, edges, owner,
+                          min_norm: float = 0.0) -> BoundaryAngleStats:
+    """boundary_angle_audit from the mesh's boundary edges (the edge_table
+    rows of multiplicity 1) and the triangles owning them."""
+    i, j = edges.T
     normals, v = cone.normals, mesh.vertices
     # first rule: the lowest facet that both ends declare; free-boundary and
     # edge-pinned vertices declare their facet tags
@@ -317,8 +378,10 @@ def boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone,
     midnorm = row_norms(0.5 * (v[i] + v[j]))
     keep = (tagged | on_plane) & (midnorm > min_norm)
     k = np.where(tagged, k, nearest)[keep]
-    tri = table.owner[boundary][keep]
-    cos = np.matmul(triangle_normals(mesh)[tri, None], normals[k, :, None])
+    # normals of the owning triangles alone, from the same per-triangle
+    # arithmetic as the whole mesh's
+    owners = replace(mesh, triangles=mesh.triangles[owner[keep]])
+    cos = np.matmul(triangle_normals(owners)[:, None], normals[k, :, None])
     # math.acos: np.arccos differs from it in the last bit on 1 input in 10
     angs = [math.degrees(math.acos(c))
             for c in np.clip(cos, -1.0, 1.0).ravel().tolist()]

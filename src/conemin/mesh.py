@@ -173,6 +173,13 @@ def edge_table(mesh: TriMesh) -> EdgeTable:
 def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
     """Raise ValueError on the first violated mesh invariant; an edge of
     three or more triangles fails the orientation check."""
+    _validate(mesh, cone, edge_table(mesh).repeated_direction)
+
+
+def _validate(mesh: TriMesh, cone: PolyhedralCone,
+              repeated_direction: bool) -> None:
+    """validate of the mesh whose edge_table has the given
+    repeated_direction; the table itself is not held through the checks."""
     n, t = mesh.n_vertices, mesh.triangles
     if t.size and (t.min() < 0 or t.max() >= n):
         raise ValueError("triangle index out of range")
@@ -180,7 +187,7 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
     if np.any(areas <= AREA_TOL):
         bad = int(np.argmin(areas))
         raise ValueError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
-    if edge_table(mesh).repeated_direction:
+    if repeated_direction:
         raise ValueError("inconsistent orientation: repeated directed edge")
 
     # per-class checks; the lowest-indexed offending vertex is reported,
@@ -200,7 +207,7 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
         no_radius, off_sphere = cl, np.zeros(n, dtype=bool)
     else:
         no_radius = np.zeros(n, dtype=bool)
-        off_sphere = cl & (np.abs(np.linalg.norm(v, axis=1) - mesh.clamp_radius)
+        off_sphere = cl & (np.abs(row_norms(v) - mesh.clamp_radius)
                            > PLANE_TOL)
     checks = (
         (fb & ~f_ok, lambda i: f"vertex {i}: invalid facet index {f[i]}"),

@@ -12,6 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+from conemin.descent import _sector_rays
+from conemin.geometry import cross3, is_vertex
+from conemin.mesh import TriMesh, VertexClass
+
 
 def simpson(f, lo, hi, panels=2000):
     """Composite Simpson rule with an even number of panels."""
@@ -187,3 +191,90 @@ def read_obj(path):
         elif kind == "f":
             tris.append([int(i) - 1 for i in fields])
     return np.array(verts), np.array(tris, dtype=np.int64)
+
+
+def initial_plane_loop(cone, R, resolution):
+    """Reference make_initial_plane: one embed call per vertex and one
+    tuple per fan triangle, in the order the vectorized one must keep.  It
+    shares the sector construction, descent._sector_rays, with it."""
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if int(resolution) != resolution or resolution < 1:
+        raise ValueError("resolution must be a positive integer")
+    resolution = int(resolution)
+    (d1, f1), (d2, f2), w, t = _sector_rays(cone)
+    phi_max = math.atan2(float(d2 @ t), float(d2 @ w))
+
+    verts = []
+    classes = []
+    facet = []
+    facet2 = []
+
+    def embed(r, theta):
+        y = r * (math.cos(theta) * w + math.sin(theta) * t)
+        return (0.0, y[0], y[1])
+
+    if is_vertex(cone):
+        delta0 = R / (4.0 * resolution)
+        verts.append(embed(delta0, 0.0))
+        classes.append(VertexClass.INTERIOR)
+        facet.append(-1)
+        facet2.append(-1)
+    else:
+        n1, n2 = cone.normals[f1], cone.normals[f2]
+        if float(np.linalg.norm(cross3(n1, n2))) <= 1e-9:
+            raise ValueError("sector rays lie on parallel facets: cannot pin apex")
+        verts.append((0.0, 0.0, 0.0))
+        classes.append(VertexClass.EDGE_PINNED)
+        facet.append(f1)
+        facet2.append(f2)
+
+    ring_start = [0, 1]
+    for k in range(1, resolution + 1):
+        r = R * k / resolution
+        for j in range(k + 1):
+            theta = -phi_max + 2.0 * phi_max * j / k
+            verts.append(embed(r, theta))
+            if k == resolution:
+                classes.append(VertexClass.CLAMPED)
+                facet.append(-1)
+                facet2.append(-1)
+            elif j == 0:
+                classes.append(VertexClass.FREE_BOUNDARY)
+                facet.append(f1)
+                facet2.append(-1)
+            elif j == k:
+                classes.append(VertexClass.FREE_BOUNDARY)
+                facet.append(f2)
+                facet2.append(-1)
+            else:
+                classes.append(VertexClass.INTERIOR)
+                facet.append(-1)
+                facet2.append(-1)
+        ring_start.append(len(verts))
+
+    tris = [(0, ring_start[1], ring_start[1] + 1)]
+    for k in range(1, resolution):
+        a0, b0 = ring_start[k], ring_start[k + 1]
+        for j in range(k + 1):
+            tris.append((a0 + j, b0 + j, b0 + j + 1))
+        for j in range(k):
+            tris.append((a0 + j, b0 + j + 1, a0 + j + 1))
+
+    vertices = np.array(verts, dtype=float)
+    triangles = np.array(tris, dtype=np.int64)
+    # orient every triangle counter-clockwise in the (x2, x3) chart
+    a, b, c = (vertices[triangles[:, i]] for i in range(3))
+    signed = (b[:, 1] - a[:, 1]) * (c[:, 2] - a[:, 2]) \
+        - (b[:, 2] - a[:, 2]) * (c[:, 1] - a[:, 1])
+    flip = signed < 0
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+
+    return TriMesh(
+        vertices,
+        triangles,
+        np.array(classes, dtype=np.int64),
+        np.array(facet, dtype=np.int64),
+        np.array(facet2, dtype=np.int64),
+        clamp_radius=float(R),
+    )

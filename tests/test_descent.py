@@ -1,6 +1,7 @@
 """Tests for conemin.descent: initial plane, area gradient, projections,
 and the projected-descent loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from conemin import descent as dsc
 from conemin import diagnostics as dg
 from conemin import geometry as geo
 from conemin import mesh as msh
-from oracles import contains, euler_characteristic, fd_surface_gradient
+from oracles import (contains, euler_characteristic, fd_surface_gradient,
+                     initial_plane_loop)
 
 
 def random_disk_mesh(rng, rings=3):
@@ -114,6 +116,26 @@ def test_initial_plane_clamped_ring_on_sphere():
     assert cl.sum() == 11
     npt.assert_allclose(np.linalg.norm(m.vertices[cl], axis=1), 2.5,
                         atol=1e-12)
+
+
+@pytest.mark.parametrize("cone", (geo.pyramid_to_cone(1.0, 1.0),
+                                  geo.pyramid_to_cone(0.5, 2.0),
+                                  geo.wedge_above(1.0, 1)),
+                         ids=("C11", "C05_2", "wedge"))
+def test_initial_plane_equals_loop_reference(cone):
+    # the vectorized fan keeps the loop's vertex arithmetic, vertex order
+    # and triangle order, bit for bit
+    for res in (1, 2, 7, 64):
+        got, want = dsc.make_initial_plane(cone, 1.0, res), \
+            initial_plane_loop(cone, 1.0, res)
+        for name in ("vertices", "triangles", "vertex_class", "facet",
+                     "facet2"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+        assert got.clamp_radius == want.clamp_radius
+    if not geo.is_vertex(cone):
+        assert got.vertex_class[0] == msh.VertexClass.EDGE_PINNED
 
 
 def test_initial_plane_rejects_bad_inputs():
@@ -396,13 +418,23 @@ def test_minimize_vertex_distance_grows_in_pyramid():
 @pytest.mark.parametrize("cone", (geo.pyramid_to_cone(1.0, 1.0),
                                   geo.wedge_above(1.0, 1)),
                          ids=("pyramid", "wedge"))
-def test_minimize_outputs_equal_public_kernels(cone):
-    # minimize reuses each accepted state's triangle geometry and shares one
-    # corner gather between its post-run audits; the numbers it records must
+def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
+    # minimize reuses each accepted state's triangle geometry, shares one
+    # corner gather between its post-run audits and builds one edge table
+    # for its validation and its angle audit; the numbers it records must
     # be those of the public calls on its final mesh, bit for bit
     m = dsc.make_initial_plane(cone, 1.0, 16)
     cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
+    builds = []
+
+    def counted_edge_table(mesh, build=msh.edge_table):
+        builds.append(mesh.n_triangles)
+        return build(mesh)
+
+    for module in (dsc, msh, dg):
+        monkeypatch.setattr(module, "edge_table", counted_edge_table)
     final, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
+    assert builds == [final.n_triangles]
     assert diag.accepted_steps > 0
     assert diag.area_history[-1] == msh.surface_area(final)
     assert diag.vertex_distance_history[-1] == dg.vertex_distance(final)
@@ -411,6 +443,10 @@ def test_minimize_outputs_equal_public_kernels(cone):
     assert len(diag.conical_deviation) == len(dsc.DEVIATION_WINDOWS)
     for rho, r, dev in diag.conical_deviation:
         assert dev == dg.conical_deviation(final, rho, r)
+    stats = dg.boundary_angle_audit(final, cone)
+    for field in dataclasses.fields(stats):
+        assert (getattr(diag.boundary_angle_stats, field.name)
+                == getattr(stats, field.name)), field.name
 
 
 def test_minimize_config_validation():

@@ -198,6 +198,55 @@ def test_vertex_distance_zero_when_origin_on_surface():
     assert diag.vertex_distance(m) <= 1e-16
 
 
+# ---------------------------------------------------------------- memory layout
+
+def as_planes(x):
+    """The values of x as a view of contiguous coordinate planes: the
+    last axis outermost in memory, the first innermost."""
+    return np.ascontiguousarray(x.T).T
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == \
+        np.ascontiguousarray(want).tobytes()
+
+
+def test_kernels_independent_of_memory_layout():
+    # C-contiguous rows and coordinate-plane views of the same values give
+    # the same bits, zero signs included: random triangles, the
+    # near-collinear family above, and triangles with corners at +-0
+    rng = np.random.default_rng(41)
+    n = 6000
+    a, b, c = rng.standard_normal((3, n, 3)) * rng.uniform(0.1, 3.0, (3, n, 1))
+    sl = slice(0, n // 3)
+    u = rng.standard_normal((n // 3, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    w = rng.standard_normal((n // 3, 3))
+    off = 10.0 ** rng.uniform(-17.0, -12.0, (n // 3, 1))
+    b[sl] = a[sl] + rng.uniform(0.05, 2.0, (n // 3, 1)) * u
+    c[sl] = a[sl] + rng.uniform(-2.0, 2.0, (n // 3, 1)) * (u + off * w)
+    a[n // 3:n // 2] = rng.choice([0.0, -0.0], (n // 6, 3))
+    a, b, c = (np.ascontiguousarray(x) for x in (a, b, c))
+    planes = [as_planes(x) for x in (a, b, c)]
+    assert not planes[0].flags.c_contiguous
+    rows = diag._extents(a, b, c)
+    for got, want in zip(diag._extents(*planes), rows):
+        assert_same_bits(got, want)
+    nhat = np.ascontiguousarray(rows[3])
+    charts = diag._charts(a, b, c, nhat)
+    for got, want in zip(diag._charts(*planes, as_planes(nhat)), charts):
+        assert_same_bits(got, want)
+    pts = np.ascontiguousarray(charts[0])
+    pts[rng.random(pts.shape) < 0.05] = 0.0
+    pts[rng.random(pts.shape) < 0.05] = -0.0
+    s = rng.uniform(0.0, 3.0, n)
+    for got, want in zip(diag._disk_clip(as_planes(pts), s),
+                         diag._disk_clip(pts, s)):
+        assert_same_bits(got, want)
+
+
 # ---------------------------------------------------------------- monotonicity
 
 def test_monotonicity_constant_on_planar_sector_b1():
