@@ -265,7 +265,7 @@ def _run_minimize(cfg, outdir: Path):
         "status": diag.status,
         "final_vertex_distance": (diag.vertex_distance_history[-1]
                                   if diag.vertex_distance_history else None),
-        "pinned_vertices": sorted(set(diag.pinned_vertices)),
+        "pinned_vertices": diag.pinned_vertices,
         "conical_deviation": [list(row) for row in diag.conical_deviation],
         "density_ratio_bounds": [min(ps), max(ps)],
     }

@@ -1,9 +1,11 @@
 """Projected gradient descent for free-boundary area minimization.
 
 The mesh lives inside a convex polyhedral cone; free-boundary vertices slide
-in their facet planes, edge-pinned vertices slide along the line where two
-facets meet, clamped vertices stay on the sphere of radius R.  Descent uses
-Armijo backtracking on the post-projection area, so the recorded area history
+in the span of their face, a facet plane or the line of a cone edge, clamped
+vertices stay on the sphere of radius R.  A vertex that a step carries out of
+the cone returns to its nearest point of the cone, geometry.nearest_point,
+and a free-boundary one takes that point's face.  Descent uses Armijo
+backtracking on the post-projection area, so the recorded area history
 is monotone by construction.  Each accepted state's triangle_geometry (one
 gather, one cross product per triangle) serves three uses: the Armijo test
 that accepted it, its vertex distance and the next step's gradient.  The
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (PolyhedralCone, cross3, is_vertex, row_cross, row_dots,
-                       row_norms)
+from .geometry import (CONTAIN_TOL, PolyhedralCone, is_vertex, nearest_point,
+                       row_cross, row_dots, row_norms)
 from .mesh import (TriMesh, VertexClass, _validate, edge_table,
                    triangle_geometry)
 from .diagnostics import (_ball_audits, _boundary_angle_audit,
@@ -33,7 +35,6 @@ from .diagnostics import (_ball_audits, _boundary_angle_audit,
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
 # squared edge means the triangle is numerically flat
-CONTAIN_TOL = 1e-9
 
 RADII_FRACTIONS = np.linspace(0.15, 0.95, 10)
 DEVIATION_WINDOWS = ((0.1, 0.5), (0.2, 0.9))
@@ -74,6 +75,7 @@ class Diagnostics:
     boundary_angle_stats: object = None
     status: str = ""
     accepted_steps: int = 0
+    # vertices whose face became a cone edge during the run
     pinned_vertices: list = field(default_factory=list)
     armijo_margins: list = field(default_factory=list)
 
@@ -117,7 +119,8 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
     free-boundary on their facet, outer-ring vertices are clamped.  In a
     cone with a genuine vertex the apex node is pulled to distance
     delta0 = R/(4*resolution) along the sector bisector and left free; in a
-    wedge-like cone it stays at the origin, pinned to the two-facet line.
+    wedge-like cone it stays at the origin, free-boundary on the cone edge
+    where the two sector facets meet.
     """
     if not R > 0:
         raise ValueError("R must be positive")
@@ -152,10 +155,12 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
         vertices[0] = embed(np.array([R / (4.0 * resolution)]),
                             np.zeros(1))[0]
     else:
-        n1, n2 = cone.normals[f1], cone.normals[f2]
-        if float(np.linalg.norm(cross3(n1, n2))) <= 1e-9:
-            raise ValueError("sector rays lie on parallel facets: cannot pin apex")
-        classes[0], facet[0], facet2[0] = VertexClass.EDGE_PINNED, f1, f2
+        edge = (min(f1, f2), max(f1, f2))
+        if edge not in cone.edges:
+            raise ValueError(f"sector rays lie on facets {f1} and {f2}, which "
+                             "meet in no cone edge: cannot place the apex")
+        classes[0] = VertexClass.FREE_BOUNDARY
+        facet[0], facet2[0] = edge
     # views of the ring vertices' entries
     ring_classes, ring_facet = classes[1:], facet[1:]
     ring_classes[(j == 0) | (j == k)] = VertexClass.FREE_BOUNDARY
@@ -216,63 +221,45 @@ def _area_gradient(mesh: TriMesh, geometry) -> np.ndarray:
 
 def project_gradient(mesh: TriMesh, cone: PolyhedralCone,
                      grad: np.ndarray) -> np.ndarray:
-    """Project the raw gradient onto the per-vertex constraint manifolds."""
+    """Project the raw gradient onto the span of each vertex's constraint:
+    a facet plane or a cone edge's line, zero at clamped vertices."""
     g = grad.copy()
-    normals = cone.normals
-    cls = mesh.vertex_class
-    fb = cls == VertexClass.FREE_BOUNDARY
-    if np.any(fb):
-        nf = normals[mesh.facet[fb]]
-        g[fb] -= np.einsum("ij,ij->i", g[fb], nf)[:, None] * nf
-    for i in np.nonzero(cls == VertexClass.EDGE_PINNED)[0]:
-        s = _pinned_edge(mesh, cone, i)[0]
-        g[i] = float(g[i] @ s) * s
-    g[cls == VertexClass.CLAMPED] = 0.0
+    _onto_faces(mesh, cone, g)
+    g[mesh.vertex_class == VertexClass.CLAMPED] = 0.0
     return g
 
 
-def _pinned_edge(mesh: TriMesh, cone: PolyhedralCone, i: int):
-    """(d, is_full_line) of the cone edge that pins vertex i."""
-    key = tuple(sorted((int(mesh.facet[i]), int(mesh.facet2[i]))))
-    edge = cone.edges.get(key)
-    if edge is None:
-        raise ValueError(f"vertex {i}: pinned facets do not meet in an edge")
-    return edge
+def _onto_faces(mesh: TriMesh, cone: PolyhedralCone, x: np.ndarray):
+    """Project in place the rows of x at free-boundary vertices onto the
+    linear span of each one's face, its facet plane or its edge's line;
+    returns the free-boundary mask."""
+    fb = mesh.vertex_class == VertexClass.FREE_BOUNDARY
+    on_facet = np.nonzero(fb & (mesh.facet2 < 0))[0]
+    nf = cone.normals[mesh.facet[on_facet]]
+    x[on_facet] -= np.einsum("ij,ij->i", x[on_facet], nf)[:, None] * nf
+    on_edge = np.nonzero(fb & (mesh.facet2 >= 0))[0]
+    if on_edge.size:
+        d = np.array([cone.edges[key][0] for key in zip(
+            mesh.facet[on_edge].tolist(), mesh.facet2[on_edge].tolist())])
+        x[on_edge] = row_dots(x[on_edge], d)[:, None] * d
+    return fb
 
 
-def _onto_edge(x: np.ndarray, d: np.ndarray, is_line: bool) -> np.ndarray:
-    """Nearest point to x on the cone edge along d: the full line when
-    is_line, else the ray t * d, t >= 0."""
-    t = float(x @ d)
-    return (t if is_line else max(t, 0.0)) * d
-
-
-def _nearest_edge(x: np.ndarray, edges: dict, normals=None):
-    """(point, facet i, facet j) of the cone edge nearest to x, or None;
-    with normals given, only points inside the cone qualify."""
-    best, dist = None, np.inf
-    for (fi, fj), (d, is_line) in edges.items():
-        p = _onto_edge(x, d, is_line)
-        dd = float(np.linalg.norm(x - p))
-        if dd < dist and (normals is None
-                          or np.max(normals @ p) <= CONTAIN_TOL):
-            best, dist = (p, fi, fj), dd
-    return best
-
-
-def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
-                           pinned=None) -> TriMesh:
+def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone) -> TriMesh:
     """Restore per-vertex constraints in place and return the mesh.
 
-    Free-boundary vertices are orthogonally projected to their facet plane;
-    a projection that leaves the cone by more than 1e-9 reassigns the vertex
-    to the most violated facet (two passes), then falls back to pinning the
-    vertex to the nearest cone edge.  Newly pinned vertex indices are
-    appended to `pinned` when given.
+    Clamped vertices are scaled back to the clamp sphere.  A free-boundary
+    vertex goes to the nearest point of its face's span, its facet plane or
+    its edge's line; a descent step, tangent to that span, needs no more.
+    Every other vertex still outside the cone, boundary or interior (or a
+    point of a ray edge's line past the apex), goes from its position before
+    the call to its nearest point of the cone, and a free-boundary one takes
+    that point's face (geometry.nearest_point).
     """
     normals = cone.normals
     cls = mesh.vertex_class
     v = mesh.vertices
+    start = v.copy()
 
     clamped = np.nonzero(cls == VertexClass.CLAMPED)[0]
     if clamped.size:
@@ -280,55 +267,21 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone,
             raise ValueError("clamped vertices but no clamp_radius")
         norms = row_norms(v[clamped])
         if np.any(norms <= 0):
-            raise ValueError("clamped vertex at the origin cannot be renormalized")
+            bad = int(clamped[np.argmax(norms <= 0)])
+            raise ValueError(f"clamped vertex {bad} at the origin cannot be "
+                             "renormalized")
         v[clamped] *= (mesh.clamp_radius / norms)[:, None]
 
-    for i in np.nonzero(cls == VertexClass.EDGE_PINNED)[0]:
-        v[i] = _onto_edge(v[i], *_pinned_edge(mesh, cone, i))
+    fb = _onto_faces(mesh, cone, v)
 
-    fb = np.nonzero(cls == VertexClass.FREE_BOUNDARY)[0]
-    if fb.size:
-        for _ in range(3):
-            nf = normals[mesh.facet[fb]]
-            v[fb] -= np.einsum("ij,ij->i", v[fb], nf)[:, None] * nf
-            slack = v[fb] @ normals.T
-            worst = np.argmax(slack, axis=1)
-            viol = slack[np.arange(fb.size), worst] > CONTAIN_TOL
-            if not np.any(viol):
-                fb = fb[:0]
-                break
-            mesh.facet[fb[viol]] = worst[viol]
-            fb = fb[viol]
-        for i in fb:
-            found = _nearest_edge(v[i], cone.edges)
-            if found is None:
-                raise ValueError("cone has no edges to pin to")
-            v[i], mesh.facet[i], mesh.facet2[i] = found
-            cls[i] = VertexClass.EDGE_PINNED
-            if pinned is not None:
-                pinned.append(int(i))
-
-    # interior vertices act against the cone as an obstacle: positions that
-    # poked out come back to the nearest wall, keeping their class so they
-    # can detach again later
-    interior = np.nonzero(cls == VertexClass.INTERIOR)[0]
-    if interior.size:
-        # the (k, n) facet slacks of all vertices, reduced across their k
-        # rows: numpy reduces the short axis of (n, k) rows many times slower
-        slack = np.max(normals @ v.T, axis=0)
-        out = interior[slack[interior] > CONTAIN_TOL]
-        for i in out:
-            x = v[i]
-            for _ in range(2):
-                s = normals @ x
-                k = int(np.argmax(s))
-                if s[k] <= CONTAIN_TOL:
-                    break
-                x = x - (x @ normals[k]) * normals[k]
-            if np.max(normals @ x) > CONTAIN_TOL:
-                found = _nearest_edge(v[i], cone.edges, normals)
-                x = np.zeros(3) if found is None else found[0]
-            v[i] = x
+    # the (k, n) facet slacks of all vertices, reduced across their k rows:
+    # numpy reduces the short axis of (n, k) rows many times slower
+    out = np.nonzero((np.max(normals @ v.T, axis=0) > CONTAIN_TOL)
+                     & (cls != VertexClass.CLAMPED))[0]
+    if out.size:
+        v[out], face = nearest_point(start[out], cone)
+        moved = fb[out]
+        mesh.facet[out[moved]], mesh.facet2[out[moved]] = face[moved].T
     return mesh
 
 
@@ -365,6 +318,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         raise ValueError("mesh clamp_radius disagrees with config.clamp_radius")
 
     diag = Diagnostics()
+    off_edge = mesh.facet2 < 0
     if jitter > 0.0:
         rng = np.random.default_rng(config.seed)
         movable = mesh.vertex_class != VertexClass.CLAMPED
@@ -383,15 +337,15 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
                                        * normal)
         mesh.vertices[movable] += (0.1 * jitter) * rng.standard_normal(
             (count, 3))
-        project_to_constraints(mesh, cone, diag.pinned_vertices)
+        project_to_constraints(mesh, cone)
     table = edge_table(mesh)
     on_boundary = table.multiplicity == 1
     boundary = table.edges[on_boundary], table.owner[on_boundary]
     repeated_direction = table.repeated_direction
     del table  # not held through the validation and the descent loop
-    _validate(mesh, cone, repeated_direction)
-
     geometry = triangle_geometry(mesh)
+    _validate(mesh, cone, repeated_direction, geometry.areas)
+
     area = geometry.area
     step = config.initial_step
     status = "max_iters"
@@ -401,15 +355,14 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             status = "converged"
             break
         gsq = float(np.einsum("ij,ij->", g, g))
-        state = (mesh.vertices, mesh.vertex_class, mesh.facet, mesh.facet2)
+        state = (mesh.vertices, mesh.facet, mesh.facet2)
         saved = [x.copy() for x in state]
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             for x, x0 in zip(state, saved):
                 x[:] = x0
             mesh.vertices -= step * g
-            trial_pins = []
-            project_to_constraints(mesh, cone, trial_pins)
+            project_to_constraints(mesh, cone)
             geometry = triangle_geometry(mesh)
             trial = geometry.area
             if trial <= area - config.armijo_c * step * gsq:
@@ -423,7 +376,6 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             break
         diag.armijo_margins.append(
             (area - trial) - config.armijo_c * step * gsq)
-        diag.pinned_vertices.extend(trial_pins)
         area = trial
         diag.accepted_steps += 1
         diag.area_history.append(area)
@@ -432,6 +384,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     del geometry  # not held through the post-run audits
 
     diag.status = status
+    diag.pinned_vertices = np.nonzero(off_edge & (mesh.facet2 >= 0))[0].tolist()
     R = config.clamp_radius
     windows = [(lo * R, hi * R) for lo, hi in DEVIATION_WINDOWS]
     diag.p_ratios, deviations = _ball_audits(

@@ -359,11 +359,10 @@ def _boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone, edges, owner,
     rows of multiplicity 1) and the triangles owning them."""
     i, j = edges.T
     normals, v = cone.normals, mesh.vertices
-    # first rule: the lowest facet that both ends declare; free-boundary and
-    # edge-pinned vertices declare their facet tags
+    # first rule: the lowest facet that both ends declare; a free-boundary
+    # vertex declares the one or two facets of its face
     tags = np.stack([mesh.facet, mesh.facet2], axis=1)
-    tags[~np.isin(mesh.vertex_class, (VertexClass.FREE_BOUNDARY,
-                                      VertexClass.EDGE_PINNED))] = -1
+    tags[mesh.vertex_class != VertexClass.FREE_BOUNDARY] = -1
     ti, tj = tags[i], tags[j]
     shared = (ti >= 0) & ((ti == tj[:, :1]) | (ti == tj[:, 1:]))
     k = np.min(np.where(shared, ti, len(normals)), axis=1)

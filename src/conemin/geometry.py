@@ -6,8 +6,9 @@ shape (3,).  The module provides the constructions needed by the rest of
 the toolkit: wedges, rectangular pyramids C = {x3 >= max(a|x1|, b|x2|)},
 the one parser of the JSON cone spec, the exact open-hemisphere margin,
 computed in closed form without a solver, behind the cone interior test and
-the spherical polygon check, and the row-wise dot, norm and cross-product
-kernels that the mesh code runs on its arrays of 3-vectors.
+the spherical polygon check, the nearest point of the cone's boundary and
+its face behind every constraint projection, and the row-wise dot, norm and
+cross-product kernels that the mesh code runs on its arrays of 3-vectors.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ DEDUP_TOL = 1e-10         # normals with dot > 1 - DEDUP_TOL are duplicates
 RANK_TOL = 1e-9           # relative SVD threshold for the vertex test
 HEMISPHERE_TOL = 1e-9     # points fit in an open hemisphere iff slack > this
 HEMISPHERE_BLOCK = 1 << 16  # dot products per block of the hemisphere test
+CONTAIN_TOL = 1e-9        # x lies in the cone iff every n_i . x <= this
 
 
 def as_vec3(x) -> np.ndarray:
@@ -193,6 +195,36 @@ def is_vertex(cone: PolyhedralCone) -> bool:
     threshold RANK_TOL), i.e. the apex is a genuine corner."""
     s = np.linalg.svd(cone.normals, compute_uv=False)
     return int(np.sum(s > RANK_TOL * s[0])) == 3
+
+
+def nearest_point(x, cone: PolyhedralCone):
+    """(p, face): for each row of the (m, 3) array x, the nearest point p of
+    the cone's boundary and its face, (i, -1) on facet i or the cone.edges
+    key (i, j) on an edge.  For a row outside the cone, p is also its
+    nearest point of the cone.
+
+    The nearest point lies inside some face, so it is the nearest point of
+    that face's span.  The candidates are one point per facet plane and one
+    per edge line, a ray edge's clamped at t >= 0 so that the apex is one
+    too; the nearest candidate inside the cone, within CONTAIN_TOL, wins,
+    the first in that order on a tie.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    normals = cone.normals
+    keys = list(cone.edges)
+    lines = np.array([cone.edges[key][0] for key in keys]).reshape(-1, 3)
+    ray = np.array([not cone.edges[key][1] for key in keys], dtype=bool)
+    t = x @ lines.T
+    t[:, ray] = np.maximum(t[:, ray], 0.0)
+    # (m, candidate, coordinate)
+    cand = np.concatenate([x[:, None] - (x @ normals.T)[..., None] * normals,
+                           t[..., None] * lines], axis=1)
+    dist = np.sum((cand - x[:, None]) ** 2, axis=2)
+    dist[np.max(cand @ normals.T, axis=2) > CONTAIN_TOL] = np.inf
+    best = np.argmin(dist, axis=1)
+    faces = np.array([(i, -1) for i in range(len(normals))] + keys,
+                     dtype=np.int64)
+    return cand[np.arange(len(x)), best], faces[best]
 
 
 def wedge_above(slope: float, axis: int) -> PolyhedralCone:

@@ -1,10 +1,11 @@
 """Oriented triangle meshes with per-vertex constraint classes.
 
 A mesh stands for a surface-with-boundary inside a convex polyhedral cone.
-Each vertex carries a constraint class: free interior point, point confined
-to one cone facet plane, point pinned to the line where two facets meet, or
-point clamped to the sphere of radius ``clamp_radius``.  Wavefront text
-export keeps the classes in a JSON sidecar keyed by vertex index.
+Each vertex carries a constraint class: free interior point, free-boundary
+point on a face of the cone, or point clamped to the sphere of radius
+``clamp_radius``.  A free-boundary vertex's face is a facet plane, or a cone
+edge where two facets meet.  Wavefront text export keeps the classes and
+faces in a JSON sidecar keyed by vertex index.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ PLANE_TOL = 1e-9
 class VertexClass(IntEnum):
     INTERIOR = 0
     FREE_BOUNDARY = 1
-    EDGE_PINNED = 2
-    CLAMPED = 3
+    CLAMPED = 2
 
 
 @dataclass
@@ -37,9 +37,9 @@ class TriMesh:
     vertices: (n, 3) float array.
     triangles: (m, 3) int array, consistent counter-clockwise orientation.
     vertex_class: (n,) int array of VertexClass values.
-    facet: (n,) int array; facet index for FREE_BOUNDARY and first facet for
-        EDGE_PINNED vertices, -1 elsewhere.
-    facet2: (n,) int array; second facet for EDGE_PINNED vertices, -1 else.
+    facet, facet2: (n,) int arrays, the face of a FREE_BOUNDARY vertex:
+        (i, -1) on facet i, the cone.edges key (i, j) on an edge; -1 for
+        the other classes.
     clamp_radius: sphere radius for CLAMPED vertices, or None.
     """
 
@@ -173,17 +173,18 @@ def edge_table(mesh: TriMesh) -> EdgeTable:
 def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
     """Raise ValueError on the first violated mesh invariant; an edge of
     three or more triangles fails the orientation check."""
-    _validate(mesh, cone, edge_table(mesh).repeated_direction)
+    _validate(mesh, cone, edge_table(mesh).repeated_direction,
+              triangle_areas(mesh))
 
 
-def _validate(mesh: TriMesh, cone: PolyhedralCone,
-              repeated_direction: bool) -> None:
+def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
+              areas: np.ndarray) -> None:
     """validate of the mesh whose edge_table has the given
-    repeated_direction; the table itself is not held through the checks."""
+    repeated_direction and whose triangles have the given areas; neither the
+    table nor the geometry is built here."""
     n, t = mesh.n_vertices, mesh.triangles
     if t.size and (t.min() < 0 or t.max() >= n):
         raise ValueError("triangle index out of range")
-    areas = triangle_areas(mesh)
     if np.any(areas <= AREA_TOL):
         bad = int(np.argmin(areas))
         raise ValueError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
@@ -195,14 +196,16 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone,
     normals, v, cls = cone.normals, mesh.vertices, mesh.vertex_class
     f, g, k = mesh.facet, mesh.facet2, len(normals)
     fb = cls == VertexClass.FREE_BOUNDARY
-    ep = cls == VertexClass.EDGE_PINNED
+    on_edge = fb & (g >= 0)
     cl = cls == VertexClass.CLAMPED
     f_ok = (f >= 0) & (f < k)
-    g_ok = (g >= 0) & (g < k)
+    keys = np.array(list(cone.edges), dtype=np.int64).reshape(-1, 2)
+    edge_ok = np.any((f[:, None] == keys[:, 0]) & (g[:, None] == keys[:, 1]),
+                     axis=1)
     # out-of-range facet indices are masked before they index the normals;
     # their vertices fail the index checks below instead
     off_f = np.abs(np.einsum("ij,ij->i", normals[np.where(f_ok, f, 0)], v)) > PLANE_TOL
-    off_g = np.abs(np.einsum("ij,ij->i", normals[np.where(g_ok, g, 0)], v)) > PLANE_TOL
+    off_g = np.abs(np.einsum("ij,ij->i", normals[np.where(edge_ok, g, 0)], v)) > PLANE_TOL
     if mesh.clamp_radius is None:
         no_radius, off_sphere = cl, np.zeros(n, dtype=bool)
     else:
@@ -210,15 +213,17 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone,
         off_sphere = cl & (np.abs(row_norms(v) - mesh.clamp_radius)
                            > PLANE_TOL)
     checks = (
-        (fb & ~f_ok, lambda i: f"vertex {i}: invalid facet index {f[i]}"),
-        (fb & f_ok & off_f, lambda i: f"vertex {i} off its facet plane"),
-        (ep & ~(f_ok & g_ok),
-         lambda i: f"vertex {i}: invalid facet pair ({f[i]}, {g[i]})"),
-        (ep & f_ok & g_ok & (off_f | off_g),
-         lambda i: f"vertex {i} off its pinned edge line"),
+        (fb & ~on_edge & ~f_ok,
+         lambda i: f"vertex {i}: invalid facet index {f[i]}"),
+        (fb & ~on_edge & f_ok & off_f,
+         lambda i: f"vertex {i} off its facet plane"),
+        (on_edge & ~edge_ok,
+         lambda i: f"vertex {i}: facets ({f[i]}, {g[i]}) are not a cone edge"),
+        (on_edge & edge_ok & (off_f | off_g),
+         lambda i: f"vertex {i} off its cone edge"),
         (no_radius, lambda i: "clamped vertices but no clamp_radius"),
         (off_sphere, lambda i: f"vertex {i} off the clamp sphere"),
-        (~(fb | ep | cl | (cls == VertexClass.INTERIOR)),
+        (~(fb | cl | (cls == VertexClass.INTERIOR)),
          lambda i: f"vertex {i}: unknown class {cls[i]}"),
     )
     bad = [(int(np.argmax(mask)), message) for mask, message in checks
@@ -238,16 +243,15 @@ def save_obj(mesh: TriMesh, path) -> None:
         % tuple((mesh.triangles + 1).ravel().tolist()))
 
     names = {c: c.name.lower() for c in VertexClass}
-    on_facet = (VertexClass.FREE_BOUNDARY, VertexClass.EDGE_PINNED)
     classes = {}
     for i, (cls, f, g) in enumerate(zip(mesh.vertex_class.tolist(),
                                         mesh.facet.tolist(),
                                         mesh.facet2.tolist())):
         rec = {"class": names[cls]}
-        if cls in on_facet:
+        if cls == VertexClass.FREE_BOUNDARY:
             rec["facet"] = f
-        if cls == VertexClass.EDGE_PINNED:
-            rec["facet2"] = g
+            if g >= 0:
+                rec["facet2"] = g
         classes[str(i)] = rec
     # the bytes of json.dumps(sidecar, indent=1, sort_keys=True), whose
     # indent runs the pure-Python encoder: the C encoder puts each record's

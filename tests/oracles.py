@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from conemin.descent import _sector_rays
-from conemin.geometry import cross3, is_vertex
+from conemin.geometry import is_vertex
 from conemin.mesh import TriMesh, VertexClass
 
 
@@ -153,7 +153,7 @@ def euler_characteristic(triangles):
     return len({v for tri in tris for v in tri}) - len(edges) + len(tris)
 
 
-OBJ_CLASS_NAMES = ("interior", "free_boundary", "edge_pinned", "clamped")
+OBJ_CLASS_NAMES = ("interior", "free_boundary", "clamped")
 
 
 def save_obj_per_vertex(mesh, path):
@@ -170,10 +170,10 @@ def save_obj_per_vertex(mesh, path):
     for i in range(len(mesh.vertices)):
         cls = int(mesh.vertex_class[i])
         rec = {"class": OBJ_CLASS_NAMES[cls]}
-        if cls in (1, 2):  # free-boundary and edge-pinned name a facet
+        if cls == 1:  # a free-boundary vertex names its face's facets
             rec["facet"] = int(mesh.facet[i])
-        if cls == 2:
-            rec["facet2"] = int(mesh.facet2[i])
+            if mesh.facet2[i] >= 0:
+                rec["facet2"] = int(mesh.facet2[i])
         classes[str(i)] = rec
     sidecar = {"clamp_radius": mesh.clamp_radius, "classes": classes}
     path.with_suffix(path.suffix + ".json").write_text(
@@ -221,13 +221,11 @@ def initial_plane_loop(cone, R, resolution):
         facet.append(-1)
         facet2.append(-1)
     else:
-        n1, n2 = cone.normals[f1], cone.normals[f2]
-        if float(np.linalg.norm(cross3(n1, n2))) <= 1e-9:
-            raise ValueError("sector rays lie on parallel facets: cannot pin apex")
+        # the apex sits on the cone edge where the sector facets meet
         verts.append((0.0, 0.0, 0.0))
-        classes.append(VertexClass.EDGE_PINNED)
-        facet.append(f1)
-        facet2.append(f2)
+        classes.append(VertexClass.FREE_BOUNDARY)
+        facet.append(min(f1, f2))
+        facet2.append(max(f1, f2))
 
     ring_start = [0, 1]
     for k in range(1, resolution + 1):
@@ -278,3 +276,25 @@ def initial_plane_loop(cone, R, resolution):
         np.array(facet2, dtype=np.int64),
         clamp_radius=float(R),
     )
+
+
+def nearest_boundary_point(cone, x, tol=1e-9):
+    """(point, distance) of the nearest point of the cone's boundary to x,
+    by enumeration: the projection onto every facet plane, onto both rays of
+    every line where two facet planes meet, and the apex, keeping the
+    candidates that lie in the cone within tol."""
+    normals = [np.asarray(n, dtype=float) for n in cone.normals]
+    x = np.asarray(x, dtype=float)
+    candidates = [np.zeros(3)]
+    for n in normals:
+        candidates.append(x - float(n @ x) * n)
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            s = np.cross(normals[i], normals[j])
+            if np.linalg.norm(s) > 1e-12:
+                for d in (s, -s):
+                    d = d / np.linalg.norm(d)
+                    candidates.append(max(float(x @ d), 0.0) * d)
+    inside = [c for c in candidates if all(float(n @ c) <= tol for n in normals)]
+    best = min(inside, key=lambda c: float(np.linalg.norm(x - c)))
+    return best, float(np.linalg.norm(x - best))

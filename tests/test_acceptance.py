@@ -245,9 +245,8 @@ def test_c09_wedge_plane_stationarity():
 @pytest.fixture(scope="module")
 def pyramid_run():
     """Descent in C_{1,1} intersected with the unit ball at resolution 64
-    with a 4000-step budget; it ends stalled after 3711 steps, when the
-    line search fails (not converged); shared by criteria 10, 11, 13 and
-    14."""
+    with a 4000-step budget; it uses the whole budget (status max_iters,
+    not converged); shared by criteria 10, 11, 13 and 14."""
     cone = geo.pyramid_to_cone(1.0, 1.0)
     m = dsc.make_initial_plane(cone, 1.0, 64)
     flat_area = msh.surface_area(m)

@@ -13,7 +13,7 @@ from conemin import diagnostics as dg
 from conemin import geometry as geo
 from conemin import mesh as msh
 from oracles import (contains, euler_characteristic, fd_surface_gradient,
-                     initial_plane_loop)
+                     initial_plane_loop, nearest_boundary_point)
 
 
 def random_disk_mesh(rng, rings=3):
@@ -94,9 +94,13 @@ def test_initial_plane_apex_offset():
 
 
 def test_initial_plane_wedge_pins_apex_to_spine():
+    # the apex node is a free-boundary vertex whose face is the wedge's
+    # spine, the cone edge where the two sector facets meet
     cone = geo.wedge_above(1.0, 1)
     m = dsc.make_initial_plane(cone, 1.0, 8)
-    assert m.vertex_class[0] == msh.VertexClass.EDGE_PINNED
+    assert m.vertex_class[0] == msh.VertexClass.FREE_BOUNDARY
+    assert (m.facet[0], m.facet2[0]) == (0, 1)
+    assert (0, 1) in cone.edges
     npt.assert_allclose(m.vertices[0], 0.0, atol=0.0)
     msh.validate(m, cone)
 
@@ -135,7 +139,7 @@ def test_initial_plane_equals_loop_reference(cone):
             assert x.tobytes() == y.tobytes(), name
         assert got.clamp_radius == want.clamp_radius
     if not geo.is_vertex(cone):
-        assert got.vertex_class[0] == msh.VertexClass.EDGE_PINNED
+        assert (got.facet[0], got.facet2[0]) in cone.edges
 
 
 def test_initial_plane_rejects_bad_inputs():
@@ -148,6 +152,16 @@ def test_initial_plane_rejects_bad_inputs():
     flat = geo.PolyhedralCone([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     with pytest.raises(ValueError):
         dsc.make_initial_plane(flat, 1.0, 8)
+    # facets 2 and 3 tilt by 1.2e-9 out of the plane {x1 = 0}: too little
+    # for a genuine vertex, too much for facets 0 and 1, the sector's, to
+    # meet in a cone edge
+    eta = 1.2e-9
+    tilted = geo.PolyhedralCone([[0.0, 1.0, -1.0], [0.0, -1.0, -1.0],
+                                 [eta, 0.3, -1.0], [-eta, -0.3, -1.0]])
+    assert not geo.is_vertex(tilted) and (0, 1) not in tilted.edges
+    with pytest.raises(ValueError, match=r"^sector rays lie on facets 0 and 1, "
+                       "which meet in no cone edge"):
+        dsc.make_initial_plane(tilted, 1.0, 8)
 
 
 # ---------------------------------------------------------------- surface area
@@ -264,20 +278,29 @@ def test_project_gradient_classes():
 
 
 def test_project_gradient_edge_pinned_is_line_projection():
-    # the cone's edge table stores each direction once, sign chosen by the
-    # cone; (g . s) s is the same bit for bit for s, -s and either facet order
+    # a free-boundary vertex whose face is a cone edge keeps the part of
+    # its gradient along the edge line; the cone's edge table stores each
+    # direction once, sign chosen by the cone, and (g . s) s is the same
+    # bit for bit for s and -s.  A vertex on a facet keeps its in-plane part
+    def line_part(g, s):  # the dot product in coordinate order
+        return (g[0] * s[0] + g[1] * s[1] + g[2] * s[2]) * s
+
     rng = np.random.default_rng(3)
-    cases = ((geo.wedge_above(1.0, 1), ((0, 1), (1, 0))),
-             (geo.pyramid_to_cone(1.0, 2.0), ((0, 2), (2, 0), (1, 3), (3, 1))))
-    for cone, pairs in cases:
+    for cone in (geo.wedge_above(1.0, 1), geo.pyramid_to_cone(1.0, 2.0)):
         m = dsc.make_initial_plane(cone, 1.0, 6)
-        m.vertex_class[0] = msh.VertexClass.EDGE_PINNED
+        m.vertex_class[0] = msh.VertexClass.FREE_BOUNDARY
         g = rng.standard_normal(m.vertices.shape)
-        for f, f2 in pairs:
+        for f, f2 in cone.edges:
             m.facet[0], m.facet2[0] = f, f2
             s = geo.unit(np.cross(cone.normals[f], cone.normals[f2]))
             gp = dsc.project_gradient(m, cone, g)
-            assert np.array_equal(gp[0], float(g[0] @ s) * s)
+            assert np.array_equal(gp[0], line_part(g[0], s))
+            assert np.array_equal(gp[0], line_part(g[0], -s))
+            m.facet2[0] = -1
+            n = cone.normals[f]
+            gp = dsc.project_gradient(m, cone, g)
+            npt.assert_allclose(gp[0], g[0] - float(g[0] @ n) * n, rtol=0.0,
+                                atol=1e-15)
 
 
 def test_project_to_constraints_idempotent_on_feasible_mesh():
@@ -312,6 +335,11 @@ def test_project_reassigns_across_facets():
     assert m.facet[0] == 0
     assert abs(m.vertices[0] @ cone.normals[0]) <= 1e-9
     assert contains(cone, m.vertices[0], tol=1e-9)
+    # the nearest point of the cone, not the facet-0 point of the facet-2
+    # projection, (0.7125, 0.525, 0.7125)
+    want, _ = nearest_boundary_point(cone, verts[0])
+    npt.assert_allclose(m.vertices[0], want, rtol=0.0, atol=1e-15)
+    npt.assert_allclose(want, [0.95, 0.05, 0.95], rtol=0.0, atol=1e-15)
 
 
 def test_project_pins_to_edge_when_projection_oscillates():
@@ -323,14 +351,24 @@ def test_project_pins_to_edge_when_projection_oscillates():
                     msh.VertexClass.INTERIOR], dtype=np.int64)
     facet = np.array([0, -1, -1], dtype=np.int64)
     m = msh.TriMesh(verts, tris, cls, facet)
-    pinned = []
-    dsc.project_to_constraints(m, cone, pinned)
-    if pinned:
-        assert m.vertex_class[0] == msh.VertexClass.EDGE_PINNED
-        assert contains(cone, m.vertices[0], tol=1e-9)
-    else:
-        # projection settled on a facet instead; still feasible
-        assert contains(cone, m.vertices[0], tol=1e-9)
+    dsc.project_to_constraints(m, cone)
+    # the nearest point of the cone lies on the edge of facets 0 and 2,
+    # which becomes the vertex's face
+    want, _ = nearest_boundary_point(cone, verts[0])
+    npt.assert_allclose(m.vertices[0], want, rtol=0.0, atol=1e-15)
+    npt.assert_allclose(want, np.full(3, 2.2 / 3.0), rtol=0.0, atol=1e-15)
+    assert m.vertex_class[0] == msh.VertexClass.FREE_BOUNDARY
+    assert (m.facet[0], m.facet2[0]) == (0, 2)
+    msh.validate(m, cone)
+    # past the apex, the edge's line leaves the cone: the vertex goes from
+    # where it was to its nearest point of the cone instead
+    x = np.array([-0.2, -0.3, 0.1])
+    m.vertices[0] = x
+    dsc.project_to_constraints(m, cone)
+    want, _ = nearest_boundary_point(cone, x)
+    npt.assert_allclose(m.vertices[0], want, rtol=0.0, atol=1e-15)
+    assert contains(cone, m.vertices[0], tol=1e-9)
+    msh.validate(m, cone)
 
 
 def test_project_renormalizes_clamped():
@@ -341,6 +379,31 @@ def test_project_renormalizes_clamped():
     dsc.project_to_constraints(m, cone)
     npt.assert_allclose(np.linalg.norm(m.vertices[cl], axis=1), 1.0,
                         atol=1e-12)
+    # a clamped vertex at the origin has no direction to keep; the error
+    # names the lowest such vertex
+    m.vertices[cl[[5, 3]]] = 0.0
+    with pytest.raises(ValueError, match=rf"^clamped vertex {cl[3]} at the "
+                       "origin cannot be renormalized$"):
+        dsc.project_to_constraints(m, cone)
+
+
+@pytest.mark.parametrize("resolution, seeds", ((64, range(30)),
+                                               (256, range(5))),
+                         ids=("r64", "r256"))
+def test_jittered_start_is_valid(resolution, seeds):
+    # the jitter of the descent workloads carries tens of free-boundary
+    # vertices across cone edges, some onto an edge; the projected start
+    # must lie in the cone and pass validate on every seed
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, resolution)
+    for seed in seeds:
+        cfg = dsc.MinimizeConfig(max_iters=0, seed=seed)
+        start, diag = dsc.minimize(m, cone, cfg, jitter=0.06)
+        msh.validate(start, cone)
+        assert np.max(start.vertices @ cone.normals.T) <= geo.CONTAIN_TOL
+        assert math.isfinite(diag.boundary_angle_stats.max_deg)
+        # the plane has no edge face, so every edge face is a new one
+        assert diag.pinned_vertices == np.nonzero(start.facet2 >= 0)[0].tolist()
 
 
 # ---------------------------------------------------------------- minimize
@@ -431,8 +494,22 @@ def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
         builds.append(mesh.n_triangles)
         return build(mesh)
 
+    geometries = []
+
+    def counted_geometry(mesh, build=msh.triangle_geometry):
+        geometries.append(mesh.n_triangles)
+        return build(mesh)
+
     for module in (dsc, msh, dg):
         monkeypatch.setattr(module, "edge_table", counted_edge_table)
+        monkeypatch.setattr(module, "triangle_geometry", counted_geometry)
+    # a run without steps builds the whole mesh's triangle geometry once,
+    # for its validation and its start area (the angle audit builds it for
+    # the boundary triangles alone)
+    dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=0), jitter=0.05)
+    assert geometries.count(m.n_triangles) == 1
+    assert builds == [m.n_triangles]
+    builds.clear()
     final, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
     assert builds == [final.n_triangles]
     assert diag.accepted_steps > 0

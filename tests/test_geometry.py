@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from conemin import geometry as geo
-from oracles import contains
+from oracles import contains, nearest_boundary_point
 
 
 def test_pyramid_to_cone_normals():
@@ -171,3 +171,44 @@ def test_two_halfspace_wedge_builds():
     assert len(cone.normals) == 2
     assert contains(cone, [0.0, 3.0, 1.0])
     assert not contains(cone, [3.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("cone", (geo.pyramid_to_cone(1.0, 1.0),
+                                  geo.pyramid_to_cone(0.5, 2.0),
+                                  geo.wedge_above(1.0, 1)),
+                         ids=("C11", "C05_2", "wedge"))
+def test_nearest_point_matches_brute_force(cone):
+    rng = np.random.default_rng(17)
+    normals = cone.normals
+    # points of the boundary: the apex, points on every edge, and the
+    # brute-force nearest boundary points of random points, most of them
+    # inside a facet
+    on_edges = [t * d for d, full in cone.edges.values()
+                for t in ((-1.0, -0.2, 0.3, 1.0) if full else (0.3, 1.0))]
+    on_facets = [nearest_boundary_point(cone, y)[0]
+                 for y in rng.standard_normal((60, 3))]
+    boundary = np.array([np.zeros(3)] + on_edges + on_facets)
+    p, _ = geo.nearest_point(boundary, cone)
+    npt.assert_allclose(p, boundary, rtol=0.0, atol=1e-15)
+
+    # points off the boundary: 1e-3 and 1e-2 out along each facet normal
+    # the point lies on, Gaussian noise of the same sizes, random points
+    off = [b + s * n for b in boundary for n in normals
+           if abs(n @ b) <= 1e-12 for s in (1e-3, 1e-2)]
+    off += [b + s * rng.standard_normal(3) for b in boundary
+            for s in (1e-3, 1e-2)]
+    x = np.concatenate([np.array(off), rng.standard_normal((200, 3))])
+    p, face = geo.nearest_point(x, cone)
+    outside = np.max(x @ normals.T, axis=1) > geo.CONTAIN_TOL
+    assert outside.sum() > len(x) // 3
+    for xi, pi, (f, f2), out in zip(x, p, face.tolist(), outside):
+        want, dist = nearest_boundary_point(cone, xi)
+        assert abs(np.linalg.norm(xi - pi) - dist) <= 1e-12
+        if out:  # the nearest point of the cone is unique
+            npt.assert_allclose(pi, want, rtol=0.0, atol=1e-12)
+        # p lies in the cone, on the planes of its face
+        assert np.max(normals @ pi) <= geo.CONTAIN_TOL
+        assert abs(normals[f] @ pi) <= 1e-12
+        if f2 >= 0:
+            assert (f, f2) in cone.edges
+            assert abs(normals[f2] @ pi) <= 1e-12

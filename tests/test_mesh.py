@@ -141,17 +141,24 @@ def test_validate_names_lowest_offending_vertex():
 
 def test_validate_rejects_out_of_range_facet_index():
     cone = geo.pyramid_to_cone(1.0, 1.0)
-    fb, ep = msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.EDGE_PINNED
-    inner = msh.VertexClass.INTERIOR
+    fb, inner = msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.INTERIOR
     for bad in (4, 99, -3):
         m = cone_triangle_mesh([inner, fb, inner], facet=[-1, bad, -1])
         with pytest.raises(ValueError,
                            match=rf"^vertex 1: invalid facet index {bad}$"):
             msh.validate(m, cone)
-    m = cone_triangle_mesh([inner, ep, inner], facet=[-1, 2, -1],
-                           facet2=[-1, 99, -1])
-    with pytest.raises(ValueError,
-                       match=r"^vertex 1: invalid facet pair \(2, 99\)$"):
+    # an edge face is a key of cone.edges: facets 0 and 1 of the pyramid
+    # meet in a line outside the cone, and keys list the lower facet first
+    for pair in ((2, 99), (0, 1), (2, 0)):
+        m = cone_triangle_mesh([inner, fb, inner], facet=[-1, pair[0], -1],
+                               facet2=[-1, pair[1], -1])
+        with pytest.raises(ValueError, match=r"^vertex 1: facets \(%d, %d\) "
+                           r"are not a cone edge$" % pair):
+            msh.validate(m, cone)
+    # vertex 1 lies on facet 2 only, not on the edge (0, 2)
+    m = cone_triangle_mesh([inner, fb, inner], facet=[-1, 0, -1],
+                           facet2=[-1, 2, -1])
+    with pytest.raises(ValueError, match=r"^vertex 1 off its cone edge$"):
         msh.validate(m, cone)
 
 
@@ -166,10 +173,12 @@ def test_validate_rejects_unknown_class():
 
 
 def test_save_obj_matches_per_vertex_writer(tmp_path):
-    # the wedge's initial plane has every vertex class: an edge-pinned apex,
-    # free-boundary rays, a clamped rim and interior vertices
+    # the wedge's initial plane has every vertex class and both kinds of
+    # face: an apex on the cone edge, free-boundary rays on facets, a
+    # clamped rim and interior vertices
     m = make_initial_plane(geo.wedge_above(1.0, 1), 1.0, 6)
-    assert sorted(set(m.vertex_class.tolist())) == [0, 1, 2, 3]
+    assert sorted(set(m.vertex_class.tolist())) == [0, 1, 2]
+    assert m.facet2[0] >= 0
     # a mesh without a clamp radius: its sidecar holds null
     unclamped = make_initial_plane(geo.pyramid_to_cone(1.0, 2.0), 1.0, 5)
     unclamped.clamp_radius = None
@@ -190,10 +199,10 @@ def test_save_obj_matches_per_vertex_writer(tmp_path):
     names = [c.name.lower() for c in msh.VertexClass]
     for i, cls in enumerate(m.vertex_class.tolist()):
         rec = {"class": names[cls]}
-        if cls in (msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.EDGE_PINNED):
+        if cls == msh.VertexClass.FREE_BOUNDARY:
             rec["facet"] = int(m.facet[i])
-        if cls == msh.VertexClass.EDGE_PINNED:
-            rec["facet2"] = int(m.facet2[i])
+            if m.facet2[i] >= 0:
+                rec["facet2"] = int(m.facet2[i])
         assert classes[str(i)] == rec
 
 
