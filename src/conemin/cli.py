@@ -41,7 +41,7 @@ from .competitor import (
 from .descent import (RADII_FRACTIONS, MinimizeConfig, _sector_rays,
                       make_initial_plane, minimize)
 from .diagnostics import monotonicity_ratio
-from .geometry import as_number, cone_from_dict, cross3, unit
+from .geometry import as_number, cone_from_dict, row_cross, unit
 from .mesh import save_obj, surface_area
 from .spherical import two_arc_audit
 
@@ -143,6 +143,12 @@ def _check_config(raw) -> dict:
                                  or set(prof) - set(PROFILE)):
             raise ValueError("profile must be an object with fields h, alpha")
         cfg["profile"] = None if prof is None else _numbers(prof, PROFILE)
+        if prof is None:
+            # run builds the default profile from a: an a without one fails
+            try:
+                feasible_params(cfg["cone"]["pyramid"]["a"])
+            except RuntimeError as exc:
+                raise ValueError(str(exc)) from exc
     elif kind == "minimize":
         # MinimizeConfig checks the ranges the table leaves open
         MinimizeConfig(**{key: cfg[key] for key in
@@ -290,41 +296,40 @@ def _run_minimize(cfg, outdir: Path):
     return results, verdicts
 
 
-def _random_audit_inputs(rng):
-    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    if np.linalg.det(frame) < 0:
-        frame[:, 2] = -frame[:, 2]
-    e1, e2, e3 = frame[:, 0], frame[:, 1], frame[:, 2]
-    theta = rng.uniform(0.3, math.pi - 0.3)
-    p1 = e1
-    q1 = math.cos(theta) * e1 + math.sin(theta) * e2
-    pole = e3
-    nu_p = e2
-    nu_q = unit(cross3(pole, q1))
-    phi_p = rng.uniform(0.15, 1.35)
-    phi_q = rng.uniform(0.15, 1.35)
-    x_p = math.cos(phi_p) * pole + math.sin(phi_p) * p1
-    x_q = math.cos(phi_q) * pole + math.sin(phi_q) * q1
-    n2 = unit(cross3(x_p, x_q))
-    return p1, q1, nu_p, nu_q, n2
+def _random_audit_inputs(rng, count):
+    """The five (count, 3) input arrays of count random two-arc audits.
+    Each audit draws a random frame (a QR factor with det +1), then the
+    base angle theta and the two meridian heights, in that order, so the
+    audits do not depend on count; the factorizations and the arithmetic
+    run over all of them at once, each row bit for bit as if alone."""
+    draws = [(rng.standard_normal((3, 3)), rng.uniform(0.3, math.pi - 0.3),
+              rng.uniform(0.15, 1.35), rng.uniform(0.15, 1.35))
+             for _ in range(count)]
+    gauss, *angles = zip(*draws)
+    frame = np.linalg.qr(np.array(gauss))[0]
+    flip = np.linalg.det(frame) < 0
+    frame[flip, :, 2] = -frame[flip, :, 2]
+    p1, e2, pole = frame[..., 0], frame[..., 1], frame[..., 2]
+    cos_t, cos_p, cos_q, sin_t, sin_p, sin_q = np.array(
+        [list(map(f, a)) for f in (math.cos, math.sin) for a in angles])[..., None]
+    q1 = cos_t * p1 + sin_t * e2
+    x_p = cos_p * pole + sin_p * p1
+    x_q = cos_q * pole + sin_q * q1
+    return p1, q1, e2, unit(row_cross(pole, q1)), unit(row_cross(x_p, x_q))
 
 
 def _run_audit(cfg, outdir: Path):
     tol = cfg["tolerances"]
     rng = np.random.default_rng(cfg["seed"])
-    rows = []
-    min_excess = math.inf
-    failures = 0
-    for _ in range(cfg["count"]):
-        rep = two_arc_audit(*_random_audit_inputs(rng))
-        rows.append((rep.alpha1, rep.beta1, rep.alpha2t, rep.beta2t,
-                     rep.angle_sum, rep.excess, rep.infeasibility_witness))
-        min_excess = min(min_excess, rep.excess)
-        if not rep.infeasibility_witness:
-            failures += 1
+    rep = two_arc_audit(*_random_audit_inputs(rng, cfg["count"]))
+    fields = (rep.alpha1, rep.beta1, rep.alpha2t, rep.beta2t, rep.angle_sum,
+              rep.excess, rep.infeasibility_witness)
     _write_csv(outdir / "audits.csv",
                ("alpha1", "beta1", "alpha2t", "beta2t", "angle_sum",
-                "excess", "infeasibility_witness"), rows)
+                "excess", "infeasibility_witness"),
+               zip(*(f.tolist() for f in fields)))
+    min_excess = min(rep.excess.tolist())
+    failures = int(np.count_nonzero(~rep.infeasibility_witness))
     results = {"count": cfg["count"], "min_excess": min_excess,
                "witness_failures": failures}
     verdicts = {

@@ -7,8 +7,10 @@ the toolkit: wedges, rectangular pyramids C = {x3 >= max(a|x1|, b|x2|)},
 the one parser of the JSON cone spec, the exact open-hemisphere margin,
 computed in closed form without a solver, behind the cone interior test and
 the spherical polygon check, the nearest point of the cone's boundary and
-its face behind every constraint projection, and the row-wise dot, norm and
-cross-product kernels that the mesh code runs on its arrays of 3-vectors.
+its face behind every constraint projection, and the row-wise dot, norm,
+cross-product and normalizing kernels that the mesh and spherical code run
+on arrays of 3-vectors.  A check over a batch of rows raises RowError for
+the lowest row that fails it.
 """
 
 from __future__ import annotations
@@ -33,13 +35,38 @@ def as_vec3(x) -> np.ndarray:
     return v
 
 
+def as_points(x) -> np.ndarray:
+    """x as a float 3-vector or a (k, 3) array of rows."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise ValueError(
+            f"expected a 3-vector or (k, 3) rows, got shape {v.shape}")
+    return v
+
+
+class RowError(ValueError):
+    """A failed check of a batch of rows: the message, and the index of the
+    lowest row that fails it."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def check_rows(bad: np.ndarray, message: str) -> None:
+    """Raise RowError(message) for the lowest-indexed row that the boolean
+    mask bad marks, if any."""
+    if bad.any():
+        raise RowError(message, int(np.argmax(bad)))
+
+
 def unit(x) -> np.ndarray:
-    """Normalize to unit length; error on (near-)zero input."""
-    v = as_vec3(x)
-    n = float(np.linalg.norm(v))
-    if n <= 1e-14:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
+    """Normalize a 3-vector, or each row of a (k, 3) array, to unit length;
+    error on a (near-)zero one.  The norm is sqrt(x @ x), np.linalg.norm's."""
+    v = as_points(x)
+    n = np.sqrt(vec_dots(v, v))
+    check_rows(n <= 1e-14, "cannot normalize a zero vector")
+    return v / n[..., None]
 
 
 def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -51,13 +78,23 @@ def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of two (k, 3) arrays, in coordinate order."""
-    return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
+    """Dot products over the last axis of two arrays of 3-vectors, in
+    coordinate order."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def vec_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of two arrays of 3-vectors, each bit
+    for bit float(u @ v): a stacked matmul adds the products in the BLAS
+    order of a single product, where row_dots adds them in coordinate
+    order (the two differ in the last bit on about a third of inputs)."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a (k, 3) array, bit for bit those of
-    np.linalg.norm(x, axis=1) (the same sum order), at a third of its cost."""
+    """Euclidean norms over the last axis of an array of 3-vectors, bit for
+    bit those of np.linalg.norm(x, axis=-1) (the same sum order), at a third
+    of its cost."""
     return np.sqrt(row_dots(x, x))
 
 
@@ -96,29 +133,31 @@ def _index_block(tuples, count: int, k: int) -> np.ndarray:
 
 def _candidate_directions(v: np.ndarray):
     """Blocks of the directions at which open_hemisphere_slack's program
-    can peak, each block holding at most HEMISPHERE_BLOCK dot products with
-    the m rows of v (one block for a few points)."""
-    m = len(v)
+    can peak for each of the b sets of m points in the (b, m, 3) array v,
+    each block holding at most HEMISPHERE_BLOCK dot products per set (one
+    block for a few points)."""
+    b, m = v.shape[:2]
     # each pair gives 12 directions, each triple 2, the first block adds 8
     count = max(1, (HEMISPHERE_BLOCK // m - 8) // 14)
     pairs = itertools.combinations(range(m), 2)
     triples = itertools.combinations(range(m), 3)
-    corners = [_CUBE_CORNERS]  # in the first block only
-    while True:
+    corners = [_CUBE_CORNERS[None].repeat(b, axis=0)]  # first block only
+    for _ in range(-(-max(1, math.comb(m, 2), math.comb(m, 3)) // count)):
         ab, abc = _index_block(pairs, count, 2), _index_block(triples, count, 3)
-        if not (corners or len(ab) or len(abc)):
-            return
-        d = row_cross(v[abc[:, 1]] - v[abc[:, 0]],
-                      v[abc[:, 2]] - v[abc[:, 0]])
-        yield np.concatenate(corners + [
-            ((v[ab[:, 1]] - v[ab[:, 0]]) @ _EDGE_CROSS).reshape(-1, 3), d, -d])
+        d = row_cross(v[:, abc[:, 1]] - v[:, abc[:, 0]],
+                      v[:, abc[:, 2]] - v[:, abc[:, 0]])
+        edges = (v[:, ab[:, 1]] - v[:, ab[:, 0]]) @ _EDGE_CROSS
+        yield np.concatenate(corners + [edges.reshape(b, -1, 3), d, -d],
+                             axis=1)
         corners = []
 
 
-def open_hemisphere_slack(points: np.ndarray) -> float:
+def open_hemisphere_slack(points: np.ndarray):
     """Best margin t of {v_i . n >= t, |n|_inf <= 1, 0 <= t <= 1} over the
     rows v_i of points; positive iff they fit in an open hemisphere.  A cone
-    {n_i . x <= 0} has nonempty interior iff the -n_i do.
+    {n_i . x <= 0} has nonempty interior iff the -n_i do.  For a (b, m, 3)
+    stack of point sets, the (b,) array of their margins, each bit for bit
+    that of its set alone.
 
     Exact, no solver: without the bounds on t this is a linear program in
     (n, t) whose optimum, when positive, sits at a vertex where k = 1, 2 or 3
@@ -130,14 +169,18 @@ def open_hemisphere_slack(points: np.ndarray) -> float:
     n = d / |d|_inf with t = min_i v_i . n is feasible, so the largest such
     t over these directions, clipped to [0, 1], is the optimum.
     """
-    v = np.asarray(points, dtype=float).reshape(-1, 3)
-    best = 0.0
+    v = np.asarray(points, dtype=float)
+    stacked = v.ndim == 3
+    if not stacked:
+        v = v.reshape(1, -1, 3)
+    best = np.zeros(len(v))
     for d in _candidate_directions(v):
-        scale = np.abs(d).max(axis=1)
-        margins = np.divide((d @ v.T).min(axis=1), scale,
-                            out=np.zeros(len(d)), where=scale > 0)
-        best = max(best, float(margins.max()))
-    return min(1.0, best)
+        scale = np.abs(d).max(axis=2)
+        margins = np.divide((d @ v.transpose(0, 2, 1)).min(axis=2), scale,
+                            out=np.zeros(scale.shape), where=scale > 0)
+        best = np.fmax(best, margins.max(axis=1))  # a NaN margin never wins
+    best = np.minimum(1.0, best)
+    return best if stacked else float(best[0])
 
 
 class PolyhedralCone:
@@ -154,7 +197,7 @@ class PolyhedralCone:
         kept: list[np.ndarray] = []
         for i, n in enumerate(normals):
             try:
-                n = unit(n)
+                n = unit(as_vec3(n))
             except ValueError as exc:
                 raise ValueError(f"halfspace {i}: {exc}") from exc
             if all(float(n @ k) < 1.0 - DEDUP_TOL for k in kept):

@@ -11,17 +11,27 @@ second geodesic arc.
 A polygon is checked to lie in an open hemisphere first; inside one, every
 incidence of its edges is decided by the sign of det[a, b, c] = (a x b) . c
 (see GeodesicPolygon).
+
+Audits run as one batch: sphere_point, GeodesicArc, equator_pole,
+interior_angle and two_arc_audit also take (k, 3) arrays of rows, and the
+polygon check and angles run over a stack of polygons.  Each row's numbers
+are bit for bit those of its own call: dot products go through vec_dots,
+the BLAS order of u @ v, and angles through math.atan2.  A bad batch
+raises the message of its lowest-indexed failing row, that row's first
+failed check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (HEMISPHERE_TOL, as_vec3, cross3, open_hemisphere_slack,
-                       row_cross, row_dots, row_norms, unit)
+from .geometry import (HEMISPHERE_TOL, RowError, as_points, as_vec3,
+                       check_rows, cross3, open_hemisphere_slack, row_cross,
+                       row_dots, row_norms, unit, vec_dots)
 
 ANTIPODAL_TOL = 1e-10
 COINCIDENT_TOL = 1e-10
@@ -29,11 +39,11 @@ CONTACT_TOL = 1e-6  # base arc orthogonal to a supporting plane within this
 
 
 def sphere_point(v) -> np.ndarray:
-    """Validate and return a unit vector (tolerance 1e-12)."""
-    p = as_vec3(v)
-    n = float(np.linalg.norm(p))
-    if abs(n - 1.0) > 1e-12:
-        raise ValueError("sphere points must be unit vectors within 1e-12")
+    """Validate and return a unit vector, or (k, 3) rows of them
+    (tolerance 1e-12)."""
+    p = as_points(v)
+    check_rows(np.abs(np.sqrt(vec_dots(p, p)) - 1.0) > 1e-12,
+               "sphere points must be unit vectors within 1e-12")
     return p
 
 
@@ -49,39 +59,123 @@ def arc_length(p, q) -> float:
     return math.atan2(math.sqrt(float(c @ c)), d)
 
 
-def interior_angle(vertex, u, w) -> float:
+def interior_angle(vertex, u, w):
     """Angle at `vertex` between the arcs toward u and toward w, computed
-    from tangent-plane projections with atan2 (never arccos).  Norms are
-    sqrt(x @ x), which is what np.linalg.norm computes, without its
-    overhead."""
-    v, u, w = sphere_point(vertex), as_vec3(u), as_vec3(w)
-    tu, tw = u - float(u @ v) * v, w - float(w @ v) * v
-    nu, nw = math.sqrt(float(tu @ tu)), math.sqrt(float(tw @ tw))
-    if nu <= 1e-10 or nw <= 1e-10:
+    from tangent-plane projections with atan2 (never arccos).  For (k, 3)
+    rows, the array of the k angles, each that of its own call."""
+    v, u, w = sphere_point(vertex), as_points(u), as_points(w)
+    tu = u - vec_dots(u, v)[..., None] * v
+    tw = w - vec_dots(w, v)[..., None] * v
+    nu, nw = np.sqrt(vec_dots(tu, tu)), np.sqrt(vec_dots(tw, tw))
+    if np.any(nu <= 1e-10) or np.any(nw <= 1e-10):
         raise ValueError("angle undefined: neighbor (anti)parallel to vertex")
-    tu, tw = tu / nu, tw / nw
-    c = cross3(tu, tw)
-    return math.atan2(math.sqrt(float(c @ c)), float(tu @ tw))
+    tu, tw = tu / nu[..., None], tw / nw[..., None]
+    c = row_cross(tu, tw)
+    angles = list(map(math.atan2, np.sqrt(vec_dots(c, c)).ravel().tolist(),
+                      vec_dots(tu, tw).ravel().tolist()))
+    return angles[0] if c.ndim == 1 else np.array(angles)
 
 
 @dataclass(frozen=True)
 class GeodesicArc:
-    """Minor great-circle arc between two non-equal, non-antipodal points."""
+    """Minor great-circle arc between two non-equal, non-antipodal points,
+    or (k, 3) rows of such arcs."""
 
     p: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
         p, q = sphere_point(self.p), sphere_point(self.q)
-        if abs(float(p @ q)) >= 1.0 - ANTIPODAL_TOL:
-            raise ValueError("arc endpoints must be neither equal nor antipodal")
+        check_rows(np.abs(vec_dots(p, q)) >= 1.0 - ANTIPODAL_TOL,
+                   "arc endpoints must be neither equal nor antipodal")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
 
 def equator_pole(arc: GeodesicArc) -> np.ndarray:
     """Pole of the great circle through the arc: normalize(p x q)."""
-    return unit(cross3(arc.p, arc.q))
+    return unit(row_cross(arc.p, arc.q))
+
+
+@functools.lru_cache(maxsize=8)
+def _incidence_tables(k: int):
+    """Read-only index tables of a k-gon's checks, built on first use: each
+    index's predecessor and successor, the vertex pairs i < j, the mask of
+    the [edge i, vertex j] where j is not an end of edge i (from i to
+    i + 1), and the edge tests in the order of GeodesicPolygon's loop over
+    i, each a crossing or not and the four [edge, vertex] entries it reads,
+    flat (i * k + j).  At each i come the fold-back test of vertex i, then
+    the crossing tests of edge i with each later edge that shares no vertex
+    with it; consecutive edges meet beyond their shared vertex only where
+    the polygon folds back along the edge it came in on."""
+    index = np.arange(k)
+    pred, succ = np.roll(index, 1), np.roll(index, -1)
+    far = (index[None] != index[:, None]) & (index[None] != succ[:, None])
+    crossing, at = [], []
+    for i in range(k):
+        a = succ[i]
+        crossing.append(False)
+        at.append((i * k + succ[a], a * k + i) * 2)
+        for j in range(i + 2, k if i else k - 1):
+            crossing.append(True)
+            at.append((i * k + j, i * k + succ[j], j * k + i, j * k + a))
+    tables = (pred, succ, *np.triu_indices(k, 1), far, np.array(crossing),
+              np.array(at, dtype=np.intp))
+    for table in tables:  # shared by every caller of the cache
+        table.flags.writeable = False
+    return tables
+
+
+def _check_polygons(p: np.ndarray) -> None:
+    """GeodesicPolygon's checks on each polygon of the (b, k, 3) stack p of
+    unit vertices, k >= 3."""
+    b, k = p.shape[:2]
+    _, succ, i, j, far, crossing, at = _incidence_tables(k)
+    gap = p[:, i] - p[:, j]
+    check_rows((np.sqrt(vec_dots(gap, gap)) <= COINCIDENT_TOL).any(axis=1),
+               "degenerate polygon: coincident vertices")
+    check_rows(open_hemisphere_slack(p) <= HEMISPHERE_TOL,
+               "polygon is not contained in an open hemisphere")
+    q = p[:, succ]  # edge i runs from p[:, i] to q[:, i]
+    check_rows((np.abs(row_dots(p, q)) >= 1.0 - ANTIPODAL_TOL).any(axis=1),
+               "arc endpoints must be neither equal nor antipodal")
+    poles = row_cross(p, q)
+    dets = poles @ p.transpose(0, 2, 1)  # det[p_i, p_i+1, p_j] at [:, i, j]
+    side = np.sign(dets) * (np.abs(dets) > COINCIDENT_TOL
+                            * row_norms(poles)[..., None])
+    # on[:, i, j]: vertex j lies on edge i, short of its ends: it is on the
+    # edge's great circle, and the great circle through it orthogonal to
+    # the edge separates the ends
+    on = (side == 0) & far
+    if on.any():
+        r, e, v = np.nonzero(on)
+        t = row_cross(p[r, v], poles[r, e])
+        on[r, e, v] = vec_dots(t, p[r, e]) * vec_dots(t, q[r, e]) < 0.0
+    s = side.reshape(b, -1)[:, at]
+    failed = on.reshape(b, -1)[:, at].any(axis=2) | (
+        crossing & (s[..., 0] * s[..., 1] < 0) & (s[..., 2] * s[..., 3] < 0))
+    bad = failed.any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise RowError("polygon edges cross" if crossing[np.argmax(failed[row])]
+                       else "polygon edges cross at a fold-back vertex", row)
+
+
+def _polygon_angles(p: np.ndarray) -> np.ndarray:
+    """GeodesicPolygon.interior_angles of each polygon of the checked
+    (b, k, 3) stack p, as a (b, k) array."""
+    b, k = p.shape[:2]
+    pred, succ = _incidence_tables(k)[:2]
+    prev, nxt = p[:, pred], p[:, succ]
+    angles = interior_angle(p.reshape(-1, 3), prev.reshape(-1, 3),
+                            nxt.reshape(-1, 3)).reshape(b, k)
+    left = vec_dots(row_cross(prev, p), nxt) > 0.0
+    reflex = 2.0 * math.pi - angles
+    ccw_angles = np.where(left, angles, reflex)
+    total = ccw_angles[:, 0]
+    for col in range(1, k):  # in vertex order, as sum() adds a list
+        total = total + ccw_angles[:, col]
+    return np.where(left == (total < k * math.pi)[:, None], angles, reflex)
 
 
 @dataclass(frozen=True)
@@ -100,43 +194,10 @@ class GeodesicPolygon:
     vertices: tuple
 
     def __post_init__(self):
-        pts = tuple(sphere_point(v) for v in self.vertices)
-        k = len(pts)
-        if k < 3:
+        pts = tuple(sphere_point(as_vec3(v)) for v in self.vertices)
+        if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if float(np.linalg.norm(pts[i] - pts[j])) <= COINCIDENT_TOL:
-                    raise ValueError("degenerate polygon: coincident vertices")
-        p = np.array(pts)
-        if open_hemisphere_slack(p) <= HEMISPHERE_TOL:
-            raise ValueError("polygon is not contained in an open hemisphere")
-        q = np.array(pts[1:] + pts[:1])
-        if np.any(np.abs(row_dots(p, q)) >= 1.0 - ANTIPODAL_TOL):
-            raise ValueError("arc endpoints must be neither equal nor antipodal")
-        poles = row_cross(p, q)  # edge i runs from pts[i] to pts[i + 1]
-        dets = poles @ p.T       # dets[i, j] = det[pts[i], pts[i + 1], pts[j]]
-        side = (np.sign(dets) * (np.abs(dets) > COINCIDENT_TOL
-                                 * row_norms(poles)[:, None])).tolist()
-
-        def on_edge(j, i):
-            """Whether vertex j lies on edge i, short of its ends."""
-            if side[i][j]:
-                return False
-            t = cross3(pts[j], poles[i])
-            return float(t @ pts[i]) * float(t @ pts[(i + 1) % k]) < 0.0
-
-        for i in range(k):
-            # consecutive edges meet beyond their shared vertex only when
-            # the polygon folds back along the edge it came in on
-            if on_edge((i + 2) % k, i) or on_edge(i, (i + 1) % k):
-                raise ValueError("polygon edges cross at a fold-back vertex")
-            for j in range(i + 2, k if i else k - 1):
-                a, b, c, d = i, (i + 1) % k, j, (j + 1) % k
-                if (side[i][c] * side[i][d] < 0 and side[j][a] * side[j][b] < 0
-                        or on_edge(c, i) or on_edge(d, i)
-                        or on_edge(a, j) or on_edge(b, j)):
-                    raise ValueError("polygon edges cross")
+        _check_polygons(np.array(pts)[None])
         object.__setattr__(self, "vertices", pts)
 
     def interior_angles(self) -> list[float]:
@@ -146,13 +207,7 @@ class GeodesicPolygon:
         reflex, 2*pi minus interior_angle's.  The orientation is the one
         whose angle sum, (k - 2)*pi + area, is below k*pi; the other sum is
         2*k*pi minus it."""
-        pts, k = self.vertices, len(self.vertices)
-        turns = [(interior_angle(v, pts[i - 1], pts[(i + 1) % k]),
-                  float(cross3(pts[i - 1], v) @ pts[(i + 1) % k]) > 0.0)
-                 for i, v in enumerate(pts)]
-        ccw = sum(a if left else 2.0 * math.pi - a
-                  for a, left in turns) < k * math.pi
-        return [a if left == ccw else 2.0 * math.pi - a for a, left in turns]
+        return _polygon_angles(np.array(self.vertices)[None])[0].tolist()
 
 
 def spherical_excess(poly: GeodesicPolygon) -> float:
@@ -164,7 +219,8 @@ def spherical_excess(poly: GeodesicPolygon) -> float:
 @dataclass(frozen=True)
 class TwoArcReport:
     """Angles of the meridian quadrilateral built on a base arc; angle names
-    follow the emitted record format."""
+    follow the emitted record format.  Floats for one audit, (k,) arrays
+    for a batch of k."""
 
     alpha1: float
     beta1: float
@@ -178,20 +234,46 @@ class TwoArcReport:
 def _meridian_plane_crossing(base: np.ndarray, pole: np.ndarray,
                              plane_normal: np.ndarray) -> np.ndarray:
     """Intersection of a plane through the origin with the meridian from
-    `pole` through `base`, chosen on the pole side of the equator."""
-    m_normal = unit(cross3(base, pole))
-    d = cross3(m_normal, plane_normal)
-    nd = float(np.linalg.norm(d))
-    if nd <= 1e-10:
-        raise ValueError("plane contains the meridian: degenerate configuration")
-    x = d / nd
-    if float(x @ pole) < 0.0:
-        x = -x
-    if 1.0 - abs(float(x @ pole)) <= 1e-10:
-        raise ValueError("plane crosses the meridian at its pole: degenerate")
-    if float(x @ base) <= 1e-12:
-        raise ValueError("plane crosses the meridian on the far side of the base arc")
+    `pole` through `base`, chosen on the pole side of the equator; row by
+    row for (k, 3) arrays."""
+    m_normal = unit(row_cross(base, pole))
+    d = row_cross(m_normal, plane_normal)
+    nd = np.sqrt(vec_dots(d, d))
+    check_rows(nd <= 1e-10,
+               "plane contains the meridian: degenerate configuration")
+    x = d / nd[..., None]
+    x = np.where((vec_dots(x, pole) < 0.0)[..., None], -x, x)
+    check_rows(1.0 - np.abs(vec_dots(x, pole)) <= 1e-10,
+               "plane crosses the meridian at its pole: degenerate")
+    check_rows(vec_dots(x, base) <= 1e-12,
+               "plane crosses the meridian on the far side of the base arc")
     return x
+
+
+def _audit_rows(p1, q1, nu0_p1, nu0_q1, plane2_normal) -> tuple:
+    """two_arc_audit's report fields as (k,) arrays for (k, 3) inputs.
+    Each check runs on all rows at once and raises RowError for the lowest
+    row that fails it."""
+    base = GeodesicArc(p1, q1)
+    pole = equator_pole(base)
+    for point, nu in ((base.p, nu0_p1), (base.q, nu0_q1)):
+        nu = unit(nu)
+        check_rows((np.abs(vec_dots(pole, nu)) > CONTACT_TOL)
+                   | (np.abs(vec_dots(point, nu)) > CONTACT_TOL),
+                   "base arc does not meet the supporting planes orthogonally")
+    n2 = unit(plane2_normal)
+    sp, sq = vec_dots(n2, base.p), vec_dots(n2, base.q)
+    check_rows((np.abs(sp) <= 1e-12) | (np.abs(sq) <= 1e-12) | (sp * sq < 0.0),
+               "second plane meets the closed base arc")
+    p2t = _meridian_plane_crossing(base.p, pole, n2)
+    q2t = _meridian_plane_crossing(base.q, pole, n2)
+    quad = np.stack((base.p, sphere_point(p2t), sphere_point(q2t), base.q),
+                    axis=1)
+    _check_polygons(quad)
+    alpha1, alpha2t, beta2t, beta1 = _polygon_angles(quad).T
+    angle_sum = alpha1 + alpha2t + beta2t + beta1
+    excess = angle_sum - 2.0 * math.pi
+    return alpha1, beta1, alpha2t, beta2t, angle_sum, excess, excess > 1e-9
 
 
 def two_arc_audit(p1, q1, nu0_p1, nu0_q1, plane2_normal) -> TwoArcReport:
@@ -200,43 +282,32 @@ def two_arc_audit(p1, q1, nu0_p1, nu0_q1, plane2_normal) -> TwoArcReport:
     Inputs: the base arc endpoints p1, q1; the outward normals of the
     supporting planes at those endpoints (the free-boundary contact planes);
     and the normal of a second plane through the origin whose great circle
-    must avoid the closed base arc.
+    must avoid the closed base arc.  Each is a 3-vector, or all are (k, 3)
+    arrays whose rows are k audits, run as one batch.
 
     Preconditions checked: the base arc meets both supporting planes
     orthogonally (the arc's pole and the endpoint itself both lie in each
     supporting plane, within CONTACT_TOL), and the second plane is strictly
-    disjoint from the closed base arc.
+    disjoint from the closed base arc.  A batch with a failing audit raises
+    the message of the lowest-indexed one, its first failed check.
 
     The report carries the four interior angles of the quadrilateral
     (p1, p2t, q2t, q1) built from the meridian crossings of the second plane,
     their sum, the excess over 2*pi, and the infeasibility witness
-    (excess > 1e-9).
+    (excess > 1e-9): floats for one audit, (k,) arrays for k, each row bit
+    for bit the report of its own call.
     """
-    p1, q1 = sphere_point(p1), sphere_point(q1)
-    base = GeodesicArc(p1, q1)
-    pole = equator_pole(base)
-    for point, nu in ((p1, nu0_p1), (q1, nu0_q1)):
-        nu = unit(nu)
-        if (abs(float(pole @ nu)) > CONTACT_TOL
-                or abs(float(point @ nu)) > CONTACT_TOL):
-            raise ValueError(
-                "base arc does not meet the supporting planes orthogonally")
-    n2 = unit(plane2_normal)
-    sp, sq = float(n2 @ p1), float(n2 @ q1)
-    if abs(sp) <= 1e-12 or abs(sq) <= 1e-12 or sp * sq < 0.0:
-        raise ValueError("second plane meets the closed base arc")
-    p2t = _meridian_plane_crossing(p1, pole, n2)
-    q2t = _meridian_plane_crossing(q1, pole, n2)
-    quad = GeodesicPolygon((p1, p2t, q2t, q1))  # validates the quadrilateral
-    alpha1, alpha2t, beta2t, beta1 = quad.interior_angles()
-    angle_sum = alpha1 + alpha2t + beta2t + beta1
-    excess = angle_sum - 2.0 * math.pi
-    return TwoArcReport(
-        alpha1=alpha1,
-        beta1=beta1,
-        alpha2t=alpha2t,
-        beta2t=beta2t,
-        angle_sum=angle_sum,
-        excess=excess,
-        infeasibility_witness=bool(excess > 1e-9),
-    )
+    inputs = [as_points(x) for x in (p1, q1, nu0_p1, nu0_q1, plane2_normal)]
+    if len({x.shape for x in inputs}) > 1 or not inputs[0].size:
+        raise ValueError("two_arc_audit inputs must be 3-vectors or "
+                         "nonempty (k, 3) arrays of one shape")
+    try:
+        fields = _audit_rows(*(x.reshape(-1, 3) for x in inputs))
+    except RowError as exc:
+        if exc.row:
+            # a row before the one it names may fail a later check
+            two_arc_audit(*(x[:exc.row] for x in inputs))
+        raise
+    if inputs[0].ndim == 1:
+        return TwoArcReport(*(f.item() for f in fields))
+    return TwoArcReport(*fields)

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conemin import cli, competitor
+from conemin import cli, competitor, geometry, spherical
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -169,6 +170,20 @@ def test_cone_without_sector_section_rejected(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_competitor_without_feasible_default_profile_rejected(tmp_path, capsys,
+                                                              command):
+    # with no profile, run builds one from a by doubling h; at a = 0.1 the
+    # doubling never reaches an energy below a^2, and the check says so
+    cfg = write_cfg(tmp_path, {"kind": "competitor",
+                               "cone": {"pyramid": {"a": 0.1, "b": 1.0}},
+                               "out": str(tmp_path / "out")})
+    assert cli.main([command, cfg]) == 1
+    assert ("config error: no feasible h found in the doubling sequence"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
 
 
@@ -287,6 +302,24 @@ def test_run_audit_scenario_without_cone(tmp_path, capsys):
     assert report["results"]["witness_failures"] == 0
     lines = (tmp_path / "out" / "audits.csv").read_text().splitlines()
     assert len(lines) == 41
+
+
+def test_audit_run_checks_all_quadrilaterals_in_one_pass(tmp_path, capsys,
+                                                       monkeypatch):
+    # the audits run as one batch: one hemisphere test covers all their
+    # quadrilaterals, not one call per audit
+    calls = []
+
+    def counted_slack(points, slack=geometry.open_hemisphere_slack):
+        calls.append(np.shape(points))
+        return slack(points)
+
+    monkeypatch.setattr(spherical, "open_hemisphere_slack", counted_slack)
+    cfg = write_cfg(tmp_path, {"kind": "audit-geodesics", "count": 200,
+                               "seed": 1, "out": str(tmp_path / "out")})
+    assert cli.main(["run", cfg]) == 0
+    capsys.readouterr()
+    assert calls == [(200, 4, 3)]
 
 
 def test_run_monotonicity_scenario(tmp_path, capsys):

@@ -166,6 +166,22 @@ def test_open_hemisphere_slack_blocks_agree(monkeypatch):
     assert whole[0] == 0.0 < whole[1] < whole[2] < 1.0
 
 
+def test_open_hemisphere_slack_of_a_stack_is_each_sets(monkeypatch):
+    # a (b, m, 3) stack gives each set's margin bit for bit, in one block
+    # and, with a few directions per block, across block boundaries
+    rng = np.random.default_rng(11)
+    stacks = [0.3 * rng.standard_normal((40, m, 3)) + [0.0, 0.0, 0.2]
+              for m in (1, 2, 3, 4, 6, 12)]
+    want = [[geo.open_hemisphere_slack(p) for p in sets] for sets in stacks]
+    assert all(any(0.0 < t < 1.0 for t in w) for w in want)
+    assert 0.0 in want[-1]  # some sets of twelve fit in no open hemisphere
+    for block in (geo.HEMISPHERE_BLOCK, 40):
+        monkeypatch.setattr(geo, "HEMISPHERE_BLOCK", block)
+        got = [geo.open_hemisphere_slack(sets) for sets in stacks]
+        assert [g.shape for g in got] == [(40,)] * len(stacks)
+        assert [g.tolist() for g in got] == want
+
+
 def test_two_halfspace_wedge_builds():
     cone = geo.wedge_above(0.5, 0)
     assert len(cone.normals) == 2

@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 
 import conemin.spherical as sph
-from oracles import lhuilier_excess
+from conemin.cli import _random_audit_inputs
+from oracles import (lhuilier_excess, random_audit_inputs_loop,
+                     two_arc_audit_loop)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -164,6 +166,15 @@ def test_polygon_rejects_vertex_on_edge():
     # a chart pentagon whose vertex 3 lies inside the edge (0, 1)
     with pytest.raises(ValueError, match="edges cross"):
         sph.GeodesicPolygon(chart((0, 0), (1, 0), (1.5, -1), (0.5, 0), (1, 2)))
+
+
+def test_polygon_rejects_fold_back_as_fold_back():
+    # the polygon turns back along the edge it came in on and stops short
+    # of the vertex before (MID on edge E1 E2), or runs past it (MID on
+    # edge E2 E1); the fold-back test runs before the crossing tests
+    for pts in ((E1, E2, MID, E3), (MID, E2, E1, E3)):
+        with pytest.raises(ValueError, match="fold-back"):
+            sph.GeodesicPolygon(pts)
 
 
 def rotations_and_reversals(pts):
@@ -358,3 +369,53 @@ def test_two_arc_audit_rejects_plane_through_meridian_pole():
     n2 = sph.unit(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="pole"):
         sph.two_arc_audit(p1, q1, nu_p, nu_q, n2)
+
+
+REPORT_FIELDS = ("alpha1", "beta1", "alpha2t", "beta2t", "angle_sum", "excess",
+                 "infeasibility_witness")
+
+
+def test_two_arc_audit_batch_equals_scalar_reference():
+    # c07's 500 audits and 200 on each of seeds 1-10: the batched inputs
+    # and reports are the per-audit loop's bit for bit, and row i of a batch
+    # is the single-row call on row i
+    for seed, count in [(0, 500)] + [(seed, 200) for seed in range(1, 11)]:
+        inputs = _random_audit_inputs(np.random.default_rng(seed), count)
+        want = random_audit_inputs_loop(np.random.default_rng(seed), count)
+        for got, ref in zip(inputs, want):
+            assert got.shape == (count, 3)
+            assert got.tobytes() == ref.tobytes()
+        batch = sph.two_arc_audit(*inputs)
+        rows = list(zip(*(getattr(batch, f).tolist() for f in REPORT_FIELDS)))
+        for i, row in enumerate(rows):
+            assert row == two_arc_audit_loop(*(x[i] for x in inputs))
+            one = sph.two_arc_audit(*(x[i] for x in inputs))
+            assert tuple(getattr(one, f) for f in REPORT_FIELDS) == row
+            assert type(one.excess) is float
+            assert type(one.infeasibility_witness) is bool
+
+
+def test_two_arc_audit_batch_raises_lowest_failing_audit():
+    # audits 1 and 3 have different faults; audit 1's is found by a check
+    # that runs after audit 3's, yet audit 1 is the one reported
+    configs = [make_audit_config(theta, 0.5, 0.7)[:5]
+               for theta in (0.8, 1.2, math.pi / 2, 2.0)]
+    batch = [np.array(x) for x in zip(*configs)]
+    batch[4][1] = sph.unit(np.array([1.0, 1.0, 0.0]))  # through the pole
+    batch[2][3] = sph.unit(batch[2][3] + 0.3 * E3)      # contact tilted
+    with pytest.raises(ValueError, match="meridian at its pole"):
+        sph.two_arc_audit(*batch)
+    batch[4][1] = configs[1][4]
+    with pytest.raises(ValueError, match="orthogonally"):
+        sph.two_arc_audit(*batch)
+    batch[2][3] = configs[3][2]
+    rep = sph.two_arc_audit(*batch)
+    assert rep.excess.shape == (4,) and rep.infeasibility_witness.all()
+
+
+def test_two_arc_audit_rejects_mismatched_inputs():
+    p1, q1, nu_p, nu_q, n2, _, _ = make_audit_config(1.0, 0.5, 0.7)
+    with pytest.raises(ValueError, match="one shape"):
+        sph.two_arc_audit(np.array([p1, p1]), q1, nu_p, nu_q, n2)
+    with pytest.raises(ValueError, match="one shape"):
+        sph.two_arc_audit(*(np.empty((0, 3)) for _ in range(5)))
