@@ -15,6 +15,9 @@ and prints the normalized config.
 
 CSV floats are printed with %.17g and "\n" endings, and the minimizer
 reduces in a fixed order, so repeated runs produce byte-identical tables.
+Timings stay out of the tables and out of the report's results: they sit
+at its top level, wall_clock_seconds for the run and phase_seconds for
+the phases of a minimize run.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ def _run_competitor(cfg, outdir: Path):
             min_deficit < -tol["deficit_witness"],
             "some sweep epsilon has deficit < -tolerance"),
     }
-    return results, verdicts
+    return results, verdicts, {}
 
 
 def _run_minimize(cfg, outdir: Path):
@@ -255,12 +258,14 @@ def _run_minimize(cfg, outdir: Path):
     initial_area = surface_area(mesh0)
     mesh, diag = minimize(mesh0, cone, mcfg, jitter=cfg["jitter"])
 
+    t0 = time.perf_counter()
     it_rows = [(i + 1, area, vd) for i, (area, vd) in
                enumerate(zip(diag.area_history, diag.vertex_distance_history))]
     _write_csv(outdir / "iterations.csv",
                ("iteration", "area", "vertex_distance"), it_rows)
     _write_csv(outdir / "ratios.csv", ("r", "p_r"), diag.p_ratios)
     save_obj(mesh, outdir / "final_mesh.obj")
+    phases = dict(diag.phase_seconds, write_outputs=time.perf_counter() - t0)
 
     final_area = diag.area_history[-1] if diag.area_history else initial_area
     ps = [p for _, p in diag.p_ratios]
@@ -293,7 +298,7 @@ def _run_minimize(cfg, outdir: Path):
             "vertex distance nondecreasing after 10% burn-in"),
         "p_nondecreasing": _monotone_verdict(ps, tol["p_monotone"]),
     }
-    return results, verdicts
+    return results, verdicts, phases
 
 
 def _random_audit_inputs(rng, count):
@@ -338,7 +343,7 @@ def _run_audit(cfg, outdir: Path):
             failures == 0 and min_excess > tol["excess_witness"],
             "every configuration certifies angle sum > 2*pi"),
     }
-    return results, verdicts
+    return results, verdicts, {}
 
 
 def _run_monotonicity(cfg, outdir: Path):
@@ -351,7 +356,7 @@ def _run_monotonicity(cfg, outdir: Path):
     results = {"p_table": [list(row) for row in table],
                "p_min": min(ps), "p_max": max(ps)}
     verdicts = {"p_nondecreasing": _monotone_verdict(ps, tol["p_monotone"])}
-    return results, verdicts
+    return results, verdicts, {}
 
 
 _RUNNERS = {
@@ -386,7 +391,7 @@ def run(config_path, out_override=None) -> int:
 
     start = time.monotonic()
     try:
-        results, verdicts = _RUNNERS[cfg["kind"]](cfg, outdir)
+        results, verdicts, phases = _RUNNERS[cfg["kind"]](cfg, outdir)
     except Exception as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 1
@@ -398,6 +403,7 @@ def run(config_path, out_override=None) -> int:
         "version": __version__,
         "config": cfg,
         "wall_clock_seconds": elapsed,
+        "phase_seconds": phases,
         "results": results,
         "verdicts": verdicts,
         "pass": all(v["pass"] for v in verdicts.values()),

@@ -8,7 +8,11 @@ and a free-boundary one takes that point's face.  Descent uses Armijo
 backtracking on the post-projection area, so the recorded area history
 is monotone by construction.  Each accepted state's triangle_geometry (one
 gather, one cross product per triangle) serves three uses: the Armijo test
-that accepted it, its vertex distance and the next step's gradient.  The
+that accepted it, the bound that prunes its triangles for its vertex
+distance and the next step's gradient.  Nothing in the loop reads a vertex
+distance, so the loop keeps only the pruned triangles' corners, and one
+exact pass after it measures every accepted state (or one pass per
+DEVIATION_CHUNK kept triangles, so a long run holds bounded memory).  The
 triangles never change, so one edge table serves the whole run: the
 validation of the start state and, through its boundary rows, the
 boundary angle audit of the final one.
@@ -21,6 +25,7 @@ run to run.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +34,9 @@ from .geometry import (CONTAIN_TOL, PolyhedralCone, is_vertex, nearest_point,
                        row_cross, row_dots, row_norms)
 from .mesh import (TriMesh, VertexClass, _validate, edge_table,
                    triangle_geometry)
-from .diagnostics import (_ball_audits, _boundary_angle_audit,
-                          _vertex_distance)
+from .diagnostics import (DEVIATION_CHUNK, _ball_audits,
+                          _boundary_angle_audit, _near_corners,
+                          _nearest_distances)
 
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
@@ -78,6 +84,10 @@ class Diagnostics:
     # vertices whose face became a cone edge during the run
     pinned_vertices: list = field(default_factory=list)
     armijo_margins: list = field(default_factory=list)
+    # wall-clock seconds of each phase: "descent" (the start state's checks
+    # and the loop), "vertex_distance" (the exact passes), "ball_audits"
+    # and "angle_audit"
+    phase_seconds: dict = field(default_factory=dict)
 
 
 def _sector_rays(cone: PolyhedralCone):
@@ -311,6 +321,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     sphere) plus incoherent noise at a tenth of that amplitude.  Without it
     a mirror-symmetric start can only descend inside its symmetry plane.
     """
+    start = time.perf_counter()
     mesh = mesh.copy()
     if mesh.clamp_radius is None:
         mesh.clamp_radius = float(config.clamp_radius)
@@ -318,6 +329,16 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         raise ValueError("mesh clamp_radius disagrees with config.clamp_radius")
 
     diag = Diagnostics()
+    seconds = diag.phase_seconds
+    seconds["vertex_distance"] = 0.0
+    near, rows = [], 0  # kept corners of the states not yet measured
+
+    def measure():
+        t0 = time.perf_counter()
+        diag.vertex_distance_history += _nearest_distances(near)
+        near.clear()
+        seconds["vertex_distance"] += time.perf_counter() - t0
+
     off_edge = mesh.facet2 < 0
     if jitter > 0.0:
         rng = np.random.default_rng(config.seed)
@@ -359,9 +380,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         saved = [x.copy() for x in state]
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            for x, x0 in zip(state, saved):
-                x[:] = x0
-            mesh.vertices -= step * g
+            np.subtract(saved[0], step * g, out=mesh.vertices)
+            mesh.facet[:], mesh.facet2[:] = saved[1:]
             project_to_constraints(mesh, cone)
             geometry = triangle_geometry(mesh)
             trial = geometry.area
@@ -379,21 +399,33 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         area = trial
         diag.accepted_steps += 1
         diag.area_history.append(area)
-        diag.vertex_distance_history.append(_vertex_distance(mesh, geometry))
+        near.append(_near_corners(mesh, geometry))
+        rows += near[-1].shape[2]
+        if rows >= DEVIATION_CHUNK:
+            measure()
+            rows = 0
         step = min(2.0 * step, config.initial_step)
     del geometry  # not held through the post-run audits
+    seconds["descent"] = (time.perf_counter() - start
+                          - seconds["vertex_distance"])
+    if near:
+        measure()
 
     diag.status = status
     diag.pinned_vertices = np.nonzero(off_edge & (mesh.facet2 >= 0))[0].tolist()
     R = config.clamp_radius
     windows = [(lo * R, hi * R) for lo, hi in DEVIATION_WINDOWS]
+    t0 = time.perf_counter()
     diag.p_ratios, deviations = _ball_audits(
         mesh, [float(f * R) for f in RADII_FRACTIONS], windows)
     diag.conical_deviation = [(rho, r, d) for (rho, r), d
                               in zip(windows, deviations)]
+    t1 = time.perf_counter()
     try:
         diag.boundary_angle_stats = _boundary_angle_audit(mesh, cone,
                                                           *boundary)
     except ValueError:
         diag.boundary_angle_stats = None
+    seconds["ball_audits"] = t1 - t0
+    seconds["angle_audit"] = time.perf_counter() - t1
     return mesh, diag

@@ -3,7 +3,9 @@
 monotonicity_ratio reports the scaled area p(r) = area(mesh inside B_r)/r^2;
 conical_deviation integrates |x . normal|/|x|^3 over a ball annulus;
 boundary_angle_audit measures the contact angle along the free boundary;
-vertex_distance is the exact distance from the origin to the surface.
+vertex_distance is the exact distance from the origin to the surface:
+a bound prunes each state's triangles, and one exact pass serves a batch
+of pruned states.
 
 Ball clipping happens in each triangle's own plane, where the ball cuts a
 disk centered at the foot of the perpendicular from the origin.  One
@@ -132,13 +134,15 @@ def vertex_distance(mesh: TriMesh) -> float:
     No point of a triangle is nearer than its smallest corner norm minus its
     longest edge; only triangles whose bound, less a rounding margin, reaches
     the nearest corner norm go through _extents, so the result is the
-    unpruned minimum bit for bit.
+    unpruned minimum bit for bit.  The one-state case of the batch that
+    descent.minimize runs over its accepted states.
     """
-    return _vertex_distance(mesh, triangle_geometry(mesh))
+    return _nearest_distances([_near_corners(mesh, triangle_geometry(mesh))])[0]
 
 
-def _vertex_distance(mesh: TriMesh, geometry) -> float:
-    """vertex_distance of the mesh whose triangle_geometry is given."""
+def _near_corners(mesh: TriMesh, geometry) -> np.ndarray:
+    """Corners of the triangles that vertex_distance keeps, as a (3, 3, k)
+    (coordinate, corner, triangle) array, from the mesh's triangle_geometry."""
     v, t = mesh.vertices, mesh.triangles
     bc, ca, ab = geometry.edges
     cmin = np.min(np.take(np.sqrt(_dot(v, v)), t.T), axis=0)
@@ -153,7 +157,19 @@ def _vertex_distance(mesh: TriMesh, geometry) -> float:
     n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * EPS) - g12 * g12, 0.0)
     slack = 128.0 * EPS * (cmin + emax)
     keep = t[(cmin - emax - np.min(cmin)) * n2 <= slack * (n2 + e2 * e2)]
-    return float(np.min(_extents(*_corners(v, keep))[0]))
+    if not len(keep):
+        raise ValueError("no triangle with a finite distance bound")
+    return np.take(v.T, keep.T, axis=1)
+
+
+def _nearest_distances(near: list) -> list:
+    """vertex_distance of each state whose _near_corners are given, from
+    one _extents pass over all of them: it treats each triangle on its own,
+    so every state's minimum keeps its bits."""
+    p = np.concatenate(near, axis=2)
+    d = _extents(p[:, 0].T, p[:, 1].T, p[:, 2].T)[0]
+    starts = np.cumsum([0] + [x.shape[2] for x in near[:-1]])
+    return np.minimum.reduceat(d, starts).tolist()
 
 
 def _disk_clip(pts: np.ndarray, s: np.ndarray):

@@ -63,7 +63,13 @@ def interior_angle(vertex, u, w):
     """Angle at `vertex` between the arcs toward u and toward w, computed
     from tangent-plane projections with atan2 (never arccos).  For (k, 3)
     rows, the array of the k angles, each that of its own call."""
-    v, u, w = sphere_point(vertex), as_points(u), as_points(w)
+    angles = _angles(sphere_point(vertex), as_points(u), as_points(w))
+    return angles if angles.ndim else float(angles)
+
+
+def _angles(v, u, w) -> np.ndarray:
+    """interior_angle at unit vertices v, already checked, as an array of
+    the shape of the rows."""
     tu = u - vec_dots(u, v)[..., None] * v
     tw = w - vec_dots(w, v)[..., None] * v
     nu, nw = np.sqrt(vec_dots(tu, tu)), np.sqrt(vec_dots(tw, tw))
@@ -73,7 +79,7 @@ def interior_angle(vertex, u, w):
     c = row_cross(tu, tw)
     angles = list(map(math.atan2, np.sqrt(vec_dots(c, c)).ravel().tolist(),
                       vec_dots(tu, tw).ravel().tolist()))
-    return angles[0] if c.ndim == 1 else np.array(angles)
+    return np.array(angles).reshape(c.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -167,8 +173,8 @@ def _polygon_angles(p: np.ndarray) -> np.ndarray:
     b, k = p.shape[:2]
     pred, succ = _incidence_tables(k)[:2]
     prev, nxt = p[:, pred], p[:, succ]
-    angles = interior_angle(p.reshape(-1, 3), prev.reshape(-1, 3),
-                            nxt.reshape(-1, 3)).reshape(b, k)
+    angles = _angles(p.reshape(-1, 3), prev.reshape(-1, 3),
+                     nxt.reshape(-1, 3)).reshape(b, k)
     left = vec_dots(row_cross(prev, p), nxt) > 0.0
     reflex = 2.0 * math.pi - angles
     ccw_angles = np.where(left, angles, reflex)

@@ -293,6 +293,19 @@ def test_run_minimize_scenario(tmp_path, capsys):
     assert (tmp_path / "out" / "final_mesh.obj").exists()
 
 
+def test_minimize_report_times_each_phase(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(MINIMIZE_CFG, out=str(tmp_path / "out")))
+    assert cli.main(["run", cfg]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    phases = report["phase_seconds"]
+    assert set(phases) == {"descent", "vertex_distance", "ball_audits",
+                           "angle_audit", "write_outputs"}
+    assert all(np.isfinite(t) and t >= 0.0 for t in phases.values())
+    # timings stay out of the results, which a fixed config fixes
+    assert "phase_seconds" not in report["results"]
+
+
 def test_run_audit_scenario_without_cone(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"kind": "audit-geodesics", "count": 40,
                                "seed": 11, "out": str(tmp_path / "out")})

@@ -478,9 +478,12 @@ def test_minimize_vertex_distance_grows_in_pyramid():
     assert diag.vertex_distance_history[-1] > 0.05
 
 
-@pytest.mark.parametrize("cone", (geo.pyramid_to_cone(1.0, 1.0),
-                                  geo.wedge_above(1.0, 1)),
-                         ids=("pyramid", "wedge"))
+CONES = pytest.mark.parametrize(
+    "cone", (geo.pyramid_to_cone(1.0, 1.0), geo.wedge_above(1.0, 1)),
+    ids=("pyramid", "wedge"))
+
+
+@CONES
 def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
     # minimize reuses each accepted state's triangle geometry, shares one
     # corner gather between its post-run audits and builds one edge table
@@ -524,6 +527,69 @@ def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
     for field in dataclasses.fields(stats):
         assert (getattr(diag.boundary_angle_stats, field.name)
                 == getattr(stats, field.name)), field.name
+
+
+@CONES
+def test_vertex_distance_history_equals_each_state(cone):
+    # the exact pass runs after the loop, over the kept corners of every
+    # accepted state; each entry must be that state's own distance.  Runs
+    # with one seed share their prefix, so the k-step run ends in state k
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
+    _, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
+    assert diag.accepted_steps == 40
+    for k in (1, 2, 7, 40):
+        final, _ = dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=k),
+                                jitter=0.05)
+        assert dg.vertex_distance(final) == diag.vertex_distance_history[k - 1]
+
+
+def test_vertex_distance_exact_pass_runs_once_per_run(monkeypatch):
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
+    calls = []
+
+    def counted_extents(*corners, run=dg._extents):
+        calls.append(len(corners[0]))
+        return run(*corners)
+
+    def marked_audits(*args, run=dsc._ball_audits):
+        calls.append("ball audits")
+        return run(*args)
+
+    monkeypatch.setattr(dg, "_extents", counted_extents)
+    monkeypatch.setattr(dsc, "_ball_audits", marked_audits)
+    _, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
+    assert diag.accepted_steps == 40
+    # one exact pass over the kept corners of all 40 states, then the
+    # post-run audits
+    assert calls.index("ball audits") == 1
+    assert calls[0] >= 40
+    calls.clear()
+    dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=0), jitter=0.05)
+    assert calls.index("ball audits") == 0
+
+
+@CONES
+def test_vertex_distance_history_in_chunks(cone, monkeypatch):
+    # past DEVIATION_CHUNK kept rows the loop measures what it holds, so
+    # memory stays bounded; the history must not change
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
+    _, whole = dsc.minimize(m, cone, cfg, jitter=0.05)
+    passes = []
+
+    def counted_pass(near, run=dsc._nearest_distances):
+        passes.append(len(near))
+        return run(near)
+
+    monkeypatch.setattr(dsc, "DEVIATION_CHUNK", 16)
+    monkeypatch.setattr(dsc, "_nearest_distances", counted_pass)
+    _, chunked = dsc.minimize(m, cone, cfg, jitter=0.05)
+    assert chunked.vertex_distance_history == whole.vertex_distance_history
+    assert len(whole.vertex_distance_history) == 40
+    assert len(passes) > 2 and sum(passes) == 40
 
 
 def test_minimize_config_validation():

@@ -111,6 +111,23 @@ def test_vertex_distance_pruned_equals_unpruned_on_jittered_meshes():
         assert diag.vertex_distance(m) == unpruned_vertex_distance(m)
 
 
+def test_nearest_distances_batch_equals_each_mesh():
+    # one exact pass over the kept corners of several meshes gives each
+    # mesh its own distance; the meshes lie at different distances, so a
+    # row counted in the wrong mesh shows
+    rng = np.random.default_rng(5)
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    meshes = []
+    for _ in range(20):
+        m = dsc.make_initial_plane(cone, 1.0, int(rng.integers(3, 12)))
+        m.vertices += 0.03 * rng.standard_normal(m.vertices.shape)
+        m.vertices += rng.uniform(-2.0, 2.0, 3)
+        meshes.append(m)
+    near = [diag._near_corners(m, msh.triangle_geometry(m)) for m in meshes]
+    assert diag._nearest_distances(near) == [unpruned_vertex_distance(m)
+                                             for m in meshes]
+
+
 def test_vertex_distance_large_triangle_nearer_than_its_corners():
     # the big triangle's corners are 10 away but its interior passes 0.5
     # from the origin; the small triangles have corners at distance ~1
