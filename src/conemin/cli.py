@@ -215,7 +215,7 @@ def _run_competitor(cfg, outdir: Path):
         profile = feasible_params(a)
     energy = weighted_energy(profile)
 
-    sweep = list(deficit_sweep(a, b, profile, cfg["sweep_grid"]))
+    sweep = deficit_sweep(a, b, profile, cfg["sweep_grid"])
     rows = [(eps, rep.deficit, rep.ruled_area) for eps, rep in sweep]
     _write_csv(outdir / "sweep.csv", ("epsilon", "deficit", "ruled_area"), rows)
     star = epsilon_star(sweep)
@@ -235,14 +235,14 @@ def _run_competitor(cfg, outdir: Path):
         results["mesh_area"] = surface_area(mesh)
         results["analytic_area"] = rep.A_eps + rep.ruled_area
 
-    min_deficit = min(r[1] for r in rows)
+    min_deficit = min(rep.deficit_upper for _, rep in sweep)
     verdicts = {
         "energy_feasible": _verdict(energy - a * a, 0.0, energy < a * a,
                                     "weighted_energy - a^2 < 0"),
         "deficit_witness": _verdict(
             min_deficit, tol["deficit_witness"],
             min_deficit < -tol["deficit_witness"],
-            "some sweep epsilon has deficit < -tolerance"),
+            "some sweep epsilon has deficit_upper < -tolerance"),
     }
     return results, verdicts, {}
 

@@ -242,27 +242,24 @@ def save_obj(mesh: TriMesh, path) -> None:
         + ("f %d %d %d\n" * mesh.n_triangles)
         % tuple((mesh.triangles + 1).ravel().tolist()))
 
-    names = {c: c.name.lower() for c in VertexClass}
-    classes = {}
-    for i, (cls, f, g) in enumerate(zip(mesh.vertex_class.tolist(),
-                                        mesh.facet.tolist(),
-                                        mesh.facet2.tolist())):
-        rec = {"class": names[cls]}
+    # the bytes of json.dumps(sidecar, indent=1, sort_keys=True): one text
+    # template per distinct (class, facet, facet2) record, filled in with
+    # each vertex key in the string order sort_keys puts them in
+    fb = mesh.vertex_class == VertexClass.FREE_BOUNDARY
+    record = list(zip(mesh.vertex_class.tolist(),
+                      np.where(fb, mesh.facet, -1).tolist(),
+                      np.where(fb, mesh.facet2, -1).tolist()))
+    templates = {}
+    for cls, f, g in set(record):
+        text = '"class": "%s"' % VertexClass(cls).name.lower()
         if cls == VertexClass.FREE_BOUNDARY:
-            rec["facet"] = f
+            text += ',\n   "facet": %d' % f
             if g >= 0:
-                rec["facet2"] = g
-        classes[str(i)] = rec
-    # the bytes of json.dumps(sidecar, indent=1, sort_keys=True), whose
-    # indent runs the pure-Python encoder: the C encoder puts each record's
-    # fields on lines of their own, and three replacements lay out the rest
-    # (no key or value holds a brace)
-    records = json.dumps(classes, sort_keys=True,
-                         separators=(",\n   ", ": "))
-    if classes:
-        records = "{\n  %s\n }" % (records[1:-1].replace("}", "\n  }")
-                                   .replace('{"class"', '{\n   "class"')
-                                   .replace('},\n   "', '},\n  "'))
+                text += ',\n   "facet2": %d' % g
+        templates[cls, f, g] = '  "%%d": {\n   %s\n  }' % text
+    records = ",\n".join([templates[record[i]] % i
+                          for i in sorted(range(mesh.n_vertices), key=str)])
+    records = "{\n%s\n }" % records if records else "{}"
     path.with_suffix(path.suffix + ".json").write_text(
         '{\n "clamp_radius": %s,\n "classes": %s\n}\n'
         % (json.dumps(mesh.clamp_radius), records))

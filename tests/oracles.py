@@ -45,6 +45,22 @@ def profile_energy_simpson(alpha, h, panels=4000):
     return simpson(integrand, 1.0, 1.0 + h, panels)
 
 
+def bridge_excess_simpson(b, h, alpha, eps, panels=20000):
+    """Bridge excess ∫₁^{1+h} (2t/b)(sqrt(1 + eps² phi'(t)²) − 1) dt by
+    composite Simpson in s = ln t (dt = t ds), with phi' from its defining
+    formula, as in profile_energy_simpson.  The log variable spreads the
+    panels over a bridge with h far above 1."""
+    K = (1.0 + h) ** alpha
+    c = alpha * K / (K - 1.0)
+
+    def integrand(s):
+        t = math.exp(s)
+        u = (eps * c * t ** (-alpha - 1.0)) ** 2
+        return (2.0 / b) * t * t * u / (1.0 + math.sqrt(1.0 + u))
+
+    return simpson(integrand, 0.0, math.log1p(h), panels)
+
+
 def lhuilier_excess(a, b, c):
     """Spherical excess of a triangle from its side lengths (L'Huilier)."""
     s = 0.5 * (a + b + c)

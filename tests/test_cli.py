@@ -231,13 +231,13 @@ def test_run_competitor_scenario(tmp_path, capsys):
 def test_run_competitor_sweeps_each_deficit_once(tmp_path, capsys,
                                                 monkeypatch):
     calls = []
-    deficit = competitor.area_deficit
+    kernel = competitor._bridge_excess
 
-    def counted(spec):
-        calls.append(spec.epsilon)
-        return deficit(spec)
+    def counted(b, profile, eps):
+        calls.append(eps.tolist())
+        return kernel(b, profile, eps)
 
-    monkeypatch.setattr(competitor, "area_deficit", counted)
+    monkeypatch.setattr(competitor, "_bridge_excess", counted)
     cfg = write_cfg(tmp_path, {"kind": "competitor",
                                "cone": {"pyramid": {"a": 1.0, "b": 1.0}},
                                "sweep_grid": 16,
@@ -245,7 +245,7 @@ def test_run_competitor_sweeps_each_deficit_once(tmp_path, capsys,
                                "out": str(tmp_path / "out")})
     assert cli.main(["run", cfg]) == 0
     capsys.readouterr()
-    assert len(calls) == len(set(calls)) == 16
+    assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 16
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     eps_star = report["results"]["epsilon_star"]
     monkeypatch.undo()
@@ -254,7 +254,35 @@ def test_run_competitor_sweeps_each_deficit_once(tmp_path, capsys,
     star = competitor.area_deficit(competitor.CompetitorSpec(
         a=1.0, b=1.0, profile=competitor.feasible_params(1.0),
         epsilon=eps_star))
-    assert report["results"]["report_at_epsilon_star"]["deficit"] == star.deficit
+    shown = report["results"]["report_at_epsilon_star"]
+    assert shown["deficit"] == star.deficit
+    assert shown["deficit_lower"] == star.deficit_lower
+    assert shown["deficit_upper"] == star.deficit_upper
+    assert star.deficit_lower <= star.deficit <= star.deficit_upper < 0
+
+
+def test_deficit_witness_judged_on_bracket_upper_end(tmp_path, capsys,
+                                                     monkeypatch):
+    # a kernel whose bracket reaches 0 at every eps, while its last
+    # partial sum stays where the true one is: no eps is certified
+    kernel = competitor._bridge_excess
+
+    def widened(b, profile, eps):
+        prev, last = kernel(b, profile, eps)
+        return last + 1.0, last
+
+    monkeypatch.setattr(competitor, "_bridge_excess", widened)
+    cfg = write_cfg(tmp_path, {"kind": "competitor",
+                               "cone": {"pyramid": {"a": 1.0, "b": 1.0}},
+                               "sweep_grid": 8,
+                               "out": str(tmp_path / "out")})
+    assert cli.main(["run", cfg]) == 2
+    assert "FAIL deficit_witness" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["epsilon_star"] is None
+    assert report["verdicts"]["deficit_witness"]["value"] > 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert all(float(row.split(",")[1]) < 0 for row in rows)
 
 
 def test_import_loads_no_scipy():
@@ -265,6 +293,22 @@ def test_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+def test_competitor_run_loads_no_scipy(tmp_path):
+    src = Path(competitor.__file__).resolve().parents[1]
+    cfg = write_cfg(tmp_path, {"kind": "competitor",
+                               "cone": {"pyramid": {"a": 2.0, "b": 1.0}},
+                               "sweep_grid": 16,
+                               "mesh_resolution": 8,
+                               "out": str(tmp_path / "out")})
+    code = ("import sys, conemin.cli; code = conemin.cli.main(['run', %r]); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))" % cfg)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_run_competitor_infeasible_profile_fails(tmp_path, capsys):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from conemin import competitor
 from conemin.competitor import (
     CompetitorSpec,
     ConnectionProfile,
@@ -21,7 +23,7 @@ from conemin.competitor import (
 )
 from conemin.mesh import surface_area
 
-from oracles import profile_energy_simpson, simpson
+from oracles import bridge_excess_simpson, profile_energy_simpson, simpson
 
 
 def test_phi_endpoint_values():
@@ -159,6 +161,42 @@ def test_ruled_area_against_simpson():
 
     assert area_deficit(spec).ruled_area == pytest.approx(
         simpson(f, 1.0, 4.0, 20000), abs=1e-10)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_bridge_bracket_holds_quad_excess(a):
+    # on c04's 32-point sweeps; a = 2 reaches u > 1/2 near t = 1, so its
+    # larger eps take the Gauss-Legendre piece and its smaller ones do not
+    profile = feasible_params(a)
+    L = math.log1p(profile.h)
+    K = -profile.alpha / math.expm1(-profile.alpha * L)
+    eps = 0.5 / a * np.arange(1, 33) / 32
+    split = (eps * K) ** 2 > 0.5
+    assert split.any() == (a == 2.0) and not split.all()
+    for b in (0.5, 1.0, 2.0):
+        prev, last = competitor._bridge_excess(b, profile, eps)
+        for e, lo, hi in zip(eps.tolist(), np.minimum(prev, last).tolist(),
+                             np.maximum(prev, last).tolist()):
+            def g(t):
+                u = e * e * phi_prime(profile, t) ** 2
+                return (2.0 * t / b) * u / (1.0 + math.sqrt(1.0 + u))
+
+            q, _ = quad(g, 1.0, 1.0 + profile.h, epsabs=0.0, epsrel=1e-13,
+                        limit=200)
+            assert lo - 1e-12 * q <= q <= hi + 1e-12 * q
+
+
+def test_deficit_matches_log_simpson_at_small_a():
+    # h = 2^40 here: a bridge whose mass sits far out in t, which an
+    # adaptive rule in t can miss
+    profile = feasible_params(0.2)
+    rep = area_deficit(CompetitorSpec(a=0.2, b=1.0, profile=profile,
+                                      epsilon=2.5))
+    oracle = (bridge_excess_simpson(1.0, profile.h, profile.alpha, 2.5)
+              - 0.2 * 0.2 * 2.5 * 2.5)
+    assert oracle == pytest.approx(-0.00199124393465, rel=1e-11)
+    for value in (rep.deficit, rep.deficit_lower, rep.deficit_upper):
+        assert value == pytest.approx(oracle, rel=1e-9)
 
 
 def test_deficit_zero_at_zero_epsilon():
