@@ -5,9 +5,9 @@ Usage:
     conemin validate <config.json>
 
 A config is a JSON object with a "kind" (competitor, minimize,
-audit-geodesics, monotonicity), a cone given as exactly one of
-{"pyramid": {"a", "b"}} or {"halfspaces": [[nx, ny, nz], ...]}, a seed
-(default 0), verdict tolerances, and kind-specific parameters.  `run`
+audit-geodesics), a cone given as exactly one of {"pyramid": {"a", "b"}}
+or {"halfspaces": [[nx, ny, nz], ...]} (no cone for audit-geodesics), a
+seed (default 0), verdict tolerances, and kind-specific parameters.  `run`
 writes report.json, CSV tables, and any meshes to the output directory and
 exits 0 when every verdict passes, 2 on a verdict failure, 1 on execution
 or config errors.  `validate` runs the same config check, cone included,
@@ -41,9 +41,7 @@ from .competitor import (
     feasible_params,
     weighted_energy,
 )
-from .descent import (RADII_FRACTIONS, MinimizeConfig, _sector_rays,
-                      make_initial_plane, minimize)
-from .diagnostics import monotonicity_ratio
+from .descent import MinimizeConfig, _sector_rays, make_initial_plane, minimize
 from .geometry import as_number, cone_from_dict, row_cross, unit
 from .mesh import save_obj, surface_area
 from .spherical import two_arc_audit
@@ -72,8 +70,6 @@ NUMBERS = {
                  "armijo_c": (MinimizeConfig.armijo_c, float, None),
                  "jitter": (0.0, float, NONNEGATIVE)},
     "audit-geodesics": {"count": (500, int, POSITIVE)},
-    "monotonicity": {"R": (1.0, float, POSITIVE),
-                     "resolution": (64, int, POSITIVE)},
 }
 SEED = (0, int, NONNEGATIVE)
 PROFILE = {"h": (None, float, POSITIVE), "alpha": (None, float, POSITIVE)}
@@ -83,10 +79,9 @@ TOLERANCES = {
                  "vertex_monotone": (1e-6, float, NONNEGATIVE),
                  "p_monotone": (1e-3, float, NONNEGATIVE)},
     "audit-geodesics": {"excess_witness": (1e-9, float, NONNEGATIVE)},
-    "monotonicity": {"p_monotone": (1e-3, float, NONNEGATIVE)},
 }
-COMMON_KEYS = {"kind", "cone", "seed", "out", "tolerances"}
-OTHER_KEYS = {"competitor": {"profile"}, "monotonicity": {"radii"}}
+COMMON_KEYS = {"kind", "seed", "out", "tolerances"}
+OTHER_KEYS = {"competitor": {"cone", "profile"}, "minimize": {"cone"}}
 
 
 def _number(raw, name, default, kind, bound):
@@ -118,13 +113,13 @@ def _check_config(raw) -> dict:
         if key not in allowed:
             raise ValueError(f"unknown field '{key}' for kind '{kind}'")
 
-    cfg = {"kind": kind, "cone": raw.get("cone")}
-    if cfg["cone"] is not None or kind != "audit-geodesics":
-        cone = cone_from_dict(cfg["cone"])
-        if kind in ("minimize", "monotonicity"):
+    cfg = {"kind": kind}
+    if "cone" in allowed:
+        cone = cone_from_dict(raw.get("cone"))
+        if kind == "minimize":
             _sector_rays(cone)  # the initial plane is the {x1 = 0} section
         # the spec is checked: only its ints still need to become floats
-        cfg["cone"] = json.loads(json.dumps(cfg["cone"]), parse_int=float)
+        cfg["cone"] = json.loads(json.dumps(raw["cone"]), parse_int=float)
     if kind == "competitor" and "pyramid" not in cfg["cone"]:
         raise ValueError("competitor scenario requires a pyramid cone")
     cfg["seed"] = _number(raw, "seed", *SEED)
@@ -156,13 +151,6 @@ def _check_config(raw) -> dict:
         # MinimizeConfig checks the ranges the table leaves open
         MinimizeConfig(**{key: cfg[key] for key in
                           ("max_iters", "grad_tol", "initial_step", "armijo_c")})
-    elif kind == "monotonicity":
-        radii = raw.get("radii")
-        if radii is None:
-            radii = [float(f) * cfg["R"] for f in RADII_FRACTIONS]
-        if not isinstance(radii, list) or not radii:
-            raise ValueError("field 'radii' must be a nonempty list of numbers")
-        cfg["radii"] = [as_number(r, "radii") for r in radii]
     return cfg
 
 
@@ -305,8 +293,8 @@ def _random_audit_inputs(rng, count):
     """The five (count, 3) input arrays of count random two-arc audits.
     Each audit draws a random frame (a QR factor with det +1), then the
     base angle theta and the two meridian heights, in that order, so the
-    audits do not depend on count; the factorizations and the arithmetic
-    run over all of them at once, each row bit for bit as if alone."""
+    draws do not depend on count; the factorizations and the arithmetic
+    run over all of them at once."""
     draws = [(rng.standard_normal((3, 3)), rng.uniform(0.3, math.pi - 0.3),
               rng.uniform(0.15, 1.35), rng.uniform(0.15, 1.35))
              for _ in range(count)]
@@ -315,8 +303,8 @@ def _random_audit_inputs(rng, count):
     flip = np.linalg.det(frame) < 0
     frame[flip, :, 2] = -frame[flip, :, 2]
     p1, e2, pole = frame[..., 0], frame[..., 1], frame[..., 2]
-    cos_t, cos_p, cos_q, sin_t, sin_p, sin_q = np.array(
-        [list(map(f, a)) for f in (math.cos, math.sin) for a in angles])[..., None]
+    angles = np.array(angles)[..., None]
+    (cos_t, cos_p, cos_q), (sin_t, sin_p, sin_q) = np.cos(angles), np.sin(angles)
     q1 = cos_t * p1 + sin_t * e2
     x_p = cos_p * pole + sin_p * p1
     x_q = cos_q * pole + sin_q * q1
@@ -346,24 +334,10 @@ def _run_audit(cfg, outdir: Path):
     return results, verdicts, {}
 
 
-def _run_monotonicity(cfg, outdir: Path):
-    cone = cone_from_dict(cfg["cone"])
-    tol = cfg["tolerances"]
-    mesh = make_initial_plane(cone, cfg["R"], cfg["resolution"])
-    table = monotonicity_ratio(mesh, cfg["radii"])
-    _write_csv(outdir / "ratios.csv", ("r", "p_r"), table)
-    ps = [p for _, p in table]
-    results = {"p_table": [list(row) for row in table],
-               "p_min": min(ps), "p_max": max(ps)}
-    verdicts = {"p_nondecreasing": _monotone_verdict(ps, tol["p_monotone"])}
-    return results, verdicts, {}
-
-
 _RUNNERS = {
     "competitor": _run_competitor,
     "minimize": _run_minimize,
     "audit-geodesics": _run_audit,
-    "monotonicity": _run_monotonicity,
 }
 
 

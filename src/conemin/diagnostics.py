@@ -22,18 +22,13 @@ of mesh.triangle_geometry, gathered once by _corners and kept through every
 selection by _rows: a column is then one contiguous vector, where in
 row-major arrays it is strided.  Reducing a short row axis costs numpy
 many times more than adding whole columns, so no kernel calls np.einsum,
-np.linalg.norm or .sum over a length-2, 3 or 4 axis.  The column code adds
-in the order those calls add, so every distance, p(r) and deviation keeps
-the bits of the row-major kernels that used them: row_norms and _sum3 add
-left to right, and _dot adds a 3-vector as np.einsum does on x86-64 vector
-units, (x0 y0 + x2 y2) + x1 y1.  A zero sum is +0.0, as numpy's reduction
-identity makes it; the sign of a zero chart coordinate matters, because
-arctan2 turns it into ±pi in _disk_clip.
+np.linalg.norm or .sum over a length-2, 3 or 4 axis: dot products and
+norms go through geometry.row_dots and row_norms, and _sum3 adds the
+three corners' columns, all in coordinate order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,23 +43,9 @@ EPS = np.finfo(float).eps
 COLLINEAR_ULPS = 4.0   # |ab x ac|^2 at or below this many ulps of |ab|^2 |ac|^2
 
 
-def _dot(x, y):
-    """Dot products over the last axis of (..., 3) arrays, in the order
-    np.einsum("ij,ij->i") adds a row on x86-64 vector units:
-    (x0 y0 + x2 y2) + x1 y1, and a zero sum is +0.0."""
-    dots = x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]
-    dots += x[..., 1] * y[..., 1]
-    dots += 0.0
-    return dots
-
-
 def _sum3(x):
-    """Sums of the three columns of an (m, 3) array, as x.sum(axis=1)
-    adds them: left to right, and a zero sum is +0.0."""
-    sums = x[:, 0] + x[:, 1]
-    sums += x[:, 2]
-    sums += 0.0
-    return sums
+    """Sums of the three columns of an (m, 3) array, left to right."""
+    return x[:, 0] + x[:, 1] + x[:, 2]
 
 
 def _corners(vertices, triangles):
@@ -97,30 +78,26 @@ def _extents(a: np.ndarray, b: np.ndarray, c: np.ndarray):
         np.sqrt(row_dots(x, x), out=row)
     for row, (p, q) in zip(cands[3:], ((a, b), (a, c), (b, c))):
         d = q - p
-        dd = _dot(d, d)
-        t = np.where(dd > 0, -_dot(p, d) / np.where(dd > 0, dd, 1.0), 0.0)
+        dd = row_dots(d, d)
+        t = np.where(dd > 0, -row_dots(p, d) / np.where(dd > 0, dd, 1.0), 0.0)
         foot = p + np.clip(t, 0.0, 1.0)[:, None] * d
         np.sqrt(row_dots(foot, foot), out=row)
     ab, ac = b - a, c - a
     n = row_cross(ab, ac)
-    areas = 0.5 * row_norms(n)
+    nn = row_dots(n, n)
+    areas = 0.5 * np.sqrt(nn)
     nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
-    # the plane candidate scales n by its einsum-order |n|^2, which can
-    # differ from row_norms' in the last bit; nhat in its place would move
-    # the distances
-    nn = _dot(n, n)
-    g11 = _dot(ab, ab)
-    g12 = _dot(ab, ac)
-    g22 = _dot(ac, ac)
+    g11 = row_dots(ab, ab)
+    g12 = row_dots(ab, ac)
+    g22 = row_dots(ac, ac)
     ok = nn > COLLINEAR_ULPS * EPS * g11 * g22
-    plane_hat = n / np.sqrt(np.where(ok, nn, 1.0))[:, None]
-    off = _dot(a, plane_hat)
-    foot = off[:, None] * plane_hat - a
+    off = row_dots(a, nhat)
+    foot = off[:, None] * nhat - a
     det = g11 * g22 - g12 * g12
     ok &= det > 0
     det = np.where(ok, det, 1.0)
-    r1 = _dot(foot, ab)
-    r2 = _dot(foot, ac)
+    r1 = row_dots(foot, ab)
+    r2 = row_dots(foot, ac)
     al = (g22 * r1 - g12 * r2) / det
     be = (g11 * r2 - g12 * r1) / det
     inside = ok & (al >= 0) & (be >= 0) & (al + be <= 1)
@@ -145,7 +122,7 @@ def _near_corners(mesh: TriMesh, geometry) -> np.ndarray:
     (coordinate, corner, triangle) array, from the mesh's triangle_geometry."""
     v, t = mesh.vertices, mesh.triangles
     bc, ca, ab = geometry.edges
-    cmin = np.min(np.take(np.sqrt(_dot(v, v)), t.T), axis=0)
+    cmin = np.min(np.take(row_norms(v), t.T), axis=0)
     # g12 is -(ab . ac); only its square enters
     g11, g22, g33, g12 = (row_dots(x, y) for x, y in
                           ((ab, ab), (ca, ca), (bc, bc), (ab, ca)))
@@ -189,7 +166,6 @@ def _disk_clip(pts: np.ndarray, s: np.ndarray):
     dx, dy = qx - px, qy - py
     aa = dx * dx + dy * dy
     bb = px * dx + py * dy
-    bb += 0.0  # a zero dot is +0.0, as np.einsum gives it
     cc = px * px + py * py - (s * s)[:, None]
     disc = bb * bb - aa * cc
     hit = (disc > 0) & (aa > 0)
@@ -208,6 +184,8 @@ def _disk_clip(pts: np.ndarray, s: np.ndarray):
     sector = (0.5 * (s * s))[:, None]
     arc = (s ** 3 / 3.0)[:, None]
     for ux, uy, vx, vy in ((px, py, ax, ay), (bx, by, qx, qy)):
+        # a corner at (-0, -0) makes the dot -0, and arctan2(+0, -0) = pi
+        # would add a half-disk sector: the zero must be +0
         dot = ux * vx + uy * vy
         dot += 0.0
         area = area + sector * np.arctan2(ux * vy - uy * vx, dot)
@@ -227,7 +205,7 @@ def _charts(a, b, c, nhat):
     """In-plane charts of triangles with unit normals nhat, origin at the
     foot of the perpendicular from 0: (m, 3, 2) corners, signed plane
     offsets, feet and chart axes eu, ev."""
-    off = _dot(a, nhat)
+    off = row_dots(a, nhat)
     foot = off[:, None] * nhat
     eu = b - a
     eu = eu / row_norms(eu)[:, None]
@@ -235,8 +213,8 @@ def _charts(a, b, c, nhat):
     pts = np.empty((2, 3, len(off))).T
     for k, x in enumerate((a, b, c)):
         rel = x - foot
-        pts[:, k, 0] = _dot(rel, eu)
-        pts[:, k, 1] = _dot(rel, ev)
+        pts[:, k, 0] = row_dots(rel, eu)
+        pts[:, k, 1] = row_dots(rel, ev)
     return pts, off, foot, eu, ev
 
 
@@ -324,7 +302,7 @@ def _deviation(corners, extents, rho, r) -> float:
             inside = (d_min >= rho) & (d_max <= r)
             if np.any(inside):
                 ai, bi, ci, ni = _rows(inside, a, b, c, nhat)
-                offs = np.abs(_dot(ai, ni))
+                offs = np.abs(row_dots(ai, ni))
                 cn = row_norms((ai + bi + ci) / 3.0)
                 total += float(np.sum(areas[inside] * offs / cn ** 3))
             crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
@@ -383,10 +361,9 @@ def _boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone, edges, owner,
     shared = (ti >= 0) & ((ti == tj[:, :1]) | (ti == tj[:, 1:]))
     k = np.min(np.where(shared, ti, len(normals)), axis=1)
     tagged = k < len(normals)
-    # second rule: the facet plane both ends lie on, within FACET_TOL; the
-    # row-by-row np.matmul adds each dot product in the order normals @ x does
-    resid = np.maximum(np.abs(np.matmul(normals, v[i, :, None])[..., 0]),
-                       np.abs(np.matmul(normals, v[j, :, None])[..., 0]))
+    # second rule: the facet plane both ends lie on, within FACET_TOL
+    resid = np.maximum(np.abs(row_dots(v[i, None], normals)),
+                       np.abs(row_dots(v[j, None], normals)))
     nearest = np.argmin(resid, axis=1)
     on_plane = (np.min(resid, axis=1)
                 <= FACET_TOL * np.maximum(1.0, row_norms(v[i])))
@@ -396,16 +373,14 @@ def _boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone, edges, owner,
     # normals of the owning triangles alone, from the same per-triangle
     # arithmetic as the whole mesh's
     owners = replace(mesh, triangles=mesh.triangles[owner[keep]])
-    cos = np.matmul(triangle_normals(owners)[:, None], normals[k, :, None])
-    # math.acos: np.arccos differs from it in the last bit on 1 input in 10
-    angs = [math.degrees(math.acos(c))
-            for c in np.clip(cos, -1.0, 1.0).ravel().tolist()]
-    if not angs:
+    cos = row_dots(triangle_normals(owners), normals[k])
+    angs = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    if not len(angs):
         raise ValueError("mesh has no free-boundary edges on cone facets")
     return BoundaryAngleStats(
         count=len(angs),
-        min_deg=min(angs),
+        min_deg=float(np.min(angs)),
         mean_deg=float(np.mean(angs)),
-        max_deg=max(angs),
-        records=tuple(zip(k.tolist(), midnorm[keep].tolist(), angs)),
+        max_deg=float(np.max(angs)),
+        records=tuple(zip(k.tolist(), midnorm[keep].tolist(), angs.tolist())),
     )

@@ -62,9 +62,9 @@ def check_rows(bad: np.ndarray, message: str) -> None:
 
 def unit(x) -> np.ndarray:
     """Normalize a 3-vector, or each row of a (k, 3) array, to unit length;
-    error on a (near-)zero one.  The norm is sqrt(x @ x), np.linalg.norm's."""
+    error on a (near-)zero one.  The norm is row_norms'."""
     v = as_points(x)
-    n = np.sqrt(vec_dots(v, v))
+    n = row_norms(v)
     check_rows(n <= 1e-14, "cannot normalize a zero vector")
     return v / n[..., None]
 
@@ -81,14 +81,6 @@ def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products over the last axis of two arrays of 3-vectors, in
     coordinate order."""
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
-
-
-def vec_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis of two arrays of 3-vectors, each bit
-    for bit float(u @ v): a stacked matmul adds the products in the BLAS
-    order of a single product, where row_dots adds them in coordinate
-    order (the two differ in the last bit on about a third of inputs)."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ incidence of its edges is decided by the sign of det[a, b, c] = (a x b) . c
 Audits run as one batch: sphere_point, GeodesicArc, equator_pole,
 interior_angle and two_arc_audit also take (k, 3) arrays of rows, and the
 polygon check and angles run over a stack of polygons.  Each row's numbers
-are bit for bit those of its own call: dot products go through vec_dots,
-the BLAS order of u @ v, and angles through math.atan2.  A bad batch
-raises the message of its lowest-indexed failing row, that row's first
-failed check.
+are bit for bit those of its own call, since every step works row by row:
+dot products go through row_dots, in coordinate order, and angles through
+np.arctan2.  A bad batch raises the message of its lowest-indexed failing
+row, that row's first failed check.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import (HEMISPHERE_TOL, RowError, as_points, as_vec3,
                        check_rows, cross3, open_hemisphere_slack, row_cross,
-                       row_dots, row_norms, unit, vec_dots)
+                       row_dots, row_norms, unit)
 
 ANTIPODAL_TOL = 1e-10
 COINCIDENT_TOL = 1e-10
@@ -42,7 +42,7 @@ def sphere_point(v) -> np.ndarray:
     """Validate and return a unit vector, or (k, 3) rows of them
     (tolerance 1e-12)."""
     p = as_points(v)
-    check_rows(np.abs(np.sqrt(vec_dots(p, p)) - 1.0) > 1e-12,
+    check_rows(np.abs(row_norms(p) - 1.0) > 1e-12,
                "sphere points must be unit vectors within 1e-12")
     return p
 
@@ -70,16 +70,13 @@ def interior_angle(vertex, u, w):
 def _angles(v, u, w) -> np.ndarray:
     """interior_angle at unit vertices v, already checked, as an array of
     the shape of the rows."""
-    tu = u - vec_dots(u, v)[..., None] * v
-    tw = w - vec_dots(w, v)[..., None] * v
-    nu, nw = np.sqrt(vec_dots(tu, tu)), np.sqrt(vec_dots(tw, tw))
+    tu = u - row_dots(u, v)[..., None] * v
+    tw = w - row_dots(w, v)[..., None] * v
+    nu, nw = row_norms(tu), row_norms(tw)
     if np.any(nu <= 1e-10) or np.any(nw <= 1e-10):
         raise ValueError("angle undefined: neighbor (anti)parallel to vertex")
     tu, tw = tu / nu[..., None], tw / nw[..., None]
-    c = row_cross(tu, tw)
-    angles = list(map(math.atan2, np.sqrt(vec_dots(c, c)).ravel().tolist(),
-                      vec_dots(tu, tw).ravel().tolist()))
-    return np.array(angles).reshape(c.shape[:-1])
+    return np.arctan2(row_norms(row_cross(tu, tw)), row_dots(tu, tw))
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ class GeodesicArc:
 
     def __post_init__(self):
         p, q = sphere_point(self.p), sphere_point(self.q)
-        check_rows(np.abs(vec_dots(p, q)) >= 1.0 - ANTIPODAL_TOL,
+        check_rows(np.abs(row_dots(p, q)) >= 1.0 - ANTIPODAL_TOL,
                    "arc endpoints must be neither equal nor antipodal")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -138,7 +135,7 @@ def _check_polygons(p: np.ndarray) -> None:
     b, k = p.shape[:2]
     _, succ, i, j, far, crossing, at = _incidence_tables(k)
     gap = p[:, i] - p[:, j]
-    check_rows((np.sqrt(vec_dots(gap, gap)) <= COINCIDENT_TOL).any(axis=1),
+    check_rows((row_norms(gap) <= COINCIDENT_TOL).any(axis=1),
                "degenerate polygon: coincident vertices")
     check_rows(open_hemisphere_slack(p) <= HEMISPHERE_TOL,
                "polygon is not contained in an open hemisphere")
@@ -156,7 +153,7 @@ def _check_polygons(p: np.ndarray) -> None:
     if on.any():
         r, e, v = np.nonzero(on)
         t = row_cross(p[r, v], poles[r, e])
-        on[r, e, v] = vec_dots(t, p[r, e]) * vec_dots(t, q[r, e]) < 0.0
+        on[r, e, v] = row_dots(t, p[r, e]) * row_dots(t, q[r, e]) < 0.0
     s = side.reshape(b, -1)[:, at]
     failed = on.reshape(b, -1)[:, at].any(axis=2) | (
         crossing & (s[..., 0] * s[..., 1] < 0) & (s[..., 2] * s[..., 3] < 0))
@@ -175,12 +172,9 @@ def _polygon_angles(p: np.ndarray) -> np.ndarray:
     prev, nxt = p[:, pred], p[:, succ]
     angles = _angles(p.reshape(-1, 3), prev.reshape(-1, 3),
                      nxt.reshape(-1, 3)).reshape(b, k)
-    left = vec_dots(row_cross(prev, p), nxt) > 0.0
+    left = row_dots(row_cross(prev, p), nxt) > 0.0
     reflex = 2.0 * math.pi - angles
-    ccw_angles = np.where(left, angles, reflex)
-    total = ccw_angles[:, 0]
-    for col in range(1, k):  # in vertex order, as sum() adds a list
-        total = total + ccw_angles[:, col]
+    total = np.where(left, angles, reflex).sum(axis=1)
     return np.where(left == (total < k * math.pi)[:, None], angles, reflex)
 
 
@@ -244,14 +238,14 @@ def _meridian_plane_crossing(base: np.ndarray, pole: np.ndarray,
     row for (k, 3) arrays."""
     m_normal = unit(row_cross(base, pole))
     d = row_cross(m_normal, plane_normal)
-    nd = np.sqrt(vec_dots(d, d))
+    nd = row_norms(d)
     check_rows(nd <= 1e-10,
                "plane contains the meridian: degenerate configuration")
     x = d / nd[..., None]
-    x = np.where((vec_dots(x, pole) < 0.0)[..., None], -x, x)
-    check_rows(1.0 - np.abs(vec_dots(x, pole)) <= 1e-10,
+    x = np.where((row_dots(x, pole) < 0.0)[..., None], -x, x)
+    check_rows(1.0 - np.abs(row_dots(x, pole)) <= 1e-10,
                "plane crosses the meridian at its pole: degenerate")
-    check_rows(vec_dots(x, base) <= 1e-12,
+    check_rows(row_dots(x, base) <= 1e-12,
                "plane crosses the meridian on the far side of the base arc")
     return x
 
@@ -264,11 +258,11 @@ def _audit_rows(p1, q1, nu0_p1, nu0_q1, plane2_normal) -> tuple:
     pole = equator_pole(base)
     for point, nu in ((base.p, nu0_p1), (base.q, nu0_q1)):
         nu = unit(nu)
-        check_rows((np.abs(vec_dots(pole, nu)) > CONTACT_TOL)
-                   | (np.abs(vec_dots(point, nu)) > CONTACT_TOL),
+        check_rows((np.abs(row_dots(pole, nu)) > CONTACT_TOL)
+                   | (np.abs(row_dots(point, nu)) > CONTACT_TOL),
                    "base arc does not meet the supporting planes orthogonally")
     n2 = unit(plane2_normal)
-    sp, sq = vec_dots(n2, base.p), vec_dots(n2, base.q)
+    sp, sq = row_dots(n2, base.p), row_dots(n2, base.q)
     check_rows((np.abs(sp) <= 1e-12) | (np.abs(sq) <= 1e-12) | (sp * sq < 0.0),
                "second plane meets the closed base arc")
     p2t = _meridian_plane_crossing(base.p, pole, n2)

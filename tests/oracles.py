@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from conemin import spherical as sph
 from conemin.descent import _sector_rays
 from conemin.geometry import is_vertex
 from conemin.mesh import TriMesh, VertexClass
@@ -315,94 +314,3 @@ def nearest_boundary_point(cone, x, tol=1e-9):
     inside = [c for c in candidates if all(float(n @ c) <= tol for n in normals)]
     best = min(inside, key=lambda c: float(np.linalg.norm(x - c)))
     return best, float(np.linalg.norm(x - best))
-
-
-def random_audit_inputs_loop(rng, count):
-    """Reference cli._random_audit_inputs: per audit, one QR frame, one
-    determinant, then theta and the two meridian heights, each vector built
-    alone with np.cross and np.linalg.norm; the five inputs as (count, 3)
-    arrays."""
-    rows = []
-    for _ in range(count):
-        frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        if np.linalg.det(frame) < 0:
-            frame[:, 2] = -frame[:, 2]
-        e1, e2, pole = frame[:, 0], frame[:, 1], frame[:, 2]
-        theta = rng.uniform(0.3, math.pi - 0.3)
-        q1 = math.cos(theta) * e1 + math.sin(theta) * e2
-        phi_p = rng.uniform(0.15, 1.35)
-        phi_q = rng.uniform(0.15, 1.35)
-        x_p = math.cos(phi_p) * pole + math.sin(phi_p) * e1
-        x_q = math.cos(phi_q) * pole + math.sin(phi_q) * q1
-        rows.append((e1, q1, e2, _unit_loop(np.cross(pole, q1)),
-                     _unit_loop(np.cross(x_p, x_q))))
-    return [np.array(x) for x in zip(*rows)]
-
-
-def _unit_loop(v):
-    n = float(np.linalg.norm(v))
-    if n <= 1e-14:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
-
-
-def _crossing_loop(base, pole, plane_normal):
-    d = np.cross(_unit_loop(np.cross(base, pole)), plane_normal)
-    nd = float(np.linalg.norm(d))
-    if nd <= 1e-10:
-        raise ValueError("plane contains the meridian: degenerate configuration")
-    x = d / nd
-    if float(x @ pole) < 0.0:
-        x = -x
-    if 1.0 - abs(float(x @ pole)) <= 1e-10:
-        raise ValueError("plane crosses the meridian at its pole: degenerate")
-    if float(x @ base) <= 1e-12:
-        raise ValueError("plane crosses the meridian on the far side of the base arc")
-    return x
-
-
-def _interior_angles_loop(pts):
-    """Interior angles of a checked polygon, one vertex at a time: the
-    tangent-plane angle by atan2, made reflex where the turn goes against
-    the orientation whose angle sum is below k * pi."""
-    k = len(pts)
-    turns = []
-    for i, v in enumerate(pts):
-        u, w = pts[i - 1], pts[(i + 1) % k]
-        tu, tw = u - float(u @ v) * v, w - float(w @ v) * v
-        tu = tu / math.sqrt(float(tu @ tu))
-        tw = tw / math.sqrt(float(tw @ tw))
-        c = np.cross(tu, tw)
-        turns.append((math.atan2(math.sqrt(float(c @ c)), float(tu @ tw)),
-                      float(np.cross(u, v) @ w) > 0.0))
-    ccw = sum(a if left else 2.0 * math.pi - a for a, left in turns) < k * math.pi
-    return [a if left == ccw else 2.0 * math.pi - a for a, left in turns]
-
-
-def two_arc_audit_loop(p1, q1, nu_p, nu_q, n2):
-    """Reference spherical.two_arc_audit of one audit (3-vectors): scalar
-    numpy and math, each check raising in the order the batch keeps; the
-    seven report fields as a tuple.  It shares the polygon check,
-    GeodesicPolygon, with the batch."""
-    for v in (p1, q1):
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-            raise ValueError("sphere points must be unit vectors within 1e-12")
-    if abs(float(p1 @ q1)) >= 1.0 - sph.ANTIPODAL_TOL:
-        raise ValueError("arc endpoints must be neither equal nor antipodal")
-    pole = _unit_loop(np.cross(p1, q1))
-    for point, nu in ((p1, nu_p), (q1, nu_q)):
-        nu = _unit_loop(nu)
-        if (abs(float(pole @ nu)) > sph.CONTACT_TOL
-                or abs(float(point @ nu)) > sph.CONTACT_TOL):
-            raise ValueError(
-                "base arc does not meet the supporting planes orthogonally")
-    n2 = _unit_loop(n2)
-    sp, sq = float(n2 @ p1), float(n2 @ q1)
-    if abs(sp) <= 1e-12 or abs(sq) <= 1e-12 or sp * sq < 0.0:
-        raise ValueError("second plane meets the closed base arc")
-    quad = (p1, _crossing_loop(p1, pole, n2), _crossing_loop(q1, pole, n2), q1)
-    sph.GeodesicPolygon(quad)
-    alpha1, alpha2t, beta2t, beta1 = _interior_angles_loop(quad)
-    angle_sum = alpha1 + alpha2t + beta2t + beta1
-    excess = angle_sum - 2.0 * math.pi
-    return alpha1, beta1, alpha2t, beta2t, angle_sum, excess, excess > 1e-9

@@ -35,15 +35,16 @@ MINIMIZE_CFG = {
 
 
 def test_validate_echoes_normalized_config(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"kind": "monotonicity",
+    cfg = write_cfg(tmp_path, {"kind": "minimize",
                                "cone": {"pyramid": {"a": 2, "b": 1}},
                                "resolution": 16})
     assert cli.main(["validate", cfg]) == 0
     echoed = json.loads(capsys.readouterr().out)
-    assert echoed["kind"] == "monotonicity"
+    assert echoed["kind"] == "minimize"
     assert echoed["seed"] == 0
     assert echoed["R"] == 1.0
-    assert len(echoed["radii"]) == 10
+    assert echoed["resolution"] == 16
+    assert echoed["max_iters"] == 2000
     assert echoed["cone"]["pyramid"] == {"a": 2.0, "b": 1.0}
 
 
@@ -87,10 +88,9 @@ NAN, INF = float("nan"), float("inf")
     ({"kind": "audit-geodesics", "seed": NAN}, "seed"),
     ({"kind": "audit-geodesics", "count": INF}, "count"),
     (dict(MINIMIZE_CFG, jitter=NAN), "jitter"),
-    ({"kind": "monotonicity", "cone": {"pyramid": {"a": INF, "b": 1.0}}},
-     "a"),
-    ({"kind": "monotonicity",
-      "cone": {"halfspaces": [[0, 0, -1], [1, NAN, -1]]}}, "halfspaces[1]"),
+    (dict(MINIMIZE_CFG, cone={"pyramid": {"a": INF, "b": 1.0}}), "a"),
+    (dict(MINIMIZE_CFG, cone={"halfspaces": [[0, 0, -1], [1, NAN, -1]]}),
+     "halfspaces[1]"),
 ])
 def test_nonfinite_numbers_rejected(tmp_path, capsys, command, payload,
                                     field):
@@ -124,8 +124,7 @@ def test_validate_rejects_out_of_range_minimize_field(tmp_path, capsys, field,
      "deficit_witness"),
     (MINIMIZE_CFG, "area_decrease"),
     ({"kind": "audit-geodesics"}, "excess_witness"),
-    ({"kind": "monotonicity", "cone": {"pyramid": {"a": 1.0, "b": 1.0}}},
-     "p_monotone"),
+    (MINIMIZE_CFG, "p_monotone"),
 ])
 def test_negative_tolerance_rejected(tmp_path, capsys, payload, field):
     # a negative tolerance would turn its verdict's test around
@@ -140,7 +139,7 @@ def test_negative_tolerance_rejected(tmp_path, capsys, payload, field):
 def test_validate_rejects_empty_interior_halfspaces(tmp_path, capsys):
     box = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
            [0, 0, -1]]
-    cfg = write_cfg(tmp_path, {"kind": "monotonicity",
+    cfg = write_cfg(tmp_path, {"kind": "minimize",
                                "cone": {"halfspaces": box}})
     assert cli.main(["validate", cfg]) == 1
     assert ("config error: bad halfspaces: cone has empty interior"
@@ -148,7 +147,7 @@ def test_validate_rejects_empty_interior_halfspaces(tmp_path, capsys):
 
 
 def test_validate_names_zero_halfspace(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"kind": "monotonicity",
+    cfg = write_cfg(tmp_path, {"kind": "minimize",
                                "cone": {"halfspaces": [[0, 0, -1],
                                                        [0, 0, 0]]}})
     assert cli.main(["validate", cfg]) == 1
@@ -157,7 +156,7 @@ def test_validate_names_zero_halfspace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("kind", ["minimize", "monotonicity"])
+@pytest.mark.parametrize("kind", ["minimize"])
 def test_cone_without_sector_section_rejected(tmp_path, capsys, command,
                                               kind):
     # a valid cone, but {x1 = 0} is one of its facets, so no initial plane
@@ -191,6 +190,32 @@ CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
 def test_shipped_config_normalizes_idempotently(path):
     cfg = cli.normalize_config(json.loads(path.read_text()))
     assert cli.normalize_config(cfg) == cfg
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_audit_rejects_cone(tmp_path, capsys, command):
+    # an audit-geodesics run draws its frames at random and reads no cone
+    cfg = write_cfg(tmp_path, {"kind": "audit-geodesics",
+                               "cone": {"pyramid": {"a": 1.0, "b": 1.0}},
+                               "out": str(tmp_path / "out")})
+    assert cli.main([command, cfg]) == 1
+    assert ("config error: unknown field 'cone' for kind 'audit-geodesics'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_kinds_agree_across_runner_configs_and_readme():
+    # every kind has a runner, exactly one shipped config and a README row,
+    # and nothing names a kind without a runner
+    shipped = [json.loads(path.read_text())["kind"] for path in CONFIGS]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme[readme.index("| kind"):]
+    table = table[:table.index("\n\n")]
+    rows = [line.split("|")[1].strip().strip("`")
+            for line in table.splitlines() if line.startswith("| `")]
+    assert sorted(shipped) == sorted(set(shipped))
+    assert set(shipped) == set(cli._RUNNERS) == set(rows)
+    assert len(rows) == len(set(rows))
 
 
 def test_validate_rejects_unknown_field(tmp_path, capsys):
@@ -379,21 +404,8 @@ def test_audit_run_checks_all_quadrilaterals_in_one_pass(tmp_path, capsys,
     assert calls == [(200, 4, 3)]
 
 
-def test_run_monotonicity_scenario(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"kind": "monotonicity",
-                               "cone": {"pyramid": {"a": 1.0, "b": 2.0}},
-                               "resolution": 32,
-                               "out": str(tmp_path / "out")})
-    assert cli.main(["run", cfg]) == 0
-    capsys.readouterr()
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["verdicts"]["p_nondecreasing"]["pass"] is True
-
-
 def test_out_override_flag(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"kind": "monotonicity",
-                               "cone": {"pyramid": {"a": 1.0, "b": 1.0}},
-                               "resolution": 8,
+    cfg = write_cfg(tmp_path, {"kind": "audit-geodesics", "count": 8,
                                "out": str(tmp_path / "ignored")})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "chosen")]) == 0
     capsys.readouterr()

@@ -169,11 +169,14 @@ def test_vertex_distance_pruning_keeps_near_collinear_triangles():
 
 def vertex_edge_distances(a, b, c):
     """Distance from the origin to each triangle's corners and edges only,
-    with the kernel's clamped projection."""
+    with the kernel's clamped projection and its coordinate-order dot
+    products."""
+    def dots(x, y):
+        return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
+
     def edge(p, q):
         d = q - p
-        t = np.clip(-np.einsum("ij,ij->i", p, d) / np.einsum("ij,ij->i", d, d),
-                    0.0, 1.0)
+        t = np.clip(-dots(p, d) / dots(d, d), 0.0, 1.0)
         return np.linalg.norm(p + t[:, None] * d, axis=1)
 
     return np.min([np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1),
@@ -476,6 +479,17 @@ def test_clip_cw_chart_equals_ccw_chart():
     npt.assert_allclose(a_cw, a_ccw, rtol=1e-13, atol=1e-15)
     npt.assert_allclose(m_cw, m_ccw, rtol=1e-13, atol=1e-15)
     assert np.all(a_ccw >= -1e-15)
+
+
+def test_clip_corner_at_negative_zero_adds_no_half_disk():
+    # a corner at (-0, -0) makes its edges' dot products -0, and
+    # arctan2(+0, -0) = pi would add a half-disk sector: the clip is the
+    # sector of the corner's angle alone
+    s = 0.1
+    area, _ = clip([[[-0.0, -0.0], [1.0, 0.2], [0.3, 1.0]]], s)
+    want = 0.5 * s * s * (math.atan2(1.0, 0.3) - math.atan2(0.2, 1.0))
+    assert want == pytest.approx(0.00540972, abs=1e-8)
+    assert area[0] == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------- regression pins

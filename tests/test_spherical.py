@@ -6,8 +6,7 @@ import pytest
 
 import conemin.spherical as sph
 from conemin.cli import _random_audit_inputs
-from oracles import (lhuilier_excess, random_audit_inputs_loop,
-                     two_arc_audit_loop)
+from oracles import lhuilier_excess
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -375,20 +374,53 @@ REPORT_FIELDS = ("alpha1", "beta1", "alpha2t", "beta2t", "angle_sum", "excess",
                  "infeasibility_witness")
 
 
+def arc_lengths(u, v):
+    """Minor-arc lengths between the rows of u and v, atan2(|u x v|, u . v)."""
+    return np.arctan2(np.linalg.norm(np.cross(u, v), axis=1),
+                      np.einsum("ij,ij->i", u, v))
+
+
 def test_two_arc_audit_batch_equals_scalar_reference():
-    # c07's 500 audits and 200 on each of seeds 1-10: the batched inputs
-    # and reports are the per-audit loop's bit for bit, and row i of a batch
-    # is the single-row call on row i
+    # c07's 500 audits and 200 on each of seeds 1-10: each input frame is
+    # orthonormal with det +1 and puts q1 at angle theta from p1; each
+    # audit's excess is the L'Huilier excess of its quadrilateral's two
+    # triangles; and row i of a batch is the single-row call on row i
     for seed, count in [(0, 500)] + [(seed, 200) for seed in range(1, 11)]:
-        inputs = _random_audit_inputs(np.random.default_rng(seed), count)
-        want = random_audit_inputs_loop(np.random.default_rng(seed), count)
-        for got, ref in zip(inputs, want):
-            assert got.shape == (count, 3)
-            assert got.tobytes() == ref.tobytes()
+        rng = np.random.default_rng(seed)
+        inputs = _random_audit_inputs(rng, count)
+        assert all(x.shape == (count, 3) for x in inputs)
+        p1, q1, e2, nu_q, n2 = inputs
+        # the frame (p1, e2, pole), with pole = q1 x nu_q since
+        # nu_q = pole x q1 and pole is orthogonal to q1; rebuilt from two
+        # inputs, the pole carries a few ulps of their rounding
+        frame = np.stack([p1, e2, np.cross(q1, nu_q)], axis=2)
+        npt.assert_allclose(frame.transpose(0, 2, 1) @ frame,
+                            np.broadcast_to(np.eye(3), frame.shape),
+                            rtol=0, atol=4e-15)
+        npt.assert_allclose(np.linalg.det(frame), 1.0, rtol=0, atol=4e-15)
+        # the draws per audit: a Gaussian matrix, theta, two heights
+        rng = np.random.default_rng(seed)
+        theta = np.empty(count)
+        for i in range(count):
+            rng.standard_normal((3, 3))
+            theta[i] = rng.uniform(0.3, math.pi - 0.3)
+            rng.uniform(0.15, 1.35)
+            rng.uniform(0.15, 1.35)
+        npt.assert_allclose(np.einsum("ij,ij->i", p1, q1), np.cos(theta),
+                            rtol=0, atol=1e-15)
+
         batch = sph.two_arc_audit(*inputs)
+        pole = sph.unit(np.cross(p1, q1))
+        p2t = sph._meridian_plane_crossing(p1, pole, n2)
+        q2t = sph._meridian_plane_crossing(q1, pole, n2)
+        halves = [(arc_lengths(b, c), arc_lengths(c, a), arc_lengths(a, b))
+                  for a, b, c in ((p1, p2t, q1), (p2t, q2t, q1))]
+        want = [sum(lhuilier_excess(*(x[i] for x in sides))
+                    for sides in halves) for i in range(count)]
+        npt.assert_allclose(batch.excess, want, rtol=0, atol=1e-10)
+
         rows = list(zip(*(getattr(batch, f).tolist() for f in REPORT_FIELDS)))
         for i, row in enumerate(rows):
-            assert row == two_arc_audit_loop(*(x[i] for x in inputs))
             one = sph.two_arc_audit(*(x[i] for x in inputs))
             assert tuple(getattr(one, f) for f in REPORT_FIELDS) == row
             assert type(one.excess) is float
