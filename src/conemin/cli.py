@@ -247,10 +247,12 @@ def _run_minimize(cfg, outdir: Path):
     mesh, diag = minimize(mesh0, cone, mcfg, jitter=cfg["jitter"])
 
     t0 = time.perf_counter()
-    it_rows = [(i + 1, area, vd) for i, (area, vd) in
-               enumerate(zip(diag.area_history, diag.vertex_distance_history))]
+    it_rows = [(i + 1, *row) for i, row in enumerate(zip(
+        diag.area_history, diag.vertex_distance_history, diag.step_history,
+        diag.halvings_history))]
     _write_csv(outdir / "iterations.csv",
-               ("iteration", "area", "vertex_distance"), it_rows)
+               ("iteration", "area", "vertex_distance", "step", "halvings"),
+               it_rows)
     _write_csv(outdir / "ratios.csv", ("r", "p_r"), diag.p_ratios)
     save_obj(mesh, outdir / "final_mesh.obj")
     phases = dict(diag.phase_seconds, write_outputs=time.perf_counter() - t0)

@@ -134,13 +134,16 @@ class CompetitorSpec:
 
 @dataclass(frozen=True)
 class DeficitReport:
-    """Areas of the competitor at one eps.  deficit comes from the last
-    partial sum of the bridge series; deficit_lower and deficit_upper come
-    from the last two, which bracket the true deficit."""
+    """Areas of the competitor at one eps.  bridge_excess, ruled_area −
+    T_h_area, is the last partial sum of the bridge series, kept apart
+    because at a large h it lies below an ulp of both areas; deficit comes
+    from it, and deficit_lower and deficit_upper come from the last two
+    partial sums, which bracket the true deficit."""
     A0: float
     A_eps: float
     T_h_area: float
     ruled_area: float
+    bridge_excess: float
     deficit: float
     deficit_lower: float
     deficit_upper: float
@@ -217,6 +220,7 @@ def _deficit_reports(a: float, b: float, profile: ConnectionProfile, eps):
             A_eps=A_eps,
             T_h_area=T,
             ruled_area=T + last_sum,
+            bridge_excess=last_sum,
             deficit=last_sum - slide,
             deficit_lower=min(prev_sum, last_sum) - slide,
             deficit_upper=max(prev_sum, last_sum) - slide,

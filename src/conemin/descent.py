@@ -6,16 +6,31 @@ vertices stay on the sphere of radius R.  A vertex that a step carries out of
 the cone returns to its nearest point of the cone, geometry.nearest_point,
 and a free-boundary one takes that point's face.  Descent uses Armijo
 backtracking on the post-projection area, so the recorded area history
-is monotone by construction.  Each accepted state's triangle_geometry (one
-gather, one cross product per triangle) serves three uses: the Armijo test
-that accepted it, the bound that prunes its triangles for its vertex
-distance and the next step's gradient.  Nothing in the loop reads a vertex
-distance, so the loop keeps only the pruned triangles' corners, and one
-exact pass after it measures every accepted state (or one pass per
-DEVIATION_CHUNK kept triangles, so a long run holds bounded memory).  The
-triangles never change, so one edge table serves the whole run: the
-validation of the start state and, through its boundary rows, the
-boundary angle audit of the final one.
+is monotone by construction.
+
+Both projections read a face plan: the free-boundary vertices on a facet
+with their normals, those on an edge with its direction, and the clamped
+and movable ones.  minimize builds it once, after the jitter's projection,
+and builds it anew only when nearest_point gives a free-boundary vertex a
+different face; a rejected trial goes back to the saved state's faces and
+plan.  The public project_gradient and project_to_constraints build a plan
+per call and run the same kernels.
+
+Each accepted state's triangle_geometry (one gather, one cross product per
+triangle) serves three uses: the Armijo test that accepted it, the bound
+that prunes its triangles for its vertex distance and the next step's
+gradient.  So do its Gram terms (TriangleGeometry.gram, one pass): the
+pruning bound reads all four, and the gradient's flat-triangle test reads
+|ab|² and |ca|².  One contiguous (3, m) corner index, the run's triangles
+transposed, serves every gather and the gradient's np.bincount.
+
+Nothing in the loop reads a vertex distance, so the loop keeps only the
+pruned triangles' corners, and one exact pass after it measures every
+accepted state (or one pass per DEVIATION_CHUNK kept triangles, so a long
+run holds bounded memory).  The triangles never change, so one edge table
+serves the whole run: the validation of the start state and, through its
+boundary rows, the boundary angle audit of the final one.  No array of the
+loop is held through the post-run audits.
 
 The area gradient scatters its per-corner terms onto the vertices with
 np.bincount, which sums in index order, so results are bit-identical from
@@ -27,6 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +100,15 @@ class Diagnostics:
     # vertices whose face became a cone edge during the run
     pinned_vertices: list = field(default_factory=list)
     armijo_margins: list = field(default_factory=list)
+    # each accepted step's length, and the trials rejected before it
+    step_history: list = field(default_factory=list)
+    halvings_history: list = field(default_factory=list)
     # wall-clock seconds of each phase: "descent" (the start state's checks
     # and the loop), "vertex_distance" (the exact passes), "ball_audits"
-    # and "angle_audit"
+    # and "angle_audit"; three parts of "descent", timed inside the loop:
+    # "gradient" (the projected gradient and the saved state), "line_search"
+    # (the trials) and "vertex_prune" (the accepted state's Gram terms and
+    # kept corners)
     phase_seconds: dict = field(default_factory=dict)
 
 
@@ -208,16 +230,23 @@ def area_gradient(mesh: TriMesh) -> np.ndarray:
     e_k the opposite edge in the triangle's orientation; np.bincount sums
     the corner terms per vertex, one coordinate at a time.
     """
-    return _area_gradient(mesh, triangle_geometry(mesh))
+    geometry = triangle_geometry(mesh)
+    return _area_gradient(mesh, geometry, _flat_scale(geometry.gram()))
 
 
-def _area_gradient(mesh: TriMesh, geometry) -> np.ndarray:
-    """area_gradient of the mesh whose triangle_geometry is given."""
+def _flat_scale(gram) -> np.ndarray:
+    """max(|ab|², |ca|²) of each triangle, from its Gram terms: the scale
+    below which _area_gradient takes a triangle for flat."""
+    return np.maximum(gram[0], gram[1])
+
+
+def _area_gradient(mesh: TriMesh, geometry, scale) -> np.ndarray:
+    """area_gradient of the mesh whose triangle_geometry and _flat_scale
+    are given."""
     e, n, lens = geometry
     # a triangle squeezed flat has no usable normal; its |area| sits at a
     # kink where the zero branch is the valid descent choice, so drop it
     # rather than inject a roundoff-signed slope
-    scale = np.maximum(row_dots(e[2], e[2]), row_dots(e[1], e[1]))
     good = lens > DEGENERATE_REL_TOL * scale
     half = np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0)
     terms = row_cross(n * half[:, None], e)
@@ -229,30 +258,58 @@ def _area_gradient(mesh: TriMesh, geometry) -> np.ndarray:
     return grad
 
 
+class _FacePlan(NamedTuple):
+    """The rows that each constraint projection of a mesh touches, from its
+    classes and faces: the free-boundary mask; the free-boundary vertices on
+    a facet with their facet normals, and those on a cone edge with their
+    edge directions (indices, (k, 3) rows); the clamped vertices (indices);
+    and the mask of the others, the ones that may leave the cone."""
+
+    free: np.ndarray
+    on_facet: np.ndarray
+    facet_normals: np.ndarray
+    on_edge: np.ndarray
+    edge_directions: np.ndarray
+    clamped: np.ndarray
+    movable: np.ndarray
+
+
+def _face_plan(mesh: TriMesh, cone: PolyhedralCone) -> _FacePlan:
+    """The _FacePlan of the mesh's classes and faces."""
+    cls = mesh.vertex_class
+    free = cls == VertexClass.FREE_BOUNDARY
+    on_facet = np.nonzero(free & (mesh.facet2 < 0))[0]
+    on_edge = np.nonzero(free & (mesh.facet2 >= 0))[0]
+    directions = np.array([cone.edges[key][0] for key in zip(
+        mesh.facet[on_edge].tolist(), mesh.facet2[on_edge].tolist())])
+    clamped = cls == VertexClass.CLAMPED
+    return _FacePlan(free, on_facet, cone.normals[mesh.facet[on_facet]],
+                     on_edge, directions.reshape(-1, 3), np.nonzero(clamped)[0],
+                     ~clamped)
+
+
+def _onto_faces(plan: _FacePlan, x: np.ndarray):
+    """Project in place the rows of x at free-boundary vertices onto the
+    linear span of each one's face, its facet plane or its edge's line."""
+    on_facet, nf = plan.on_facet, plan.facet_normals
+    x[on_facet] -= np.einsum("ij,ij->i", x[on_facet], nf)[:, None] * nf
+    if plan.on_edge.size:
+        d = plan.edge_directions
+        x[plan.on_edge] = row_dots(x[plan.on_edge], d)[:, None] * d
+
+
+def _tangent(plan: _FacePlan, g: np.ndarray) -> np.ndarray:
+    """project_gradient in place, under the mesh's face plan."""
+    _onto_faces(plan, g)
+    g[plan.clamped] = 0.0
+    return g
+
+
 def project_gradient(mesh: TriMesh, cone: PolyhedralCone,
                      grad: np.ndarray) -> np.ndarray:
     """Project the raw gradient onto the span of each vertex's constraint:
     a facet plane or a cone edge's line, zero at clamped vertices."""
-    g = grad.copy()
-    _onto_faces(mesh, cone, g)
-    g[mesh.vertex_class == VertexClass.CLAMPED] = 0.0
-    return g
-
-
-def _onto_faces(mesh: TriMesh, cone: PolyhedralCone, x: np.ndarray):
-    """Project in place the rows of x at free-boundary vertices onto the
-    linear span of each one's face, its facet plane or its edge's line;
-    returns the free-boundary mask."""
-    fb = mesh.vertex_class == VertexClass.FREE_BOUNDARY
-    on_facet = np.nonzero(fb & (mesh.facet2 < 0))[0]
-    nf = cone.normals[mesh.facet[on_facet]]
-    x[on_facet] -= np.einsum("ij,ij->i", x[on_facet], nf)[:, None] * nf
-    on_edge = np.nonzero(fb & (mesh.facet2 >= 0))[0]
-    if on_edge.size:
-        d = np.array([cone.edges[key][0] for key in zip(
-            mesh.facet[on_edge].tolist(), mesh.facet2[on_edge].tolist())])
-        x[on_edge] = row_dots(x[on_edge], d)[:, None] * d
-    return fb
+    return _tangent(_face_plan(mesh, cone), grad.copy())
 
 
 def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone) -> TriMesh:
@@ -266,12 +323,18 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone) -> TriMesh:
     the call to its nearest point of the cone, and a free-boundary one takes
     that point's face (geometry.nearest_point).
     """
-    normals = cone.normals
-    cls = mesh.vertex_class
+    _project(mesh, cone, _face_plan(mesh, cone))
+    return mesh
+
+
+def _project(mesh: TriMesh, cone: PolyhedralCone,
+             plan: _FacePlan) -> _FacePlan:
+    """project_to_constraints under the mesh's face plan; returns the plan
+    of the result, a new one only when a free-boundary vertex took a
+    different face."""
     v = mesh.vertices
     start = v.copy()
-
-    clamped = np.nonzero(cls == VertexClass.CLAMPED)[0]
+    clamped = plan.clamped
     if clamped.size:
         if mesh.clamp_radius is None:
             raise ValueError("clamped vertices but no clamp_radius")
@@ -282,17 +345,20 @@ def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone) -> TriMesh:
                              "renormalized")
         v[clamped] *= (mesh.clamp_radius / norms)[:, None]
 
-    fb = _onto_faces(mesh, cone, v)
+    _onto_faces(plan, v)
 
     # the (k, n) facet slacks of all vertices, reduced across their k rows:
     # numpy reduces the short axis of (n, k) rows many times slower
-    out = np.nonzero((np.max(normals @ v.T, axis=0) > CONTAIN_TOL)
-                     & (cls != VertexClass.CLAMPED))[0]
+    out = np.nonzero((np.max(cone.normals @ v.T, axis=0) > CONTAIN_TOL)
+                     & plan.movable)[0]
     if out.size:
         v[out], face = nearest_point(start[out], cone)
-        moved = fb[out]
-        mesh.facet[out[moved]], mesh.facet2[out[moved]] = face[moved].T
-    return mesh
+        moved = plan.free[out]
+        at, (f, f2) = out[moved], face[moved].T
+        if np.any(mesh.facet[at] != f) or np.any(mesh.facet2[at] != f2):
+            mesh.facet[at], mesh.facet2[at] = f, f2
+            return _face_plan(mesh, cone)
+    return plan
 
 
 def _mean_unit_normal(mesh: TriMesh):
@@ -330,7 +396,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
 
     diag = Diagnostics()
     seconds = diag.phase_seconds
-    seconds["vertex_distance"] = 0.0
+    seconds.update(dict.fromkeys(("gradient", "line_search", "vertex_prune",
+                                  "vertex_distance"), 0.0))
     near, rows = [], 0  # kept corners of the states not yet measured
 
     def measure():
@@ -359,6 +426,10 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         mesh.vertices[movable] += (0.1 * jitter) * rng.standard_normal(
             (count, 3))
         project_to_constraints(mesh, cone)
+    plan = _face_plan(mesh, cone)
+    # the run's triangles are the transpose of one contiguous (3, m) corner
+    # index, which every gather and the gradient's bincount read
+    mesh.triangles = np.ascontiguousarray(mesh.triangles.T).T
     table = edge_table(mesh)
     on_boundary = table.multiplicity == 1
     boundary = table.edges[on_boundary], table.owner[on_boundary]
@@ -368,27 +439,36 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     _validate(mesh, cone, repeated_direction, geometry.areas)
 
     area = geometry.area
+    scale = _flat_scale(geometry.gram())
     step = config.initial_step
     status = "max_iters"
     for _ in range(config.max_iters):
-        g = project_gradient(mesh, cone, _area_gradient(mesh, geometry))
+        t0 = time.perf_counter()
+        g = _tangent(plan, _area_gradient(mesh, geometry, scale))
         if float(np.max(np.abs(g))) <= config.grad_tol:
             status = "converged"
             break
         gsq = float(np.einsum("ij,ij->", g, g))
         state = (mesh.vertices, mesh.facet, mesh.facet2)
         saved = [x.copy() for x in state]
+        saved_plan = plan
+        t1 = time.perf_counter()
         accepted = False
-        for _ in range(MAX_HALVINGS + 1):
+        for halvings in range(MAX_HALVINGS + 1):
             np.subtract(saved[0], step * g, out=mesh.vertices)
-            mesh.facet[:], mesh.facet2[:] = saved[1:]
-            project_to_constraints(mesh, cone)
+            if plan is not saved_plan:  # a rejected trial changed faces
+                mesh.facet[:], mesh.facet2[:] = saved[1:]
+                plan = saved_plan
+            plan = _project(mesh, cone, plan)
             geometry = triangle_geometry(mesh)
             trial = geometry.area
             if trial <= area - config.armijo_c * step * gsq:
                 accepted = True
                 break
             step *= 0.5
+        t2 = time.perf_counter()
+        seconds["gradient"] += t1 - t0
+        seconds["line_search"] += t2 - t1
         if not accepted:
             for x, x0 in zip(state, saved):
                 x[:] = x0
@@ -399,13 +479,20 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         area = trial
         diag.accepted_steps += 1
         diag.area_history.append(area)
-        near.append(_near_corners(mesh, geometry))
+        diag.step_history.append(step)
+        diag.halvings_history.append(halvings)
+        gram = geometry.gram()
+        scale = _flat_scale(gram)
+        near.append(_near_corners(mesh, geometry, gram))
+        del gram  # only the scale is held through the next step
+        seconds["vertex_prune"] += time.perf_counter() - t2
         rows += near[-1].shape[2]
         if rows >= DEVIATION_CHUNK:
             measure()
             rows = 0
         step = min(2.0 * step, config.initial_step)
-    del geometry  # not held through the post-run audits
+    # none of the loop's arrays is held through the post-run audits
+    geometry = scale = plan = g = saved = saved_plan = None
     seconds["descent"] = (time.perf_counter() - start
                           - seconds["vertex_distance"])
     if near:

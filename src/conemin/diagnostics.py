@@ -117,15 +117,14 @@ def vertex_distance(mesh: TriMesh) -> float:
     return _nearest_distances([_near_corners(mesh, triangle_geometry(mesh))])[0]
 
 
-def _near_corners(mesh: TriMesh, geometry) -> np.ndarray:
+def _near_corners(mesh: TriMesh, geometry, gram=None) -> np.ndarray:
     """Corners of the triangles that vertex_distance keeps, as a (3, 3, k)
-    (coordinate, corner, triangle) array, from the mesh's triangle_geometry."""
+    (coordinate, corner, triangle) array, from the mesh's triangle_geometry
+    and its Gram terms (computed here when not given)."""
     v, t = mesh.vertices, mesh.triangles
-    bc, ca, ab = geometry.edges
     cmin = np.min(np.take(row_norms(v), t.T), axis=0)
     # g12 is -(ab . ac); only its square enters
-    g11, g22, g33, g12 = (row_dots(x, y) for x, y in
-                          ((ab, ab), (ca, ca), (bc, bc), (ab, ca)))
+    g11, g22, g33, g12 = geometry.gram() if gram is None else gram
     e2 = np.maximum(np.maximum(g11, g22), g33)
     emax = np.sqrt(e2)
     # the margin, 128 ulps of (corner norm + edge), grows with the squared

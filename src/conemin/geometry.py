@@ -221,6 +221,21 @@ class PolyhedralCone:
                 edges[i, j] = (s if ok_p else -s, ok_p and ok_m)
         return edges
 
+    @functools.cached_property
+    def face_table(self):
+        """nearest_point's tables, read-only: the (e, 3) unit directions of
+        the edges in the order of `edges`, the (e,) mask of the ray edges,
+        and the (k + e, 2) faces, (i, -1) for each facet i, then the edges'
+        keys.  Computed once, like `edges`."""
+        keys = list(self.edges)
+        lines = np.array([self.edges[key][0] for key in keys]).reshape(-1, 3)
+        ray = np.array([not self.edges[key][1] for key in keys], dtype=bool)
+        faces = np.array([(i, -1) for i in range(len(self.normals))] + keys,
+                         dtype=np.int64).reshape(-1, 2)
+        for table in (lines, ray, faces):
+            table.flags.writeable = False
+        return lines, ray, faces
+
     def __repr__(self):
         return f"PolyhedralCone({len(self.normals)} half-spaces)"
 
@@ -246,9 +261,7 @@ def nearest_point(x, cone: PolyhedralCone):
     """
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     normals = cone.normals
-    keys = list(cone.edges)
-    lines = np.array([cone.edges[key][0] for key in keys]).reshape(-1, 3)
-    ray = np.array([not cone.edges[key][1] for key in keys], dtype=bool)
+    lines, ray, faces = cone.face_table
     t = x @ lines.T
     t[:, ray] = np.maximum(t[:, ray], 0.0)
     # (m, candidate, coordinate)
@@ -257,8 +270,6 @@ def nearest_point(x, cone: PolyhedralCone):
     dist = np.sum((cand - x[:, None]) ** 2, axis=2)
     dist[np.max(cand @ normals.T, axis=2) > CONTAIN_TOL] = np.inf
     best = np.argmin(dist, axis=1)
-    faces = np.array([(i, -1) for i in range(len(normals))] + keys,
-                     dtype=np.int64)
     return cand[np.arange(len(x)), best], faces[best]
 
 

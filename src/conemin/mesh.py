@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PolyhedralCone, row_cross, row_norms
+from .geometry import PolyhedralCone, row_cross, row_dots, row_norms
 
 AREA_TOL = 1e-14
 PLANE_TOL = 1e-9
@@ -116,6 +116,13 @@ class TriangleGeometry(NamedTuple):
     def area(self) -> float:
         return float(self.areas.sum())
 
+    def gram(self):
+        """The per-triangle Gram terms (|ab|², |ca|², |bc|², ab . ca), each
+        an (m,) array of row_dots of the edges."""
+        bc, ca, ab = self.edges
+        return tuple(row_dots(x, y) for x, y in
+                     ((ab, ab), (ca, ca), (bc, bc), (ab, ca)))
+
 
 def triangle_geometry(mesh: TriMesh) -> TriangleGeometry:
     """Edges and normals of every triangle from one coordinate-major
@@ -199,7 +206,7 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
     on_edge = fb & (g >= 0)
     cl = cls == VertexClass.CLAMPED
     f_ok = (f >= 0) & (f < k)
-    keys = np.array(list(cone.edges), dtype=np.int64).reshape(-1, 2)
+    keys = cone.face_table[2][k:]
     edge_ok = np.any((f[:, None] == keys[:, 0]) & (g[:, None] == keys[:, 1]),
                      axis=1)
     # out-of-range facet indices are masked before they index the normals;

@@ -314,3 +314,52 @@ def nearest_boundary_point(cone, x, tol=1e-9):
     inside = [c for c in candidates if all(float(n @ c) <= tol for n in normals)]
     best = min(inside, key=lambda c: float(np.linalg.norm(x - c)))
     return best, float(np.linalg.norm(x - best))
+
+
+def descent_loop(mesh, cone, config):
+    """Projected gradient descent with Armijo backtracking from mesh, as
+    descent.minimize runs it after its jitter, as a plain loop over the
+    public kernels: every trial is a fresh copy of the accepted state,
+    projected by project_to_constraints, and every accepted state is
+    measured by vertex_distance.  Returns (final mesh, dict of the
+    histories, status and accepted_steps, dict counting the trials in which
+    a free-boundary vertex took a different face, keyed by whether the
+    trial was accepted)."""
+    from conemin.descent import (MAX_HALVINGS, area_gradient,
+                                 project_gradient, project_to_constraints)
+    from conemin.diagnostics import vertex_distance
+    from conemin.mesh import triangle_geometry
+
+    state = mesh.copy()
+    area = triangle_geometry(state).area
+    step = config.initial_step
+    out = {"area_history": [], "vertex_distance_history": [],
+           "status": "max_iters", "accepted_steps": 0}
+    reassigned = {True: 0, False: 0}
+    for _ in range(config.max_iters):
+        g = project_gradient(state, cone, area_gradient(state))
+        if float(np.max(np.abs(g))) <= config.grad_tol:
+            out["status"] = "converged"
+            break
+        gsq = float(np.einsum("ij,ij->", g, g))
+        for _ in range(MAX_HALVINGS + 1):
+            trial = state.copy()
+            trial.vertices = state.vertices - step * g
+            project_to_constraints(trial, cone)
+            trial_area = triangle_geometry(trial).area
+            accepted = trial_area <= area - config.armijo_c * step * gsq
+            reassigned[accepted] += bool(
+                np.any(trial.facet != state.facet)
+                or np.any(trial.facet2 != state.facet2))
+            if accepted:
+                break
+            step *= 0.5
+        else:
+            out["status"] = "stalled"
+            break
+        state, area = trial, trial_area
+        out["accepted_steps"] += 1
+        out["area_history"].append(area)
+        out["vertex_distance_history"].append(vertex_distance(state))
+        step = min(2.0 * step, config.initial_step)
+    return state, out, reassigned

@@ -362,6 +362,20 @@ def test_run_minimize_scenario(tmp_path, capsys):
     assert (tmp_path / "out" / "final_mesh.obj").exists()
 
 
+def test_iterations_csv_records_steps_and_halvings(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(MINIMIZE_CFG, out=str(tmp_path / "out")))
+    assert cli.main(["run", cfg]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
+    assert lines[0] == "iteration,area,vertex_distance,step,halvings"
+    first = previous = cli.MinimizeConfig.initial_step  # the default
+    for row in lines[1:]:
+        step, halvings = float(row.split(",")[3]), int(row.split(",")[4])
+        assert step == min(2.0 * previous, first) * 2.0 ** -halvings
+        previous = step
+    assert len(lines) == 1 + MINIMIZE_CFG["max_iters"]
+
+
 def test_minimize_report_times_each_phase(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dict(MINIMIZE_CFG, out=str(tmp_path / "out")))
     assert cli.main(["run", cfg]) == 0
@@ -369,8 +383,12 @@ def test_minimize_report_times_each_phase(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     phases = report["phase_seconds"]
     assert set(phases) == {"descent", "vertex_distance", "ball_audits",
-                           "angle_audit", "write_outputs"}
+                           "angle_audit", "write_outputs", "gradient",
+                           "line_search", "vertex_prune"}
     assert all(np.isfinite(t) and t >= 0.0 for t in phases.values())
+    # the three parts of the loop are timed inside the descent phase
+    assert (phases["gradient"] + phases["line_search"]
+            + phases["vertex_prune"] <= phases["descent"])
     # timings stay out of the results, which a fixed config fixes
     assert "phase_seconds" not in report["results"]
 

@@ -197,6 +197,11 @@ def test_deficit_matches_log_simpson_at_small_a():
     assert oracle == pytest.approx(-0.00199124393465, rel=1e-11)
     for value in (rep.deficit, rep.deficit_lower, rep.deficit_upper):
         assert value == pytest.approx(oracle, rel=1e-9)
+    # the bridge excess, 0.248, is below half an ulp of the 1.2e24-sized
+    # trapezium, so only the report's own field carries it
+    assert rep.ruled_area - rep.T_h_area == 0.0
+    assert rep.bridge_excess == pytest.approx(
+        bridge_excess_simpson(1.0, profile.h, profile.alpha, 2.5), rel=1e-9)
 
 
 def test_deficit_zero_at_zero_epsilon():

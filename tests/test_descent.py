@@ -12,8 +12,9 @@ from conemin import descent as dsc
 from conemin import diagnostics as dg
 from conemin import geometry as geo
 from conemin import mesh as msh
-from oracles import (contains, euler_characteristic, fd_surface_gradient,
-                     initial_plane_loop, nearest_boundary_point)
+from oracles import (contains, descent_loop, euler_characteristic,
+                     fd_surface_gradient, initial_plane_loop,
+                     nearest_boundary_point)
 
 
 def random_disk_mesh(rng, rings=3):
@@ -527,6 +528,55 @@ def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
     for field in dataclasses.fields(stats):
         assert (getattr(diag.boundary_angle_stats, field.name)
                 == getattr(stats, field.name)), field.name
+
+
+@pytest.mark.parametrize("cone, seed, jitter, max_iters", (
+    (geo.pyramid_to_cone(2.0, 2.0), 1, 0.05, 20),
+    (geo.wedge_above(2.0, 1), 2, 0.4, 150)), ids=("pyramid", "wedge"))
+def test_minimize_equals_plain_descent_loop(cone, seed, jitter, max_iters):
+    # minimize keeps one face plan per run, rebuilt when a vertex takes a
+    # new face and restored with the saved state after a rejected trial,
+    # and shares each accepted state's Gram terms; the plain loop rebuilds
+    # everything from the public kernels on every call.  The seeds and
+    # jitters are ones where faces change in accepted and in rejected
+    # trials, so a stale plan cannot pass; the wedge run also reaches
+    # triangles flat enough that the gradient drops them, so a stale Gram
+    # term cannot either
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    cfg = dsc.MinimizeConfig(max_iters=max_iters, grad_tol=1e-10, seed=seed)
+    start, _ = dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=0),
+                            jitter=jitter)
+    ref, want, reassigned = descent_loop(start, cone, cfg)
+    assert reassigned[True] > 0 and reassigned[False] > 0
+    final, diag = dsc.minimize(m, cone, cfg, jitter=jitter)
+    for name, value in want.items():
+        assert getattr(diag, name) == value, name
+    for name in ("vertices", "facet", "facet2"):
+        npt.assert_array_equal(getattr(final, name), getattr(ref, name))
+
+
+def test_minimize_records_each_step_and_its_halvings(monkeypatch):
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
+    geometries = []
+
+    def counted_geometry(mesh, build=msh.triangle_geometry):
+        geometries.append(mesh.n_triangles)
+        return build(mesh)
+
+    monkeypatch.setattr(dsc, "triangle_geometry", counted_geometry)
+    _, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
+    assert diag.status == "max_iters"
+    assert len(diag.step_history) == len(diag.halvings_history) == 40
+    previous = cfg.initial_step
+    for step, halvings in zip(diag.step_history, diag.halvings_history):
+        assert step == min(2.0 * previous, cfg.initial_step) * 2.0 ** -halvings
+        previous = step
+    # every trial builds one geometry, and so does the start state
+    assert sum(diag.halvings_history) > 0
+    assert (sum(diag.halvings_history) + diag.accepted_steps
+            == geometries.count(m.n_triangles) - 1)
 
 
 @CONES
