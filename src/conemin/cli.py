@@ -47,10 +47,6 @@ from .mesh import save_obj, surface_area
 from .spherical import two_arc_audit
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # The config check is this table: kind -> field -> (default, number kind,
 # bound).  A default of None marks a required field.  A bound is a
 # (test, wording) pair; None leaves the range to MinimizeConfig, whose own
@@ -100,7 +96,9 @@ def _numbers(raw, table) -> dict:
     return {name: _number(raw, name, *spec) for name, spec in table.items()}
 
 
-def _check_config(raw) -> dict:
+def normalize_config(raw) -> dict:
+    """Fill defaults and check every field; raises ValueError naming the
+    field at fault."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     kind = raw.get("kind")
@@ -143,24 +141,12 @@ def _check_config(raw) -> dict:
         cfg["profile"] = None if prof is None else _numbers(prof, PROFILE)
         if prof is None:
             # run builds the default profile from a: an a without one fails
-            try:
-                feasible_params(cfg["cone"]["pyramid"]["a"])
-            except RuntimeError as exc:
-                raise ValueError(str(exc)) from exc
+            feasible_params(cfg["cone"]["pyramid"]["a"])
     elif kind == "minimize":
         # MinimizeConfig checks the ranges the table leaves open
         MinimizeConfig(**{key: cfg[key] for key in
                           ("max_iters", "grad_tol", "initial_step", "armijo_c")})
     return cfg
-
-
-def normalize_config(raw) -> dict:
-    """Fill defaults and check every field; raises ConfigError naming the
-    field at fault."""
-    try:
-        return _check_config(raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(x) -> str:
@@ -351,7 +337,7 @@ def _load_config(config_path):
         print(f"cannot read config: {exc}", file=sys.stderr)
     except json.JSONDecodeError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
     return None
 

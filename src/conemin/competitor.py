@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_H_DOUBLINGS = 60
 SERIES_TERMS = 60
 GL_NODES = 40
 
@@ -76,20 +75,21 @@ def weighted_energy(profile: ConnectionProfile) -> float:
 
 
 def feasible_params(a: float) -> ConnectionProfile:
-    """Profile with energy below a², found with alpha = a² and doubling h.
+    """The default profile of a: alpha = a² and h = 5^(1/alpha) − 1, so
+    that (1+h)^alpha = 5 and the energy is (alpha/2)·6/4 = ¾·a² for every
+    a; at a = 1 it is h = 4, alpha = 1 exactly.
 
-    Terminates because the energy tends to alpha/2 = a²/2 < a².
+    The domain is a > 0 with (1+h)^4 = 5^(4/a²) finite, a ≳ 0.0952: the
+    competitor mesh's squared cross products grow like h^4, so a smaller a
+    raises a ValueError rather than export an infinite area.
     """
     if not a > 0:
         raise ValueError("a must be > 0")
     alpha = a * a
-    h = 1.0
-    for _ in range(MAX_H_DOUBLINGS):
-        profile = ConnectionProfile(h=h, alpha=alpha)
-        if weighted_energy(profile) < a * a:
-            return profile
-        h *= 2.0
-    raise RuntimeError("no feasible h found in the doubling sequence")
+    if not 4.0 * math.log(5.0) / alpha < math.log(np.finfo(float).max):
+        raise ValueError(f"a = {a} is too small for the default profile: "
+                         "(1+h)^4 = 5^(4/a^2) overflows")
+    return ConnectionProfile(h=5.0 ** (1.0 / alpha) - 1.0, alpha=alpha)
 
 
 def section_areas(a: float, b: float, epsilon: float):

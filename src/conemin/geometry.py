@@ -69,14 +69,6 @@ def unit(x) -> np.ndarray:
     return v / n[..., None]
 
 
-def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v of two 3-vectors, bit for bit numpy.cross(u, v) (the same
-    products and differences) without its per-call array overhead."""
-    u0, u1, u2 = u.tolist()
-    v0, v1, v2 = v.tolist()
-    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
-
-
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products over the last axis of two arrays of 3-vectors, in
     coordinate order."""
@@ -210,7 +202,7 @@ class PolyhedralCone:
         normals = self.normals
         edges = {}
         for i, j in itertools.combinations(range(len(normals)), 2):
-            s = cross3(normals[i], normals[j])
+            s = row_cross(normals[i], normals[j])
             ns = float(np.linalg.norm(s))
             if ns <= 1e-9:
                 continue

@@ -211,8 +211,8 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
                      axis=1)
     # out-of-range facet indices are masked before they index the normals;
     # their vertices fail the index checks below instead
-    off_f = np.abs(np.einsum("ij,ij->i", normals[np.where(f_ok, f, 0)], v)) > PLANE_TOL
-    off_g = np.abs(np.einsum("ij,ij->i", normals[np.where(edge_ok, g, 0)], v)) > PLANE_TOL
+    off_f = np.abs(row_dots(normals[np.where(f_ok, f, 0)], v)) > PLANE_TOL
+    off_g = np.abs(row_dots(normals[np.where(edge_ok, g, 0)], v)) > PLANE_TOL
     if mesh.clamp_radius is None:
         no_radius, off_sphere = cl, np.zeros(n, dtype=bool)
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HEMISPHERE_TOL, RowError, as_points, as_vec3,
-                       check_rows, cross3, open_hemisphere_slack, row_cross,
+                       check_rows, open_hemisphere_slack, row_cross,
                        row_dots, row_norms, unit)
 
 ANTIPODAL_TOL = 1e-10
@@ -55,7 +55,7 @@ def arc_length(p, q) -> float:
     d = float(p @ q)
     if d <= -1.0 + ANTIPODAL_TOL:
         raise ValueError("antipodal endpoints: minor arc undefined")
-    c = cross3(p, q)
+    c = row_cross(p, q)
     return math.atan2(math.sqrt(float(c @ c)), d)
 
 

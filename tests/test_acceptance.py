@@ -9,9 +9,11 @@ pass; on failure the line is repeated in the assertion message.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +29,8 @@ from conemin import spherical as sph
 from conemin.cli import _random_audit_inputs
 from oracles import (annulus_inverse_cube_integral, fd_surface_gradient,
                      lhuilier_excess)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def report(num, label, ok, detail):
@@ -368,7 +372,8 @@ def test_c14_csv_determinism(pyramid_run, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "conemin.cli", "run", str(cfg_path),
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stdout + proc.stderr
         blobs.append(tuple((out / name).read_bytes()
                            for name in ("iterations.csv", "ratios.csv")))

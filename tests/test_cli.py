@@ -11,6 +11,8 @@ import pytest
 
 from conemin import cli, competitor, geometry, spherical
 
+from oracles import bridge_excess_simpson
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -18,9 +20,13 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args):
     return subprocess.run([sys.executable, "-m", "conemin.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 MINIMIZE_CFG = {
@@ -172,15 +178,40 @@ def test_cone_without_sector_section_rejected(tmp_path, capsys, command,
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_competitor_without_feasible_default_profile_rejected(tmp_path, capsys,
                                                               command):
-    # with no profile, run builds one from a by doubling h; at a = 0.1 the
-    # doubling never reaches an energy below a^2, and the check says so
+    # with no profile, run builds one from a; at a = 0.09 its (1+h)^4 =
+    # 5^(4/a^2) overflows, and so would the competitor mesh's area
     cfg = write_cfg(tmp_path, {"kind": "competitor",
-                               "cone": {"pyramid": {"a": 0.1, "b": 1.0}},
+                               "cone": {"pyramid": {"a": 0.09, "b": 1.0}},
                                "out": str(tmp_path / "out")})
     assert cli.main([command, cfg]) == 1
-    assert ("config error: no feasible h found in the doubling sequence"
+    assert ("config error: a = 0.09 is too small for the default profile"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("a", [0.1, 0.2])
+def test_run_competitor_at_small_a(tmp_path, capsys, a):
+    # the default profile's h is 7.9e69 at a = 0.1 and 3.0e17 at a = 0.2;
+    # the bracket at epsilon_star holds a Simpson rule in ln t
+    for b in (0.5, 1.0, 2.0):
+        out = tmp_path / f"b{b}"
+        cfg = write_cfg(tmp_path, {"kind": "competitor",
+                                   "cone": {"pyramid": {"a": a, "b": b}},
+                                   "out": str(out)})
+        assert cli.main(["run", cfg]) == 0
+        capsys.readouterr()
+        text = (out / "report.json").read_text()
+        # json writes a non-finite float as Infinity, -Infinity or NaN
+        assert "Infinity" not in text and "NaN" not in text
+        results = json.loads(text)["results"]
+        profile = results["profile"]
+        eps = results["epsilon_star"]
+        rep = results["report_at_epsilon_star"]
+        oracle = (bridge_excess_simpson(b, profile["h"], profile["alpha"], eps)
+                  - a * a * eps * eps / b)
+        slack = 1e-12 * abs(oracle)
+        assert rep["deficit_lower"] - slack <= oracle
+        assert oracle <= rep["deficit_upper"] + slack
 
 
 CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))

@@ -119,14 +119,28 @@ def test_feasible_params_unit_a():
 
 
 def test_feasible_params_energy_below_threshold():
-    for a in (0.5, 1.0, 2.0):
+    # (1+h)^alpha = 5 gives the energy (alpha/2)·6/4 = ¾·a² at every a
+    for a in (0.1, 0.2, 0.5, 1.0, 2.0):
         p = feasible_params(a)
         assert weighted_energy(p) < a * a
+        assert weighted_energy(p) == pytest.approx(0.75 * a * a, rel=1e-12)
 
 
 def test_feasible_params_rejects_nonpositive():
     with pytest.raises(ValueError):
         feasible_params(0.0)
+
+
+def test_feasible_params_domain_keeps_mesh_finite():
+    # the domain ends near a = 0.09524, where 5^(4/a^2) leaves the floats;
+    # just inside it the competitor mesh's area is still finite
+    with pytest.raises(ValueError, match="a = 0.0952 is too small"):
+        feasible_params(0.0952)
+    a = 0.0953
+    profile = feasible_params(a)
+    for b in (0.5, 1.0, 2.0):
+        spec = CompetitorSpec(a=a, b=b, profile=profile, epsilon=0.5 / a)
+        assert math.isfinite(surface_area(export_competitor_mesh(spec, 64)))
 
 
 def test_section_areas_closed_form():
@@ -189,7 +203,7 @@ def test_bridge_bracket_holds_quad_excess(a):
 def test_deficit_matches_log_simpson_at_small_a():
     # h = 2^40 here: a bridge whose mass sits far out in t, which an
     # adaptive rule in t can miss
-    profile = feasible_params(0.2)
+    profile = ConnectionProfile(h=2.0**40, alpha=0.2 * 0.2)
     rep = area_deficit(CompetitorSpec(a=0.2, b=1.0, profile=profile,
                                       epsilon=2.5))
     oracle = (bridge_excess_simpson(1.0, profile.h, profile.alpha, 2.5)
