@@ -21,8 +21,8 @@ triangle) serves three uses: the Armijo test that accepted it, the bound
 that prunes its triangles for its vertex distance and the next step's
 gradient.  So do its Gram terms (TriangleGeometry.gram, one pass): the
 pruning bound reads all four, and the gradient's flat-triangle test reads
-|ab|² and |ca|².  One contiguous (3, m) corner index, the run's triangles
-transposed, serves every gather and the gradient's np.bincount.
+|ab|² and |ca|².  One contiguous (3, m) corner index, TriMesh's layout of
+the triangles, serves every gather and the gradient's np.bincount.
 
 Nothing in the loop reads a vertex distance, so the loop keeps only the
 pruned triangles' corners, and one exact pass after it measures every
@@ -388,6 +388,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     a mirror-symmetric start can only descend inside its symmetry plane.
     """
     start = time.perf_counter()
+    table = edge_table(mesh)  # first, as it checks the indices
     mesh = mesh.copy()
     if mesh.clamp_radius is None:
         mesh.clamp_radius = float(config.clamp_radius)
@@ -427,16 +428,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             (count, 3))
         project_to_constraints(mesh, cone)
     plan = _face_plan(mesh, cone)
-    # the run's triangles are the transpose of one contiguous (3, m) corner
-    # index, which every gather and the gradient's bincount read
-    mesh.triangles = np.ascontiguousarray(mesh.triangles.T).T
-    table = edge_table(mesh)
-    on_boundary = table.multiplicity == 1
-    boundary = table.edges[on_boundary], table.owner[on_boundary]
-    repeated_direction = table.repeated_direction
-    del table  # not held through the validation and the descent loop
     geometry = triangle_geometry(mesh)
-    _validate(mesh, cone, repeated_direction, geometry.areas)
+    _validate(mesh, cone, table.repeated_direction, geometry.areas)
 
     area = geometry.area
     scale = _flat_scale(geometry.gram())
@@ -483,7 +476,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         diag.halvings_history.append(halvings)
         gram = geometry.gram()
         scale = _flat_scale(gram)
-        near.append(_near_corners(mesh, geometry, gram))
+        near.append(_near_corners(mesh, gram))
         del gram  # only the scale is held through the next step
         seconds["vertex_prune"] += time.perf_counter() - t2
         rows += near[-1].shape[2]
@@ -509,8 +502,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
                               in zip(windows, deviations)]
     t1 = time.perf_counter()
     try:
-        diag.boundary_angle_stats = _boundary_angle_audit(mesh, cone,
-                                                          *boundary)
+        diag.boundary_angle_stats = _boundary_angle_audit(
+            mesh, cone, table.edges, table.owner)
     except ValueError:
         diag.boundary_angle_stats = None
     seconds["ball_audits"] = t1 - t0

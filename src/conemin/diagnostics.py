@@ -3,9 +3,11 @@
 monotonicity_ratio reports the scaled area p(r) = area(mesh inside B_r)/r^2;
 conical_deviation integrates |x . normal|/|x|^3 over a ball annulus;
 boundary_angle_audit measures the contact angle along the free boundary;
-vertex_distance is the exact distance from the origin to the surface:
-a bound prunes each state's triangles, and one exact pass serves a batch
-of pruned states.
+vertex_distance is the exact distance from the origin to the surface.
+One bound, _distance_bounds, serves the last three: with the smallest
+corner norm above, it brackets each triangle's nearest distance, so the
+exact kernel _extents runs only on the triangles that can be nearest (one
+pass for a batch of states) or whose bracket holds a sphere of the audit.
 
 Ball clipping happens in each triangle's own plane, where the ball cuts a
 disk centered at the foot of the perpendicular from the origin.  One
@@ -13,7 +15,8 @@ batched kernel, _disk_clip, gives the exact area and first moment of every
 triangle ∩ disk, circular segments included: p(r) is exact to rounding,
 and the deviation integral uses it for the pieces that still cross a
 sphere after two refinement rounds.  A p(r) table and deviation windows of
-one mesh share its corners and its per-triangle distance extents.
+one mesh share its corners and bounds, and the table clips the cut
+triangles of all its radii in one pass.
 
 The kernels work one coordinate column at a time, so their results do not
 depend on the memory layout of their (m, 3) corner and (m, 3, 2) chart
@@ -57,9 +60,19 @@ def _corners(vertices, triangles):
 
 def _rows(mask, *arrays):
     """The rows where mask holds of (m, 3) arrays, as views of contiguous
-    coordinate planes."""
-    index = np.flatnonzero(mask)
+    coordinate planes; a (k, m) mask takes them one mask row after another."""
+    index = np.flatnonzero(mask) % mask.shape[-1]
     return [np.take(x.T, index, axis=1).T for x in arrays]
+
+
+def _planes(a, b, c):
+    """Edges ab and ac, |ab x ac|², areas and unit normals of the triangles
+    (a, b, c); a degenerate triangle's normal is its zero cross product."""
+    ab, ac = b - a, c - a
+    n = row_cross(ab, ac)
+    nn = row_dots(n, n)
+    areas = 0.5 * np.sqrt(nn)
+    return ab, ac, nn, areas, n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
 
 
 def _extents(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -82,11 +95,7 @@ def _extents(a: np.ndarray, b: np.ndarray, c: np.ndarray):
         t = np.where(dd > 0, -row_dots(p, d) / np.where(dd > 0, dd, 1.0), 0.0)
         foot = p + np.clip(t, 0.0, 1.0)[:, None] * d
         np.sqrt(row_dots(foot, foot), out=row)
-    ab, ac = b - a, c - a
-    n = row_cross(ab, ac)
-    nn = row_dots(n, n)
-    areas = 0.5 * np.sqrt(nn)
-    nhat = n / np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
+    ab, ac, nn, areas, nhat = _planes(a, b, c)
     g11 = row_dots(ab, ab)
     g12 = row_dots(ab, ac)
     g22 = row_dots(ac, ac)
@@ -108,34 +117,40 @@ def _extents(a: np.ndarray, b: np.ndarray, c: np.ndarray):
 def vertex_distance(mesh: TriMesh) -> float:
     """Exact distance from the origin to the nearest surface point.
 
-    No point of a triangle is nearer than its smallest corner norm minus its
-    longest edge; only triangles whose bound, less a rounding margin, reaches
-    the nearest corner norm go through _extents, so the result is the
-    unpruned minimum bit for bit.  The one-state case of the batch that
-    descent.minimize runs over its accepted states.
+    Only the triangles that _near_corners keeps go through _extents, so the
+    result is the unpruned minimum bit for bit.  The one-state case of the
+    batch that descent.minimize runs over its accepted states.
     """
-    return _nearest_distances([_near_corners(mesh, triangle_geometry(mesh))])[0]
+    return _nearest_distances([_near_corners(mesh,
+                                             triangle_geometry(mesh).gram())])[0]
 
 
-def _near_corners(mesh: TriMesh, geometry, gram=None) -> np.ndarray:
-    """Corners of the triangles that vertex_distance keeps, as a (3, 3, k)
-    (coordinate, corner, triangle) array, from the mesh's triangle_geometry
-    and its Gram terms (computed here when not given)."""
-    v, t = mesh.vertices, mesh.triangles
-    cmin = np.min(np.take(row_norms(v), t.T), axis=0)
-    # g12 is -(ab . ac); only its square enters
-    g11, g22, g33, g12 = geometry.gram() if gram is None else gram
+def _distance_bounds(mesh: TriMesh, gram):
+    """Corner norms (3, m) of the triangles, their minimum cmin, and terms
+    (gap, n2, margin) such that (gap - s) * n2 > margin proves the nearest
+    distance _extents gives above s.  gap is cmin less the longest edge; n2
+    a floor under |ab × ac|² from the Gram terms of triangle_geometry (ab .
+    ca in either sign); margin 128 ulps of (corner norm + edge) grown by the
+    squared aspect a sliver's plane candidate carries in its rounding."""
+    norms = np.take(row_norms(mesh.vertices), mesh.triangles.T)
+    cmin = np.min(norms, axis=0)
+    g11, g22, g33, g12 = gram
     e2 = np.maximum(np.maximum(g11, g22), g33)
     emax = np.sqrt(e2)
-    # the margin, 128 ulps of (corner norm + edge), grows with the squared
-    # aspect (e2 / |ab × ac|)² that a sliver's plane candidate carries in
-    # its rounding; a triangle too flat to bound |ab × ac|² is always kept
     n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * EPS) - g12 * g12, 0.0)
     slack = 128.0 * EPS * (cmin + emax)
-    keep = t[(cmin - emax - np.min(cmin)) * n2 <= slack * (n2 + e2 * e2)]
+    return norms, cmin, cmin - emax, n2, slack * (n2 + e2 * e2)
+
+
+def _near_corners(mesh: TriMesh, gram) -> np.ndarray:
+    """Corners, as a (3, 3, k) (coordinate, corner, triangle) array, of the
+    triangles that _distance_bounds, from the mesh's triangle_geometry Gram
+    terms, cannot put farther than the smallest corner norm of the mesh."""
+    _, cmin, gap, n2, margin = _distance_bounds(mesh, gram)
+    keep = mesh.triangles[(gap - np.min(cmin)) * n2 <= margin]
     if not len(keep):
         raise ValueError("no triangle with a finite distance bound")
-    return np.take(v.T, keep.T, axis=1)
+    return np.take(mesh.vertices.T, keep.T, axis=1)
 
 
 def _nearest_distances(near: list) -> list:
@@ -223,14 +238,17 @@ def _disk_radius(r, off):
 
 
 def monotonicity_ratio(mesh: TriMesh, radii) -> list:
-    """Table of (r, p(r)) with p(r) = area(mesh ∩ B_r) / r²."""
+    """Table of (r, p(r)) with p(r) = area(mesh ∩ B_r) / r²: a triangle gets
+    an exact nearest distance only when its _distance_bounds bracket holds a
+    radius, and one _disk_clip pass clips the cut triangles of all radii."""
     return _ball_audits(mesh, radii, ())[0]
 
 
 def _ball_audits(mesh: TriMesh, radii, windows):
     """The monotonicity_ratio table over radii and the conical_deviation of
     each (rho, r) window, with their checks, from one corner gather and one
-    _extents pass shared by the table and level 0 of every window."""
+    _distance_bounds pass; each radius sums its slice of the one clip pass,
+    and the level-0 integrand is computed once, inside any window."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
@@ -242,16 +260,30 @@ def _ball_audits(mesh: TriMesh, radii, windows):
     if not all(0 < rho < r for rho, r in windows):
         raise ValueError("need 0 < rho < r")
     corners = _corners(mesh.vertices, mesh.triangles)
-    d_min, d_max, areas, nhat = extents = _extents(*corners)
-    table = []
-    for r in radii:
-        inside = d_max <= r
-        cut = ~inside & (d_min < r) & (areas > 0)
-        pts, off, _, _, _ = _charts(*_rows(cut, *corners, nhat))
-        clipped, _ = _disk_clip(pts, _disk_radius(r, off))
-        total = float(np.sum(areas[inside])) + float(np.sum(clipped))
-        table.append((r, total / (r * r)))
-    return table, [_deviation(corners, extents, rho, r) for rho, r in windows]
+    ab, ac, _, areas, nhat = _planes(*corners)
+    bc = corners[2] - corners[1]
+    norms, d_min, gap, n2, margin = _distance_bounds(mesh, [
+        row_dots(x, y) for x, y in ((ab, ab), (ac, ac), (bc, bc), (ab, ac))])
+    d_max = np.max(norms, axis=0)
+    # d <= cmin settles the spheres above cmin; a bound that puts d above
+    # the largest sphere s at or below cmin (0 if none) settles the rest
+    spheres = np.unique([0.0] + radii + [x for w in windows for x in w])
+    s = spheres[np.searchsorted(spheres, d_min, side="right") - 1]
+    exact = (gap - s) * n2 <= margin
+    d_min[exact] = _extents(*_rows(exact, *corners))[0]
+    radius = np.array(radii)[:, None]
+    inside = d_max <= radius
+    cut = ~inside & (d_min < radius) & (areas > 0)
+    counts = [np.count_nonzero(row) for row in cut]
+    pts, off, _, _, _ = _charts(*_rows(cut, *corners, nhat))
+    clipped, _ = _disk_clip(pts, _disk_radius(np.repeat(radii, counts), off))
+    parts = np.split(clipped, np.cumsum(counts)[:-1])
+    table = [(r, (float(np.sum(areas[ins])) + float(np.sum(part))) / (r * r))
+             for r, ins, part in zip(radii, inside, parts)]
+    rho, r = np.reshape(windows, (-1, 2)).T[:, :, None]
+    inside = np.any((d_min >= rho) & (d_max <= r), axis=0)
+    level0 = d_min, d_max, areas, _integrand(inside, *corners, nhat, areas)
+    return table, [_deviation(corners, level0, rho, r) for rho, r in windows]
 
 
 def _subdivide(a, b, c):
@@ -282,28 +314,39 @@ def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
 
     Triangles crossing either sphere are refined 4-way twice; the pieces
     still crossing after that are clipped exactly against both balls by
-    _disk_clip, and their area and centroid enter the centroid rule.
+    _disk_clip, and their area and centroid enter the centroid rule.  At
+    level 0 a triangle gets an exact nearest distance only when its
+    _distance_bounds bracket holds rho or r.
     """
     return _ball_audits(mesh, (), ((rho, r),))[1][0]
 
 
-def _deviation(corners, extents, rho, r) -> float:
-    """conical_deviation over (rho, r) of the triangles with these corners
-    and _extents."""
+def _integrand(inside, a, b, c, nhat, areas):
+    """Centroid-rule terms area·|a·n̂|/|centroid|³ of the triangles where
+    inside holds, 0 elsewhere."""
+    values = np.zeros(len(areas))
+    a, b, c, nhat = _rows(inside, a, b, c, nhat)
+    values[inside] = (areas[inside] * np.abs(row_dots(a, nhat))
+                      / row_norms((a + b + c) / 3.0) ** 3)
+    return values
+
+
+def _deviation(corners, level0, rho, r) -> float:
+    """conical_deviation over (rho, r) of the triangles with these corners,
+    from level0: their nearest and farthest distances, areas and _integrand
+    terms (needed only on the triangles inside the window)."""
     total = 0.0
     for lo in range(0, len(corners[0]), DEVIATION_CHUNK):
         part = slice(lo, lo + DEVIATION_CHUNK)
         a, b, c = (x[part] for x in corners)
-        d_min, d_max, areas, nhat = (x[part] for x in extents)
+        d_min, d_max, areas, values = (x[part] for x in level0)
         for level in range(3):
             if level:
                 d_min, d_max, areas, nhat = _extents(a, b, c)
             inside = (d_min >= rho) & (d_max <= r)
-            if np.any(inside):
-                ai, bi, ci, ni = _rows(inside, a, b, c, nhat)
-                offs = np.abs(row_dots(ai, ni))
-                cn = row_norms((ai + bi + ci) / 3.0)
-                total += float(np.sum(areas[inside] * offs / cn ** 3))
+            if level:
+                values = _integrand(inside, a, b, c, nhat, areas)
+            total += float(np.sum(values[inside]))
             crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
             if not np.any(crossing):
                 break
@@ -341,15 +384,14 @@ def boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone,
     reported.
     """
     table = edge_table(mesh)
-    on_boundary = table.multiplicity == 1
-    return _boundary_angle_audit(mesh, cone, table.edges[on_boundary],
-                                 table.owner[on_boundary], min_norm)
+    return _boundary_angle_audit(mesh, cone, table.edges, table.owner,
+                                 min_norm)
 
 
 def _boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone, edges, owner,
                           min_norm: float = 0.0) -> BoundaryAngleStats:
-    """boundary_angle_audit from the mesh's boundary edges (the edge_table
-    rows of multiplicity 1) and the triangles owning them."""
+    """boundary_angle_audit from the mesh's boundary edges and the triangles
+    owning them, as edge_table gives them."""
     i, j = edges.T
     normals, v = cone.normals, mesh.vertices
     # first rule: the lowest facet that both ends declare; a free-boundary

@@ -35,7 +35,8 @@ class TriMesh:
     """Triangle mesh with constraint classes.
 
     vertices: (n, 3) float array.
-    triangles: (m, 3) int array, consistent counter-clockwise orientation.
+    triangles: (m, 3) int array, consistent counter-clockwise orientation,
+        kept as the transpose of a contiguous (3, m) index for the gathers.
     vertex_class: (n,) int array of VertexClass values.
     facet, facet2: (n,) int arrays, the face of a FREE_BOUNDARY vertex:
         (i, -1) on facet i, the cone.edges key (i, j) on an edge; -1 for
@@ -52,7 +53,8 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        self.triangles = np.ascontiguousarray(
+            np.asarray(self.triangles, dtype=np.int64).T).T
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -85,7 +87,7 @@ class TriMesh:
     def copy(self) -> "TriMesh":
         return TriMesh(
             self.vertices.copy(),
-            self.triangles.copy(),
+            self.triangles.copy(order="K"),
             self.vertex_class.copy(),
             self.facet.copy(),
             self.facet2.copy(),
@@ -155,26 +157,37 @@ def surface_area(mesh: TriMesh) -> float:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """The (3m, 2) directed edges of the triangles, all (0, 1) edges, then
-    all (1, 2), then all (2, 0); the triangle owning each; the multiplicity
-    of its undirected edge (1 on the boundary); and whether an undirected
-    edge is walked twice one way (inconsistent orientation, or 3+ owners)."""
+    """The (k, 2) boundary edges, each as its one triangle walks it, in
+    directed-edge order (all (0, 1) edges, then (1, 2), then (2, 0)); the
+    triangle owning each; and whether an undirected edge is walked twice one
+    way (inconsistent orientation, or 3+ owners)."""
 
     edges: np.ndarray
     owner: np.ndarray
-    multiplicity: np.ndarray
     repeated_direction: bool
 
 
 def edge_table(mesh: TriMesh) -> EdgeTable:
-    """One sorting pass over the undirected edge keys min * n + max."""
-    t = mesh.triangles
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    key = edges.min(axis=1) * mesh.n_vertices + edges.max(axis=1)
-    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
-    up = np.bincount(inv[edges[:, 0] < edges[:, 1]], minlength=counts.size)
-    return EdgeTable(edges, np.tile(np.arange(t.shape[0]), 3), counts[inv],
-                     bool(np.any(np.maximum(up, counts - up) > 1)))
+    """One np.argsort of the directed edge keys (min * n + max) * 2 + (i > j):
+    a repeated directed edge is an equal neighbour in sorted order, and a
+    boundary edge a run of one undirected key.  The keys need every index
+    in [0, n): ValueError names the first triangle with one outside."""
+    t, n = mesh.triangles, mesh.n_vertices
+    bad = np.argwhere((t < 0) | (t >= n))
+    if len(bad):
+        k, c = bad[0]
+        raise ValueError(f"triangle {k}: vertex index {t[k, c]} out of range "
+                         f"for {n} vertices")
+    i, j = t.T.ravel(), np.roll(t.T, -1, axis=0).ravel()
+    key = 2 * (np.minimum(i, j) * n + np.maximum(i, j)) + (i > j)
+    order = np.argsort(key)
+    key = key[order]
+    # starts[p]: sorted key p opens a run of one undirected key, or p = end
+    starts = np.ones(len(key) + 1, dtype=bool)
+    starts[1:-1] = (key[1:] >> 1) != (key[:-1] >> 1)
+    rows = np.sort(order[starts[:-1] & starts[1:]])
+    return EdgeTable(np.stack([i[rows], j[rows]], axis=1), rows % len(t),
+                     bool(np.any(key[1:] == key[:-1])))
 
 
 def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
@@ -186,12 +199,10 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
 
 def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
               areas: np.ndarray) -> None:
-    """validate of the mesh whose edge_table has the given
-    repeated_direction and whose triangles have the given areas; neither the
-    table nor the geometry is built here."""
-    n, t = mesh.n_vertices, mesh.triangles
-    if t.size and (t.min() < 0 or t.max() >= n):
-        raise ValueError("triangle index out of range")
+    """validate of the mesh whose edge_table (which checks the indices) has
+    the given repeated_direction and whose triangles have the given areas;
+    neither the table nor the geometry is built here."""
+    n = mesh.n_vertices
     if np.any(areas <= AREA_TOL):
         bad = int(np.argmin(areas))
         raise ValueError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")

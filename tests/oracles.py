@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from conemin.descent import _sector_rays
-from conemin.geometry import is_vertex
+from conemin.geometry import is_vertex, row_dots, row_norms
 from conemin.mesh import TriMesh, VertexClass
 
 
@@ -363,3 +363,65 @@ def descent_loop(mesh, cone, config):
         out["vertex_distance_history"].append(vertex_distance(state))
         step = min(2.0 * step, config.initial_step)
     return state, out, reassigned
+
+
+def ball_audits_unpruned(mesh, radii, windows):
+    """diagnostics._ball_audits (after its argument checks) the unpruned
+    way: the exact _extents of every triangle, one _charts and _disk_clip
+    pass per radius, and each window's level-0 integrand over its own
+    inside triangles.  Returns (table, deviations)."""
+    from conemin import diagnostics as dg
+
+    corners = dg._corners(mesh.vertices, mesh.triangles)
+    d_min, d_max, areas, nhat = extents = dg._extents(*corners)
+    table = []
+    for r in radii:
+        inside = d_max <= r
+        cut = ~inside & (d_min < r) & (areas > 0)
+        pts, off, _, _, _ = dg._charts(*dg._rows(cut, *corners, nhat))
+        clipped, _ = dg._disk_clip(pts, dg._disk_radius(r, off))
+        total = float(np.sum(areas[inside])) + float(np.sum(clipped))
+        table.append((r, total / (r * r)))
+    deviations = []
+    for rho, r in windows:
+        total = 0.0
+        for lo in range(0, len(corners[0]), dg.DEVIATION_CHUNK):
+            part = slice(lo, lo + dg.DEVIATION_CHUNK)
+            a, b, c = (x[part] for x in corners)
+            d_min, d_max, areas, nhat = (x[part] for x in extents)
+            for level in range(3):
+                if level:
+                    d_min, d_max, areas, nhat = dg._extents(a, b, c)
+                inside = (d_min >= rho) & (d_max <= r)
+                if np.any(inside):
+                    ai, bi, ci, ni = dg._rows(inside, a, b, c, nhat)
+                    offs = np.abs(row_dots(ai, ni))
+                    cn = row_norms((ai + bi + ci) / 3.0)
+                    total += float(np.sum(areas[inside] * offs / cn ** 3))
+                crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
+                if not np.any(crossing):
+                    break
+                if level < 2:
+                    a, b, c = dg._subdivide(*dg._rows(crossing, a, b, c))
+                else:
+                    total += dg._annulus_pieces(
+                        *dg._rows(crossing, a, b, c, nhat), rho, r)
+        deviations.append(total)
+    return table, deviations
+
+
+def edge_table_unique(mesh):
+    """The boundary rows, their owners and the repeated-direction flag of
+    mesh.edge_table from np.unique's inverse and counts: (3m, 2) directed
+    edges, all (0, 1), then all (1, 2), then all (2, 0); a boundary edge's
+    undirected key min * n + max occurs once; an undirected edge is walked
+    twice one way when more of its rows go up, or down, than one."""
+    t = mesh.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    key = edges.min(axis=1) * mesh.n_vertices + edges.max(axis=1)
+    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
+    up = np.bincount(inv[edges[:, 0] < edges[:, 1]], minlength=counts.size)
+    boundary = counts[inv] == 1
+    owner = np.tile(np.arange(t.shape[0]), 3)
+    return (edges[boundary], owner[boundary],
+            bool(np.any(np.maximum(up, counts - up) > 1)))

@@ -12,7 +12,7 @@ from conemin import descent as dsc
 from conemin import diagnostics as diag
 from conemin import geometry as geo
 from conemin import mesh as msh
-from oracles import (annulus_inverse_cube_integral,
+from oracles import (annulus_inverse_cube_integral, ball_audits_unpruned,
                      brute_point_triangle_distance, circle_segment_area,
                      shoelace)
 
@@ -123,7 +123,8 @@ def test_nearest_distances_batch_equals_each_mesh():
         m.vertices += 0.03 * rng.standard_normal(m.vertices.shape)
         m.vertices += rng.uniform(-2.0, 2.0, 3)
         meshes.append(m)
-    near = [diag._near_corners(m, msh.triangle_geometry(m)) for m in meshes]
+    near = [diag._near_corners(m, msh.triangle_geometry(m).gram())
+            for m in meshes]
     assert diag._nearest_distances(near) == [unpruned_vertex_distance(m)
                                              for m in meshes]
 
@@ -184,9 +185,9 @@ def vertex_edge_distances(a, b, c):
                    edge(b, c)], axis=0)
 
 
-def test_point_triangle_distances_exact_on_near_collinear_triangles():
-    # 20,000 triangles 10 from the origin, collinear to 1e-17..1e-12: their
-    # cross product is rounding noise, so only corners and edges may count
+def near_collinear_triangles():
+    """Corners (a, b, c) of 20,000 triangles 10 from the origin, collinear
+    to 1e-17..1e-12."""
     rng = np.random.default_rng(31)
     n = 20000
     a = rng.standard_normal((n, 3))
@@ -197,8 +198,14 @@ def test_point_triangle_distances_exact_on_near_collinear_triangles():
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     s, t = rng.uniform(0.05, 2.0, (2, n, 1))
     off = 10.0 ** rng.uniform(-17.0, -12.0, (n, 1))
-    b = a + s * u
     c = a + t * rng.choice([-1.0, 1.0], (n, 1)) * (u + off * w)
+    return a, a + s * u, c
+
+
+def test_point_triangle_distances_exact_on_near_collinear_triangles():
+    # their cross product is rounding noise, so only corners and edges may
+    # count
+    a, b, c = near_collinear_triangles()
     got = diag._extents(a, b, c)[0]
     corners = np.linalg.norm(np.stack([a, b, c]), axis=2).min(axis=0)
     edges = np.linalg.norm(np.stack([b - a, c - a, c - b]), axis=2).max(axis=0)
@@ -258,6 +265,18 @@ def test_kernels_independent_of_memory_layout():
     charts = diag._charts(a, b, c, nhat)
     for got, want in zip(diag._charts(*planes, as_planes(nhat)), charts):
         assert_same_bits(got, want)
+    # the distance bounds of the same triangles as a mesh, from C-contiguous
+    # rows and from coordinate planes of its vertices, triangles and edges
+    m = triangle_soup(a, b, c)
+    m.triangles = np.ascontiguousarray(m.triangles)
+    gram = [geo.row_dots(x, y) for x, y in (
+        (b - a, b - a), (a - c, a - c), (c - b, c - b), (b - a, a - c))]
+    rows = diag._distance_bounds(m, gram)
+    m.vertices, m.triangles = as_planes(m.vertices), as_planes(m.triangles)
+    planes_gram = msh.triangle_geometry(m).gram()
+    for got, want in zip(diag._distance_bounds(m, planes_gram), rows):
+        assert_same_bits(got, want)
+    assert (rows[3] == 0).any() and (rows[3] > 0).any()
     pts = np.ascontiguousarray(charts[0])
     pts[rng.random(pts.shape) < 0.05] = 0.0
     pts[rng.random(pts.shape) < 0.05] = -0.0
@@ -265,6 +284,108 @@ def test_kernels_independent_of_memory_layout():
     for got, want in zip(diag._disk_clip(as_planes(pts), s),
                          diag._disk_clip(pts, s)):
         assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------- bound-gated ball audits
+
+def minimized_mesh(cone, resolution):
+    m = dsc.make_initial_plane(cone, 1.0, resolution)
+    cfg = dsc.MinimizeConfig(max_iters=30, grad_tol=1e-10, seed=3)
+    return dsc.minimize(m, cone, cfg, jitter=0.05)[0]
+
+
+def triangle_soup(a, b, c):
+    """A mesh of the triangles (a[k], b[k], c[k]), sharing no vertex."""
+    n = len(a)
+    return msh.TriMesh(np.concatenate([a, b, c]),
+                       np.arange(3 * n).reshape(3, n).T, np.zeros(3 * n, int))
+
+
+def degenerate_soup():
+    # collinear, repeated-corner and sliver triangles among whole ones,
+    # with corners on both sides of every sphere below
+    rng = np.random.default_rng(13)
+    a = rng.uniform(-1.0, 1.0, (400, 3))
+    b = a + 0.2 * rng.standard_normal((400, 3))
+    c = a + 0.2 * rng.standard_normal((400, 3))
+    c[:100] = a[:100] + rng.uniform(-1.0, 2.0, (100, 1)) * (b - a)[:100]
+    c[100:200] = b[100:200]
+    c[200:300] = a[200:300] + 0.5 * (b - a)[200:300] + 1e-13
+    return triangle_soup(a, b, c)
+
+
+def corner_norm_radii(m, k=10):
+    """k increasing radii, each exactly a corner norm of m."""
+    norms = np.unique(geo.row_norms(m.vertices))
+    return [float(x) for x in norms[norms > 0][::len(norms) // k][:k]]
+
+
+def linspace(lo, hi, k):
+    return [float(r) for r in np.linspace(lo, hi, k)]
+
+
+PYRAMID, WEDGE = geo.pyramid_to_cone(1.0, 1.0), geo.wedge_above(1.0, 1)
+RADII = linspace(0.15, 0.95, 10)
+WINDOWS = [(0.1, 0.5), (0.2, 0.9)]
+
+
+def corner_norm_case():
+    m = minimized_mesh(PYRAMID, 16)
+    radii = corner_norm_radii(m)
+    return m, radii, [(radii[0], radii[5]), (radii[2], radii[-1])]
+
+
+AUDIT_CASES = {
+    "pyramid r16": lambda: (minimized_mesh(PYRAMID, 16), RADII, WINDOWS),
+    "pyramid r32": lambda: (minimized_mesh(PYRAMID, 32), RADII, WINDOWS),
+    "wedge r16": lambda: (minimized_mesh(WEDGE, 16), RADII, WINDOWS),
+    "wedge r32": lambda: (minimized_mesh(WEDGE, 32), RADII, WINDOWS),
+    "offset plane": lambda: (offset_plane_mesh(3.0, 160),
+                             linspace(1.05, 2.0, 8), [(1.1, 2.0), (1.05, 1.5)]),
+    "sector apex at 0": lambda: (planar_sector_mesh(1.0, resolution=64),
+                                 RADII, WINDOWS),
+    "near collinear": lambda: (triangle_soup(*near_collinear_triangles()),
+                               linspace(8.0, 12.0, 10),
+                               [(9.0, 11.0), (9.5, 12.0)]),
+    "degenerate": lambda: (degenerate_soup(), linspace(0.2, 1.6, 10),
+                           [(0.3, 1.2), (0.5, 1.6)]),
+    "corner norm radii": corner_norm_case,
+    # the plane lies 1 from the origin: no sphere inside that meets it
+    "no triangle cut": lambda: (offset_plane_mesh(3.0, 40), [0.5, 0.9],
+                                [(0.5, 0.99)]),
+}
+
+
+@pytest.mark.parametrize("case", AUDIT_CASES)
+def test_ball_audits_equal_unpruned(case):
+    # only triangles whose distance bounds hold a sphere get an exact
+    # nearest distance, and the table's cut triangles share one clip pass;
+    # the table and every window's deviation must keep their bits
+    m, radii, windows = AUDIT_CASES[case]()
+    got = diag._ball_audits(m, radii, windows)
+    assert got == ball_audits_unpruned(m, radii, windows)
+    if case == "no triangle cut":
+        assert got == ([(0.5, 0.0), (0.9, 0.0)], [0.0])
+
+
+def test_ball_audits_one_clip_pass_and_fewer_exact_rows(monkeypatch):
+    m = minimized_mesh(PYRAMID, 32)
+    calls = {"_extents": [], "_disk_clip": []}
+
+    def counted(name):
+        def run(*args, kernel=getattr(diag, name)):
+            calls[name].append(len(args[0]))
+            return kernel(*args)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(diag, name, counted(name))
+    table = diag.monotonicity_ratio(m, RADII)
+    assert len(calls["_disk_clip"]) == 1 and calls["_disk_clip"][0] > 0
+    assert len(calls["_extents"]) == 1
+    assert 0 < calls["_extents"][0] < m.n_triangles
+    monkeypatch.undo()
+    assert table == ball_audits_unpruned(m, RADII, ())[0]
 
 
 # ---------------------------------------------------------------- monotonicity

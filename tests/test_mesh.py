@@ -9,8 +9,8 @@ import pytest
 
 from conemin import geometry as geo
 from conemin import mesh as msh
-from conemin.descent import make_initial_plane
-from oracles import read_obj, save_obj_per_vertex
+from conemin.descent import MinimizeConfig, make_initial_plane, minimize
+from oracles import edge_table_unique, read_obj, save_obj_per_vertex
 
 
 def right_triangle_mesh():
@@ -59,28 +59,93 @@ def test_validate_rejects_inconsistent_orientation():
         msh.validate(m, cone)
 
 
-def test_validate_rejects_non_manifold_edge():
+def non_manifold_mesh():
     # three non-degenerate triangles on the edge (0, 1), oriented as
     # consistently as three can be: two of them walk 0 -> 1
     verts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.5, 1.0, 1.0],
                       [0.5, -1.0, 1.0], [0.5, 0.0, 2.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    m = msh.TriMesh(verts, tris, np.zeros(5, dtype=np.int64))
+    return msh.TriMesh(verts, tris, np.zeros(5, dtype=np.int64))
+
+
+def test_validate_rejects_non_manifold_edge():
+    m = non_manifold_mesh()
     table = msh.edge_table(m)
-    assert table.multiplicity[[0, 1, 2]].tolist() == [3, 3, 3]
+    # the three-owner edge (0, 1) is no boundary edge; the other six are,
+    # in directed-edge order: (1, 2), (0, 3), (1, 4) | (2, 0), (3, 1), (4, 0)
+    npt.assert_array_equal(table.edges, [[1, 2], [0, 3], [1, 4],
+                                         [2, 0], [3, 1], [4, 0]])
+    npt.assert_array_equal(table.owner, [0, 1, 2, 0, 1, 2])
     assert table.repeated_direction
-    with pytest.raises(ValueError, match="repeated directed edge"):
+    with pytest.raises(ValueError) as err:
         msh.validate(m, geo.pyramid_to_cone(1.0, 1.0))
+    assert str(err.value) == "inconsistent orientation: repeated directed edge"
 
 
 def test_edge_table_of_a_square():
     table = msh.edge_table(quad_mesh())
-    # (0, 1), (0, 2) | (1, 2), (2, 3) | (2, 0), (3, 0)
-    npt.assert_array_equal(table.edges, [[0, 1], [0, 2], [1, 2], [2, 3],
-                                         [2, 0], [3, 0]])
-    npt.assert_array_equal(table.owner, [0, 1, 0, 1, 0, 1])
-    npt.assert_array_equal(table.multiplicity, [1, 2, 1, 1, 2, 1])
+    # directed edges (0, 1), (0, 2) | (1, 2), (2, 3) | (2, 0), (3, 0); the
+    # diagonal (0, 2) is walked both ways, the four sides once
+    npt.assert_array_equal(table.edges, [[0, 1], [1, 2], [2, 3], [3, 0]])
+    npt.assert_array_equal(table.owner, [0, 0, 1, 1])
     assert not table.repeated_direction
+
+
+def grid_mesh(n, hole=False):
+    """An n x n grid of squares, each split in two; with hole, the middle
+    squares are left out."""
+    g = np.arange(n + 1, dtype=float)
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    verts = np.column_stack([xx.ravel(), yy.ravel(), np.ones(xx.size)])
+    v00 = np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]
+    keep = np.ones((n, n), dtype=bool)
+    if hole:
+        keep[n // 3:n - n // 3, n // 3:n - n // 3] = False
+    v00 = v00[keep]
+    v10 = v00 + (n + 1)
+    tris = np.concatenate([np.column_stack([v00, v10, v10 + 1]),
+                           np.column_stack([v00, v10 + 1, v00 + 1])])
+    return msh.TriMesh(verts, tris, np.zeros(len(verts), dtype=np.int64))
+
+
+def shuffled(m, seed):
+    """m with its vertices renumbered and its triangles reordered."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m.n_vertices)
+    tris = perm[m.triangles][rng.permutation(m.n_triangles)]
+    back = np.argsort(perm)
+    return msh.TriMesh(m.vertices[back], tris, m.vertex_class[back])
+
+
+@pytest.mark.parametrize("mesh", (
+    shuffled(make_initial_plane(geo.pyramid_to_cone(1.0, 1.0), 1.0, 12), 4),
+    grid_mesh(9), grid_mesh(9, hole=True), non_manifold_mesh()),
+    ids=("shuffled fan", "grid", "grid with hole", "three owners"))
+def test_edge_table_equals_unique_counts(mesh):
+    table = msh.edge_table(mesh)
+    edges, owner, repeated_direction = edge_table_unique(mesh)
+    assert len(edges) > 0
+    npt.assert_array_equal(table.edges, edges)
+    npt.assert_array_equal(table.owner, owner)
+    assert table.repeated_direction == repeated_direction
+
+
+@pytest.mark.parametrize("bad", (15, -1), ids=("n", "-1"))
+@pytest.mark.parametrize("entry", ("validate", "minimize"))
+def test_triangle_index_out_of_range_named(entry, bad):
+    # checked before any gather through the triangles, whose IndexError
+    # (index n) or silent wrap-around (index -1) would name no triangle
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = make_initial_plane(cone, 1.0, 4)
+    assert m.n_vertices == 15
+    m.triangles[5, 1] = bad
+    message = f"triangle 5: vertex index {bad} out of range for 15 vertices"
+    with pytest.raises(ValueError) as err:
+        if entry == "validate":
+            msh.validate(m, cone)
+        else:
+            minimize(m, cone, MinimizeConfig(max_iters=1), jitter=0.05)
+    assert str(err.value) == message
 
 
 def test_validate_checks_free_boundary_residual():
@@ -211,3 +276,7 @@ def test_copy_is_deep():
     c = m.copy()
     c.vertices[0, 0] = 9.0
     assert m.vertices[0, 0] == 0.0
+    c.triangles[0, 0] = 3
+    assert m.triangles[0, 0] == 0
+    # both keep their triangles as one contiguous (3, m) corner index
+    assert m.triangles.T.flags.c_contiguous and c.triangles.T.flags.c_contiguous
