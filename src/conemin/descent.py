@@ -26,11 +26,14 @@ the triangles, serves every gather and the gradient's np.bincount.
 
 Nothing in the loop reads a vertex distance, so the loop keeps only the
 pruned triangles' corners, and one exact pass after it measures every
-accepted state (or one pass per DEVIATION_CHUNK kept triangles, so a long
-run holds bounded memory).  The triangles never change, so one edge table
-serves the whole run: the validation of the start state and, through its
-boundary rows, the boundary angle audit of the final one.  No array of the
-loop is held through the post-run audits.
+accepted state (or one pass per DISTANCE_CHUNK kept triangles, so a long
+run holds bounded memory).  The post-run ball audits of the final state
+are closed forms from one clip pass: p(r) from exact clipped areas, and
+the conical deviation from the solid angles of whole and clipped
+triangles (Van Oosterom & Strackee 1983).  The triangles never change, so
+one edge table serves the whole run: the validation of the start state
+and, through its boundary rows, the boundary angle audit of the final one.
+No array of the loop is held through the post-run audits.
 
 The area gradient scatters its per-corner terms onto the vertices with
 np.bincount, which sums in index order, so results are bit-identical from
@@ -48,11 +51,10 @@ import numpy as np
 
 from .geometry import (CONTAIN_TOL, PolyhedralCone, is_vertex, nearest_point,
                        row_cross, row_dots, row_norms)
-from .mesh import (TriMesh, VertexClass, _validate, edge_table,
-                   triangle_geometry)
-from .diagnostics import (DEVIATION_CHUNK, _ball_audits,
-                          _boundary_angle_audit, _near_corners,
-                          _nearest_distances)
+from .mesh import (TriMesh, VertexClass, _check_finite, _validate,
+                   edge_table, triangle_geometry)
+from .diagnostics import (_ball_audits, _boundary_angle_audit,
+                          _near_corners, _nearest_distances)
 
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
@@ -60,6 +62,7 @@ DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
 
 RADII_FRACTIONS = np.linspace(0.15, 0.95, 10)
 DEVIATION_WINDOWS = ((0.1, 0.5), (0.2, 0.9))
+DISTANCE_CHUNK = 262144  # kept triangles per exact vertex-distance pass
 
 
 @dataclass
@@ -389,6 +392,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     """
     start = time.perf_counter()
     table = edge_table(mesh)  # first, as it checks the indices
+    _check_finite(mesh)
     mesh = mesh.copy()
     if mesh.clamp_radius is None:
         mesh.clamp_radius = float(config.clamp_radius)
@@ -480,7 +484,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         del gram  # only the scale is held through the next step
         seconds["vertex_prune"] += time.perf_counter() - t2
         rows += near[-1].shape[2]
-        if rows >= DEVIATION_CHUNK:
+        if rows >= DISTANCE_CHUNK:
             measure()
             rows = 0
         step = min(2.0 * step, config.initial_step)

@@ -11,12 +11,16 @@ pass for a batch of states) or whose bracket holds a sphere of the audit.
 
 Ball clipping happens in each triangle's own plane, where the ball cuts a
 disk centered at the foot of the perpendicular from the origin.  One
-batched kernel, _disk_clip, gives the exact area and first moment of every
-triangle ∩ disk, circular segments included: p(r) is exact to rounding,
-and the deviation integral uses it for the pieces that still cross a
-sphere after two refinement rounds.  A p(r) table and deviation windows of
-one mesh share its corners and bounds, and the table clips the cut
-triangles of all its radii in one pass.
+batched kernel, _disk_clip, gives the exact area of every triangle ∩ disk,
+circular segments included, and the exact solid angle it subtends at the
+origin.  On a flat triangle x . normal is the plane offset d, so the
+deviation integrand is the solid-angle density and has a closed form: a
+triangle inside the annulus adds its Van Oosterom–Strackee solid angle
+(Van Oosterom & Strackee 1983, "The solid angle of a plane triangle"), a
+triangle crossing a sphere the clip at r less the clip at rho.  So p(r)
+and the deviation are exact to rounding.  A p(r) table and deviation
+windows of one mesh share its corners and bounds, and one clip pass takes
+the cut triangles of all their spheres.
 
 The kernels work one coordinate column at a time, so their results do not
 depend on the memory layout of their (m, 3) corner and (m, 3, 2) chart
@@ -37,10 +41,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import PolyhedralCone, row_cross, row_dots, row_norms
-from .mesh import (TriMesh, VertexClass, edge_table, triangle_geometry,
-                   triangle_normals)
+from .mesh import (TriMesh, VertexClass, _check_finite, edge_table,
+                   triangle_geometry, triangle_normals)
 
-DEVIATION_CHUNK = 262144
 FACET_TOL = 1e-7
 EPS = np.finfo(float).eps
 COLLINEAR_ULPS = 4.0   # |ab x ac|^2 at or below this many ulps of |ab|^2 |ac|^2
@@ -121,6 +124,7 @@ def vertex_distance(mesh: TriMesh) -> float:
     result is the unpruned minimum bit for bit.  The one-state case of the
     batch that descent.minimize runs over its accepted states.
     """
+    _check_finite(mesh)
     return _nearest_distances([_near_corners(mesh,
                                              triangle_geometry(mesh).gram())])[0]
 
@@ -163,16 +167,22 @@ def _nearest_distances(near: list) -> list:
     return np.minimum.reduceat(d, starts).tolist()
 
 
-def _disk_clip(pts: np.ndarray, s: np.ndarray):
-    """Exact area and first moment of each triangle ∩ disk, batched.
+def _disk_clip(pts: np.ndarray, s: np.ndarray, off: np.ndarray):
+    """Exact area and solid angle of each triangle ∩ disk, batched.
 
-    pts is an (m, 3, 2) array of triangles, each in its own chart, and s an
-    (m,) array of radii of disks centred at the chart origins.  By Green's
-    theorem the clip is the sum over the edges p -> q of the signed region
-    tri(O, p, q) ∩ disk: the part of the edge inside the disk closes a chord
-    triangle with O, each part outside closes a circular sector.  Nested,
-    disjoint and crossing cases need no branches, and either orientation of
-    a triangle gives the same result.  Returns areas (m,) and moments (m, 2).
+    pts is an (m, 3, 2) array of triangles, each in its own chart, s an
+    (m,) array of radii of disks centred at the chart origins, and off the
+    (m,) signed offsets of the triangles' planes from 0; each chart's
+    origin is the foot of the perpendicular from 0.  By Green's theorem the
+    clip is the sum over the edges p -> q of the signed region tri(O, p, q)
+    ∩ disk: the part of the edge inside the disk closes a chord triangle
+    with O, each part outside closes a circular sector.  Nested, disjoint and
+    crossing cases need no branches, and either orientation of a triangle
+    gives the same result.  Returns areas (m,) and the solid angles (m,),
+    ∫ |d|/|x|³ dA over the clips with d = off; each piece has a closed form:
+    a sector of angle φ gives φ(1 − |d|/√(d² + s²)), a chord triangle the
+    Van Oosterom–Strackee angle of the 3D triangle (foot, A, B).  A plane
+    through the origin has x · ν = 0, so its solid angle is 0.
     """
     # (m, 3) arrays of x and y chart coordinates, one column per corner
     px, py = pts[..., 0], pts[..., 1]
@@ -193,32 +203,47 @@ def _disk_clip(pts: np.ndarray, s: np.ndarray):
 
     chord = ax * by - ay * bx
     area = 0.5 * chord
-    mx = chord * (ax + bx) / 6.0
-    my = chord * (ay + by) / 6.0
+    # the Van Oosterom–Strackee fraction of (foot, A, B) with the factor
+    # |d| = |foot| of its numerator and of every denominator term cancelled:
+    # the denominator stays above |d|(|A'| + |B'|), so positive for d != 0
+    d = np.abs(off)[:, None]
+    dd = d * d
+    na = np.sqrt(ax * ax + ay * ay + dd)
+    nb = np.sqrt(bx * bx + by * by + dd)
+    omega = 2.0 * np.arctan2(chord, na * nb + (ax * bx + ay * by)
+                             + d * (na + nb) + dd)
     sector = (0.5 * (s * s))[:, None]
-    arc = (s ** 3 / 3.0)[:, None]
+    weight = 1.0 - d / np.sqrt(dd + (s * s)[:, None])
     for ux, uy, vx, vy in ((px, py, ax, ay), (bx, by, qx, qy)):
         # a corner at (-0, -0) makes the dot -0, and arctan2(+0, -0) = pi
         # would add a half-disk sector: the zero must be +0
         dot = ux * vx + uy * vy
         dot += 0.0
-        area = area + sector * np.arctan2(ux * vy - uy * vx, dot)
-        nu = np.sqrt(ux * ux + uy * uy)
-        nv = np.sqrt(vx * vx + vy * vy)
-        nu = np.where(nu > 0, nu, 1.0)
-        nv = np.where(nv > 0, nv, 1.0)
-        mx = mx + arc * (vy / nv - uy / nu)
-        my = my + arc * (ux / nu - vx / nv)
+        phi = np.arctan2(ux * vy - uy * vx, dot)
+        area = area + sector * phi
+        omega = omega + weight * phi
     sign = np.sign((px[:, 1] - px[:, 0]) * (py[:, 2] - py[:, 0])
                    - (py[:, 1] - py[:, 0]) * (px[:, 2] - px[:, 0]))
-    return sign * _sum3(area), sign[:, None] * np.stack(
-        [_sum3(mx), _sum3(my)], axis=1)
+    return sign * _sum3(area), np.where(off != 0, sign * _sum3(omega), 0.0)
+
+
+def _solid_angles(a, b, c, nhat, areas, norms):
+    """|Ω| of the triangles (a, b, c) seen from the origin, by Van Oosterom
+    & Strackee 1983: tan(Ω/2) = a · (b × c) / (|a||b||c| + (a · b)|c| +
+    (a · c)|b| + (b · c)|a|), with unit normals nhat, areas and (3, m)
+    corner norms.  The triple product is taken as 2 · area · (a · nhat):
+    on a small triangle far from the origin, b × c of nearly parallel
+    corners would lose the digits that the short edges keep."""
+    na, nb, nc = norms
+    den = (na * nb * nc + row_dots(a, b) * nc + row_dots(a, c) * nb
+           + row_dots(b, c) * na)
+    return np.abs(2.0 * np.arctan2(2.0 * areas * row_dots(a, nhat), den))
 
 
 def _charts(a, b, c, nhat):
     """In-plane charts of triangles with unit normals nhat, origin at the
-    foot of the perpendicular from 0: (m, 3, 2) corners, signed plane
-    offsets, feet and chart axes eu, ev."""
+    foot of the perpendicular from 0: (m, 3, 2) corners and signed plane
+    offsets."""
     off = row_dots(a, nhat)
     foot = off[:, None] * nhat
     eu = b - a
@@ -229,7 +254,7 @@ def _charts(a, b, c, nhat):
         rel = x - foot
         pts[:, k, 0] = row_dots(rel, eu)
         pts[:, k, 1] = row_dots(rel, ev)
-    return pts, off, foot, eu, ev
+    return pts, off
 
 
 def _disk_radius(r, off):
@@ -247,8 +272,9 @@ def monotonicity_ratio(mesh: TriMesh, radii) -> list:
 def _ball_audits(mesh: TriMesh, radii, windows):
     """The monotonicity_ratio table over radii and the conical_deviation of
     each (rho, r) window, with their checks, from one corner gather and one
-    _distance_bounds pass; each radius sums its slice of the one clip pass,
-    and the level-0 integrand is computed once, inside any window."""
+    _distance_bounds pass.  One _disk_clip pass takes each radius's cut
+    triangles and each window's crossing triangles at r and at rho; the
+    solid angle of a triangle inside any window is computed once."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
@@ -259,11 +285,13 @@ def _ball_audits(mesh: TriMesh, radii, windows):
     windows = [(float(rho), float(r)) for rho, r in windows]
     if not all(0 < rho < r for rho, r in windows):
         raise ValueError("need 0 < rho < r")
+    _check_finite(mesh)
     corners = _corners(mesh.vertices, mesh.triangles)
     ab, ac, _, areas, nhat = _planes(*corners)
     bc = corners[2] - corners[1]
     norms, d_min, gap, n2, margin = _distance_bounds(mesh, [
         row_dots(x, y) for x, y in ((ab, ab), (ac, ac), (bc, bc), (ab, ac))])
+    del ab, ac, bc  # the edges are not held through the clip pass
     d_max = np.max(norms, axis=0)
     # d <= cmin settles the spheres above cmin; a bound that puts d above
     # the largest sphere s at or below cmin (0 if none) settles the rest
@@ -272,90 +300,40 @@ def _ball_audits(mesh: TriMesh, radii, windows):
     exact = (gap - s) * n2 <= margin
     d_min[exact] = _extents(*_rows(exact, *corners))[0]
     radius = np.array(radii)[:, None]
-    inside = d_max <= radius
-    cut = ~inside & (d_min < radius) & (areas > 0)
-    counts = [np.count_nonzero(row) for row in cut]
-    pts, off, _, _, _ = _charts(*_rows(cut, *corners, nhat))
-    clipped, _ = _disk_clip(pts, _disk_radius(np.repeat(radii, counts), off))
-    parts = np.split(clipped, np.cumsum(counts)[:-1])
-    table = [(r, (float(np.sum(areas[ins])) + float(np.sum(part))) / (r * r))
-             for r, ins, part in zip(radii, inside, parts)]
     rho, r = np.reshape(windows, (-1, 2)).T[:, :, None]
-    inside = np.any((d_min >= rho) & (d_max <= r), axis=0)
-    level0 = d_min, d_max, areas, _integrand(inside, *corners, nhat, areas)
-    return table, [_deviation(corners, level0, rho, r) for rho, r in windows]
-
-
-def _subdivide(a, b, c):
-    """4-way midpoint split; returns corner arrays 4x longer, views of
-    coordinate planes."""
-    mab, mac, mbc = 0.5 * (a + b), 0.5 * (a + c), 0.5 * (b + c)
-    return [np.concatenate([x.T for x in xs], axis=1).T for xs in
-            ((a, mab, mac, mab), (mab, b, mbc, mbc), (mac, mbc, c, mac))]
-
-
-def _annulus_pieces(a, b, c, nhat, rho, r) -> float:
-    """Exact centroid-rule contribution of triangles to the |x.n|/|x|^3
-    integral over B_r minus B_rho: each is clipped against both disks."""
-    pts, off, foot, eu, ev = _charts(a, b, c, nhat)
-    area_r, mom_r = _disk_clip(pts, _disk_radius(r, off))
-    area_rho, mom_rho = _disk_clip(pts, _disk_radius(rho, off))
-    area = area_r - area_rho
-    # a rounding-level piece can sit at the origin with zero offset: skip it
-    ok = area > 64.0 * EPS * r * r
-    cen2 = (mom_r - mom_rho)[ok] / area[ok, None]
-    foot, eu, ev = _rows(ok, foot, eu, ev)
-    cen3 = foot + cen2[:, :1] * eu + cen2[:, 1:] * ev
-    return float(np.sum(area[ok] * np.abs(off[ok]) / row_norms(cen3) ** 3))
+    inside = d_max <= radius
+    within = (d_min >= rho) & (d_max <= r) & (areas > 0)
+    crossing = ~within & (d_min < r) & (d_max > rho) & (areas > 0)
+    cut = np.concatenate([~inside & (d_min < radius) & (areas > 0),
+                          crossing, crossing])
+    counts = np.count_nonzero(cut, axis=1)
+    pts, off = _charts(*_rows(cut, *corners, nhat))
+    sphere = np.repeat(np.concatenate([radii, r[:, 0], rho[:, 0]]), counts)
+    clipped, omega = _disk_clip(pts, _disk_radius(sphere, off), off)
+    ends = np.cumsum(counts)[:-1]
+    table = [(t, (float(np.sum(areas[ins])) + float(np.sum(part))) / (t * t))
+             for t, ins, part in zip(radii, inside, np.split(clipped, ends))]
+    clips = np.split(omega, ends)[len(radii):]
+    angles = np.zeros(len(areas))
+    any_within = np.any(within, axis=0)
+    angles[any_within] = _solid_angles(*_rows(any_within, *corners, nhat),
+                                       areas[any_within], norms[:, any_within])
+    k = len(windows)
+    return table, [float(np.sum(angles[w])) + float(np.sum(at_r - at_rho))
+                   for w, at_r, at_rho in zip(within, clips[:k], clips[k:])]
 
 
 def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
-    """∫ |x·ν|/|x|³ over mesh ∩ (B_r ∖ B_ρ) by centroid quadrature.
+    """∫ |x·ν|/|x|³ over mesh ∩ (B_r ∖ B_ρ), exact to rounding.
 
-    Triangles crossing either sphere are refined 4-way twice; the pieces
-    still crossing after that are clipped exactly against both balls by
-    _disk_clip, and their area and centroid enter the centroid rule.  At
-    level 0 a triangle gets an exact nearest distance only when its
-    _distance_bounds bracket holds rho or r.
+    On a flat triangle x·ν is its plane offset, so the integral is the
+    solid angle the piece subtends at the origin.  A triangle inside the
+    annulus adds its Van Oosterom–Strackee solid angle (Van Oosterom &
+    Strackee 1983); one crossing a sphere adds the _disk_clip solid angle
+    at r less that at ρ.  A triangle gets an exact nearest distance only
+    when its _distance_bounds bracket holds rho or r.
     """
     return _ball_audits(mesh, (), ((rho, r),))[1][0]
-
-
-def _integrand(inside, a, b, c, nhat, areas):
-    """Centroid-rule terms area·|a·n̂|/|centroid|³ of the triangles where
-    inside holds, 0 elsewhere."""
-    values = np.zeros(len(areas))
-    a, b, c, nhat = _rows(inside, a, b, c, nhat)
-    values[inside] = (areas[inside] * np.abs(row_dots(a, nhat))
-                      / row_norms((a + b + c) / 3.0) ** 3)
-    return values
-
-
-def _deviation(corners, level0, rho, r) -> float:
-    """conical_deviation over (rho, r) of the triangles with these corners,
-    from level0: their nearest and farthest distances, areas and _integrand
-    terms (needed only on the triangles inside the window)."""
-    total = 0.0
-    for lo in range(0, len(corners[0]), DEVIATION_CHUNK):
-        part = slice(lo, lo + DEVIATION_CHUNK)
-        a, b, c = (x[part] for x in corners)
-        d_min, d_max, areas, values = (x[part] for x in level0)
-        for level in range(3):
-            if level:
-                d_min, d_max, areas, nhat = _extents(a, b, c)
-            inside = (d_min >= rho) & (d_max <= r)
-            if level:
-                values = _integrand(inside, a, b, c, nhat, areas)
-            total += float(np.sum(values[inside]))
-            crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
-            if not np.any(crossing):
-                break
-            if level < 2:
-                a, b, c = _subdivide(*_rows(crossing, a, b, c))
-            else:
-                total += _annulus_pieces(*_rows(crossing, a, b, c, nhat),
-                                         rho, r)
-    return total
 
 
 @dataclass(frozen=True)

@@ -190,9 +190,19 @@ def edge_table(mesh: TriMesh) -> EdgeTable:
                      bool(np.any(key[1:] == key[:-1])))
 
 
+def _check_finite(mesh: TriMesh) -> None:
+    """Raise ValueError naming the first vertex with a non-finite
+    coordinate: every bound and kernel downstream would drop its triangles
+    without a word."""
+    bad = ~np.isfinite(mesh.vertices)
+    if bad.any():
+        raise ValueError(f"vertex {int(np.argmax(bad)) // 3} is not finite")
+
+
 def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
     """Raise ValueError on the first violated mesh invariant; an edge of
     three or more triangles fails the orientation check."""
+    _check_finite(mesh)
     _validate(mesh, cone, edge_table(mesh).repeated_direction,
               triangle_areas(mesh))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from conemin.descent import _sector_rays
-from conemin.geometry import is_vertex, row_dots, row_norms
+from conemin.geometry import is_vertex, row_norms
 from conemin.mesh import TriMesh, VertexClass
 
 
@@ -368,45 +368,33 @@ def descent_loop(mesh, cone, config):
 def ball_audits_unpruned(mesh, radii, windows):
     """diagnostics._ball_audits (after its argument checks) the unpruned
     way: the exact _extents of every triangle, one _charts and _disk_clip
-    pass per radius, and each window's level-0 integrand over its own
-    inside triangles.  Returns (table, deviations)."""
+    pass per radius, and per window the solid angles of its own inside
+    triangles plus one clip pass at each of its two spheres over its own
+    crossing triangles.  Returns (table, deviations)."""
     from conemin import diagnostics as dg
 
     corners = dg._corners(mesh.vertices, mesh.triangles)
-    d_min, d_max, areas, nhat = extents = dg._extents(*corners)
+    d_min, d_max, areas, nhat = dg._extents(*corners)
+
+    def clip(mask, r):
+        pts, off = dg._charts(*dg._rows(mask, *corners, nhat))
+        return dg._disk_clip(pts, dg._disk_radius(r, off), off)
+
     table = []
     for r in radii:
         inside = d_max <= r
-        cut = ~inside & (d_min < r) & (areas > 0)
-        pts, off, _, _, _ = dg._charts(*dg._rows(cut, *corners, nhat))
-        clipped, _ = dg._disk_clip(pts, dg._disk_radius(r, off))
+        clipped, _ = clip(~inside & (d_min < r) & (areas > 0), r)
         total = float(np.sum(areas[inside])) + float(np.sum(clipped))
         table.append((r, total / (r * r)))
     deviations = []
     for rho, r in windows:
-        total = 0.0
-        for lo in range(0, len(corners[0]), dg.DEVIATION_CHUNK):
-            part = slice(lo, lo + dg.DEVIATION_CHUNK)
-            a, b, c = (x[part] for x in corners)
-            d_min, d_max, areas, nhat = (x[part] for x in extents)
-            for level in range(3):
-                if level:
-                    d_min, d_max, areas, nhat = dg._extents(a, b, c)
-                inside = (d_min >= rho) & (d_max <= r)
-                if np.any(inside):
-                    ai, bi, ci, ni = dg._rows(inside, a, b, c, nhat)
-                    offs = np.abs(row_dots(ai, ni))
-                    cn = row_norms((ai + bi + ci) / 3.0)
-                    total += float(np.sum(areas[inside] * offs / cn ** 3))
-                crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
-                if not np.any(crossing):
-                    break
-                if level < 2:
-                    a, b, c = dg._subdivide(*dg._rows(crossing, a, b, c))
-                else:
-                    total += dg._annulus_pieces(
-                        *dg._rows(crossing, a, b, c, nhat), rho, r)
-        deviations.append(total)
+        inside = (d_min >= rho) & (d_max <= r) & (areas > 0)
+        a, b, c, n = dg._rows(inside, *corners, nhat)
+        norms = np.stack([row_norms(x) for x in (a, b, c)])
+        crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
+        deviations.append(
+            float(np.sum(dg._solid_angles(a, b, c, n, areas[inside], norms)))
+            + float(np.sum(clip(crossing, r)[1] - clip(crossing, rho)[1])))
     return table, deviations
 
 
@@ -425,3 +413,62 @@ def edge_table_unique(mesh):
     owner = np.tile(np.arange(t.shape[0]), 3)
     return (edges[boundary], owner[boundary],
             bool(np.any(np.maximum(up, counts - up) > 1)))
+
+
+def deviation_polar(mesh, rho, r, nodes=16):
+    """∫ |x·ν|/|x|³ over mesh ∩ (B_r ∖ B_ρ), triangle by triangle, in polar
+    coordinates (t, θ) about the foot of the perpendicular from 0 in the
+    triangle's plane, at offset d.  The radial integral of the density
+    |d| t/(d² + t²)^{3/2} over the ray's part in the triangle and the
+    annulus is −|d|/√(d² + t²) between its ends; the angular integral is
+    composite Gauss–Legendre on each arc between the angles where those
+    ends change: the corners and the crossings of the edges with the two
+    circles the spheres cut.  The integrand is smooth on each arc, so the
+    rule converges fast.  No solid-angle formula and no disk clip."""
+    node, weight = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for a, b, c in mesh.vertices[mesh.triangles]:
+        n = np.cross(b - a, c - a)
+        if not np.linalg.norm(n) > 0:
+            continue
+        n = n / np.linalg.norm(n)
+        d = float(a @ n)
+        e1 = (b - a) / np.linalg.norm(b - a)
+        e2 = np.cross(n, e1)
+        p = np.array([[(v - d * n) @ e1, (v - d * n) @ e2] for v in (a, b, c)])
+        q = np.roll(p, -1, axis=0)
+        edge = q - p
+        orient = np.sign(edge[0, 0] * edge[1, 1] - edge[0, 1] * edge[1, 0])
+        inward = orient * np.stack([-edge[:, 1], edge[:, 0]], axis=1)
+        offset = np.sum(inward * p, axis=1)   # inward . X >= offset inside
+        s_lo, s_hi = (math.sqrt(max(s * s - d * d, 0.0)) for s in (rho, r))
+        if s_hi == 0.0:
+            continue
+        cuts = [math.atan2(py, px) for px, py in p]
+        for s in (s_lo, s_hi):
+            for k in range(3):
+                aa, bb = edge[k] @ edge[k], p[k] @ edge[k]
+                disc = bb * bb - aa * (p[k] @ p[k] - s * s)
+                if disc > 0:
+                    for t in ((-bb - math.sqrt(disc)) / aa,
+                              (-bb + math.sqrt(disc)) / aa):
+                        if 0.0 < t < 1.0:
+                            px, py = p[k] + t * edge[k]
+                            cuts.append(math.atan2(py, px))
+        cuts = np.sort(np.mod(cuts, 2.0 * math.pi))
+        cuts = np.concatenate([[0.0], cuts, [2.0 * math.pi]])
+        lo, hi = cuts[:-1], cuts[1:]
+        theta = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * node
+        ray = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        slope = ray @ inward.T            # inward . (t ray) >= offset
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = offset / slope
+        t0 = np.max(np.where(slope > 0, bound, 0.0), axis=-1)
+        t1 = np.min(np.where(slope < 0, bound, np.inf), axis=-1)
+        empty = np.any((slope == 0) & (offset > 0), axis=-1)
+        t0, t1 = np.maximum(t0, s_lo), np.minimum(t1, s_hi)
+        radial = np.where((t1 > t0) & ~empty,
+                          abs(d) / np.sqrt(d * d + t0 * t0)
+                          - abs(d) / np.sqrt(d * d + t1 * t1), 0.0)
+        total += float(np.sum(0.5 * (hi - lo) * (radial @ weight)))
+    return total

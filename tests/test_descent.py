@@ -3,6 +3,7 @@ and the projected-descent loop."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -12,9 +13,9 @@ from conemin import descent as dsc
 from conemin import diagnostics as dg
 from conemin import geometry as geo
 from conemin import mesh as msh
-from oracles import (contains, descent_loop, euler_characteristic,
-                     fd_surface_gradient, initial_plane_loop,
-                     nearest_boundary_point)
+from oracles import (ball_audits_unpruned, contains, descent_loop,
+                     euler_characteristic, fd_surface_gradient,
+                     initial_plane_loop, nearest_boundary_point)
 
 
 def random_disk_mesh(rng, rings=3):
@@ -621,9 +622,26 @@ def test_vertex_distance_exact_pass_runs_once_per_run(monkeypatch):
     assert calls.index("ball audits") == 0
 
 
+def test_short_r256_run_gives_finite_exact_deviations():
+    # a pass of the resolution-256 benchmark: an exception or warning in
+    # the post-run audits would leave it without a result
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 256)
+    cfg = dsc.MinimizeConfig(max_iters=6, grad_tol=1e-8, initial_step=0.25,
+                             armijo_c=0.3, clamp_radius=1.0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        final, diag = dsc.minimize(m, cone, cfg, jitter=0.06)
+    windows = [(rho, r) for rho, r, _ in diag.conical_deviation]
+    deviations = [d for _, _, d in diag.conical_deviation]
+    assert len(windows) == len(dsc.DEVIATION_WINDOWS)
+    assert all(math.isfinite(d) for d in deviations)
+    assert deviations == ball_audits_unpruned(final, (), windows)[1]
+
+
 @CONES
 def test_vertex_distance_history_in_chunks(cone, monkeypatch):
-    # past DEVIATION_CHUNK kept rows the loop measures what it holds, so
+    # past DISTANCE_CHUNK kept rows the loop measures what it holds, so
     # memory stays bounded; the history must not change
     m = dsc.make_initial_plane(cone, 1.0, 16)
     cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
@@ -634,12 +652,20 @@ def test_vertex_distance_history_in_chunks(cone, monkeypatch):
         passes.append(len(near))
         return run(near)
 
-    monkeypatch.setattr(dsc, "DEVIATION_CHUNK", 16)
+    monkeypatch.setattr(dsc, "DISTANCE_CHUNK", 16)
     monkeypatch.setattr(dsc, "_nearest_distances", counted_pass)
     _, chunked = dsc.minimize(m, cone, cfg, jitter=0.05)
     assert chunked.vertex_distance_history == whole.vertex_distance_history
     assert len(whole.vertex_distance_history) == 40
     assert len(passes) > 2 and sum(passes) == 40
+
+
+def test_minimize_names_first_non_finite_vertex():
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 8)
+    m.vertices[[30, 9], [1, 0]] = [np.inf, np.nan]
+    with pytest.raises(ValueError, match=r"^vertex 9 is not finite$"):
+        dsc.minimize(m, cone, dsc.MinimizeConfig(max_iters=5), jitter=0.05)
 
 
 def test_minimize_config_validation():

@@ -237,6 +237,17 @@ def test_validate_rejects_unknown_class():
         msh.validate(m, cone)
 
 
+def test_validate_names_first_non_finite_vertex():
+    # a NaN or infinite coordinate fails before any geometric check, also
+    # with the vertices laid out as coordinate planes
+    m = make_initial_plane(geo.pyramid_to_cone(1.0, 1.0), 1.0, 8)
+    m.vertices[[40, 12], [2, 1]] = [np.nan, np.inf]
+    for vertices in (m.vertices, np.ascontiguousarray(m.vertices.T).T):
+        m.vertices = vertices
+        with pytest.raises(ValueError, match=r"^vertex 12 is not finite$"):
+            msh.validate(m, geo.pyramid_to_cone(1.0, 1.0))
+
+
 def test_save_obj_matches_per_vertex_writer(tmp_path):
     # the wedge's initial plane has every vertex class and both kinds of
     # face: an apex on the cone edge, free-boundary rays on facets, a
