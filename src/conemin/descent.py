@@ -12,9 +12,11 @@ Both projections read a face plan: the free-boundary vertices on a facet
 with their normals, those on an edge with its direction, and the clamped
 and movable ones.  minimize builds it once, after the jitter's projection,
 and builds it anew only when nearest_point gives a free-boundary vertex a
-different face; a rejected trial goes back to the saved state's faces and
-plan.  The public project_gradient and project_to_constraints build a plan
-per call and run the same kernels.
+different face.  Each Armijo trial goes into a second mesh, with the
+same triangles and classes, that swaps with the accepted state when
+accepted: that state is never written during a line search, so a rejected
+trial leaves nothing to restore.  The public project_gradient and
+project_to_constraints build a plan per call and run the same kernels.
 
 Each accepted state's triangle_geometry (one gather, one cross product per
 triangle) serves three uses: the Armijo test that accepted it, the bound
@@ -49,8 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (CONTAIN_TOL, PolyhedralCone, is_vertex, nearest_point,
-                       row_cross, row_dots, row_norms)
+from .geometry import (CONTAIN_TOL, PolyhedralCone, _edge_rows, is_vertex,
+                       nearest_point, row_cross, row_dots, row_norms)
 from .mesh import (TriMesh, VertexClass, _check_finite, _validate,
                    edge_table, triangle_geometry)
 from .diagnostics import (_ball_audits, _boundary_angle_audit,
@@ -83,7 +85,10 @@ class MinimizeConfig:
                 raise ValueError(f"field '{name}' must be a nonnegative integer")
             setattr(self, name, int(val))
         for name in ("grad_tol", "initial_step", "clamp_radius"):
-            if not getattr(self, name) > 0:
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"field '{name}' must be a finite number")
+            if not val > 0:
                 raise ValueError(f"field '{name}' must be > 0")
         if not 0 < self.armijo_c < 1:
             raise ValueError("field 'armijo_c' must lie in (0, 1)")
@@ -109,7 +114,7 @@ class Diagnostics:
     # wall-clock seconds of each phase: "descent" (the start state's checks
     # and the loop), "vertex_distance" (the exact passes), "ball_audits"
     # and "angle_audit"; three parts of "descent", timed inside the loop:
-    # "gradient" (the projected gradient and the saved state), "line_search"
+    # "gradient" (the projected gradient), "line_search"
     # (the trials) and "vertex_prune" (the accepted state's Gram terms and
     # kept corners)
     phase_seconds: dict = field(default_factory=dict)
@@ -191,7 +196,7 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
                             np.zeros(1))[0]
     else:
         edge = (min(f1, f2), max(f1, f2))
-        if edge not in cone.edges:
+        if cone.face_table[3][edge] < 0:
             raise ValueError(f"sector rays lie on facets {f1} and {f2}, which "
                              "meet in no cone edge: cannot place the apex")
         classes[0] = VertexClass.FREE_BOUNDARY
@@ -283,12 +288,15 @@ def _face_plan(mesh: TriMesh, cone: PolyhedralCone) -> _FacePlan:
     free = cls == VertexClass.FREE_BOUNDARY
     on_facet = np.nonzero(free & (mesh.facet2 < 0))[0]
     on_edge = np.nonzero(free & (mesh.facet2 >= 0))[0]
-    directions = np.array([cone.edges[key][0] for key in zip(
-        mesh.facet[on_edge].tolist(), mesh.facet2[on_edge].tolist())])
+    rows = _edge_rows(cone, mesh.facet[on_edge], mesh.facet2[on_edge])
+    if np.any(rows < 0):
+        bad = int(on_edge[np.argmax(rows < 0)])
+        raise ValueError(f"vertex {bad}: facets ({mesh.facet[bad]}, "
+                         f"{mesh.facet2[bad]}) are not a cone edge")
+    directions = cone.face_table[0][rows - len(cone.normals)]
     clamped = cls == VertexClass.CLAMPED
     return _FacePlan(free, on_facet, cone.normals[mesh.facet[on_facet]],
-                     on_edge, directions.reshape(-1, 3), np.nonzero(clamped)[0],
-                     ~clamped)
+                     on_edge, directions, np.nonzero(clamped)[0], ~clamped)
 
 
 def _onto_faces(plan: _FacePlan, x: np.ndarray):
@@ -367,7 +375,7 @@ def _project(mesh: TriMesh, cone: PolyhedralCone,
 def _mean_unit_normal(mesh: TriMesh):
     """Area-weighted mean normal, or None when it cancels (closed or
     balanced surfaces have no preferred side to jitter toward)."""
-    a, b, c = mesh.triangle_corners()
+    a, b, c = np.take(mesh.vertices, mesh.triangles, axis=0).transpose(1, 0, 2)
     n = row_cross(b - a, c - a).sum(axis=0)
     norm = float(np.linalg.norm(n))
     if norm <= 1e-12:
@@ -437,6 +445,10 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
 
     area = geometry.area
     scale = _flat_scale(geometry.gram())
+    # each trial's state, swapped with the accepted one when accepted
+    trial = TriMesh(np.empty_like(mesh.vertices), mesh.triangles,
+                    mesh.vertex_class, mesh.facet.copy(), mesh.facet2.copy(),
+                    mesh.clamp_radius)
     step = config.initial_step
     status = "max_iters"
     for _ in range(config.max_iters):
@@ -446,20 +458,15 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             status = "converged"
             break
         gsq = float(np.einsum("ij,ij->", g, g))
-        state = (mesh.vertices, mesh.facet, mesh.facet2)
-        saved = [x.copy() for x in state]
-        saved_plan = plan
         t1 = time.perf_counter()
         accepted = False
         for halvings in range(MAX_HALVINGS + 1):
-            np.subtract(saved[0], step * g, out=mesh.vertices)
-            if plan is not saved_plan:  # a rejected trial changed faces
-                mesh.facet[:], mesh.facet2[:] = saved[1:]
-                plan = saved_plan
-            plan = _project(mesh, cone, plan)
-            geometry = triangle_geometry(mesh)
-            trial = geometry.area
-            if trial <= area - config.armijo_c * step * gsq:
+            np.subtract(mesh.vertices, step * g, out=trial.vertices)
+            trial.facet[:], trial.facet2[:] = mesh.facet, mesh.facet2
+            trial_plan = _project(trial, cone, plan)
+            geometry = triangle_geometry(trial)
+            trial_area = geometry.area
+            if trial_area <= area - config.armijo_c * step * gsq:
                 accepted = True
                 break
             step *= 0.5
@@ -467,13 +474,12 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         seconds["gradient"] += t1 - t0
         seconds["line_search"] += t2 - t1
         if not accepted:
-            for x, x0 in zip(state, saved):
-                x[:] = x0
             status = "stalled"
             break
+        mesh, trial, plan = trial, mesh, trial_plan
         diag.armijo_margins.append(
-            (area - trial) - config.armijo_c * step * gsq)
-        area = trial
+            (area - trial_area) - config.armijo_c * step * gsq)
+        area = trial_area
         diag.accepted_steps += 1
         diag.area_history.append(area)
         diag.step_history.append(step)
@@ -489,7 +495,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             rows = 0
         step = min(2.0 * step, config.initial_step)
     # none of the loop's arrays is held through the post-run audits
-    geometry = scale = plan = g = saved = saved_plan = None
+    geometry = scale = plan = trial_plan = g = trial = None
     seconds["descent"] = (time.perf_counter() - start
                           - seconds["vertex_distance"])
     if near:

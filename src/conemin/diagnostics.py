@@ -125,6 +125,8 @@ def vertex_distance(mesh: TriMesh) -> float:
     batch that descent.minimize runs over its accepted states.
     """
     _check_finite(mesh)
+    if not mesh.n_triangles:
+        raise ValueError("vertex_distance: the mesh has no triangles")
     return _nearest_distances([_near_corners(mesh,
                                              triangle_geometry(mesh).gram())])[0]
 

@@ -194,14 +194,19 @@ class PolyhedralCone:
             raise ValueError("cone has empty interior")
 
     @functools.cached_property
-    def edges(self) -> dict:
-        """The cone's edges, {(i, j): (d, is_full_line)} for facets i < j:
-        the unit direction d of the line n_i x n_j that the cone holds as
-        the ray t * d, t >= 0, or, when is_full_line, as the whole line.
-        Computed once; the normals are read-only."""
+    def face_table(self):
+        """The cone's faces as read-only arrays, computed once (the normals
+        are read-only): the (e, 3) unit directions d of its edges, the lines
+        n_i x n_j of facets i < j that the cone holds as the ray t * d,
+        t >= 0, or as the whole line; the (e,) mask of the ray edges; the
+        (k + e, 2) faces, (i, -1) for each facet i, then (i, j) for each
+        edge; and the (k, k) row map, row[i, j] the face row of edge (i, j)
+        for i < j, -1 where facets i and j meet in no edge and for i >= j."""
         normals = self.normals
-        edges = {}
-        for i, j in itertools.combinations(range(len(normals)), 2):
+        k = len(normals)
+        row = np.full((k, k), -1, dtype=np.int64)
+        lines, ray, faces = [], [], [(i, -1) for i in range(k)]
+        for i, j in itertools.combinations(range(k), 2):
             s = row_cross(normals[i], normals[j])
             ns = float(np.linalg.norm(s))
             if ns <= 1e-9:
@@ -210,26 +215,28 @@ class PolyhedralCone:
             ok_p = float(np.max(normals @ s)) <= 1e-9
             ok_m = float(np.max(normals @ -s)) <= 1e-9
             if ok_p or ok_m:
-                edges[i, j] = (s if ok_p else -s, ok_p and ok_m)
-        return edges
-
-    @functools.cached_property
-    def face_table(self):
-        """nearest_point's tables, read-only: the (e, 3) unit directions of
-        the edges in the order of `edges`, the (e,) mask of the ray edges,
-        and the (k + e, 2) faces, (i, -1) for each facet i, then the edges'
-        keys.  Computed once, like `edges`."""
-        keys = list(self.edges)
-        lines = np.array([self.edges[key][0] for key in keys]).reshape(-1, 3)
-        ray = np.array([not self.edges[key][1] for key in keys], dtype=bool)
-        faces = np.array([(i, -1) for i in range(len(self.normals))] + keys,
-                         dtype=np.int64).reshape(-1, 2)
-        for table in (lines, ray, faces):
+                row[i, j] = len(faces)
+                faces.append((i, j))
+                lines.append(s if ok_p else -s)
+                ray.append(not (ok_p and ok_m))
+        tables = (np.array(lines).reshape(-1, 3), np.array(ray, dtype=bool),
+                  np.array(faces, dtype=np.int64), row)
+        for table in tables:
             table.flags.writeable = False
-        return lines, ray, faces
+        return tables
 
     def __repr__(self):
         return f"PolyhedralCone({len(self.normals)} half-spaces)"
+
+
+def _edge_rows(cone: PolyhedralCone, f: np.ndarray, g: np.ndarray):
+    """Face rows of the facet index pairs (f, g), arrays of one shape: the
+    row map of cone.face_table, -1 where (f, g) is no edge, an index out of
+    range included."""
+    k = len(cone.normals)
+    ok = (f >= 0) & (f < k) & (g >= 0) & (g < k)
+    # the row map holds -1 at (0, 0), so a masked pair is no edge
+    return cone.face_table[3][np.where(ok, f, 0), np.where(ok, g, 0)]
 
 
 def is_vertex(cone: PolyhedralCone) -> bool:
@@ -241,9 +248,9 @@ def is_vertex(cone: PolyhedralCone) -> bool:
 
 def nearest_point(x, cone: PolyhedralCone):
     """(p, face): for each row of the (m, 3) array x, the nearest point p of
-    the cone's boundary and its face, (i, -1) on facet i or the cone.edges
-    key (i, j) on an edge.  For a row outside the cone, p is also its
-    nearest point of the cone.
+    the cone's boundary and its face, a row of cone.face_table's faces:
+    (i, -1) on facet i, (i, j) on the edge of facets i < j.  For a row
+    outside the cone, p is also its nearest point of the cone.
 
     The nearest point lies inside some face, so it is the nearest point of
     that face's span.  The candidates are one point per facet plane and one
@@ -253,7 +260,7 @@ def nearest_point(x, cone: PolyhedralCone):
     """
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     normals = cone.normals
-    lines, ray, faces = cone.face_table
+    lines, ray, faces, _ = cone.face_table
     t = x @ lines.T
     t[:, ray] = np.maximum(t[:, ray], 0.0)
     # (m, candidate, coordinate)

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PolyhedralCone, row_cross, row_dots, row_norms
+from .geometry import (PolyhedralCone, _edge_rows, row_cross, row_dots,
+                       row_norms)
 
 AREA_TOL = 1e-14
 PLANE_TOL = 1e-9
@@ -39,8 +40,8 @@ class TriMesh:
         kept as the transpose of a contiguous (3, m) index for the gathers.
     vertex_class: (n,) int array of VertexClass values.
     facet, facet2: (n,) int arrays, the face of a FREE_BOUNDARY vertex:
-        (i, -1) on facet i, the cone.edges key (i, j) on an edge; -1 for
-        the other classes.
+        (i, -1) on facet i, (i, j) on the edge of facets i < j (a row of
+        cone.face_table's faces); -1 for the other classes.
     clamp_radius: sphere radius for CLAMPED vertices, or None.
     """
 
@@ -93,11 +94,6 @@ class TriMesh:
             self.facet2.copy(),
             self.clamp_radius,
         )
-
-    def triangle_corners(self):
-        """Corner position arrays (a, b, c), each of shape (m, 3)."""
-        v, t = self.vertices, self.triangles
-        return tuple(np.take(v, t[:, k], axis=0) for k in range(3))
 
 
 class TriangleGeometry(NamedTuple):
@@ -227,9 +223,7 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
     on_edge = fb & (g >= 0)
     cl = cls == VertexClass.CLAMPED
     f_ok = (f >= 0) & (f < k)
-    keys = cone.face_table[2][k:]
-    edge_ok = np.any((f[:, None] == keys[:, 0]) & (g[:, None] == keys[:, 1]),
-                     axis=1)
+    edge_ok = _edge_rows(cone, f, g) >= 0
     # out-of-range facet indices are masked before they index the normals;
     # their vertices fail the index checks below instead
     off_f = np.abs(row_dots(normals[np.where(f_ok, f, 0)], v)) > PLANE_TOL

@@ -23,7 +23,6 @@ row, that row's first failed check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -100,42 +99,19 @@ def equator_pole(arc: GeodesicArc) -> np.ndarray:
     return unit(row_cross(arc.p, arc.q))
 
 
-@functools.lru_cache(maxsize=8)
-def _incidence_tables(k: int):
-    """Read-only index tables of a k-gon's checks, built on first use: each
-    index's predecessor and successor, the vertex pairs i < j, the mask of
-    the [edge i, vertex j] where j is not an end of edge i (from i to
-    i + 1), and the edge tests in the order of GeodesicPolygon's loop over
-    i, each a crossing or not and the four [edge, vertex] entries it reads,
-    flat (i * k + j).  At each i come the fold-back test of vertex i, then
-    the crossing tests of edge i with each later edge that shares no vertex
-    with it; consecutive edges meet beyond their shared vertex only where
-    the polygon folds back along the edge it came in on."""
-    index = np.arange(k)
-    pred, succ = np.roll(index, 1), np.roll(index, -1)
-    far = (index[None] != index[:, None]) & (index[None] != succ[:, None])
-    crossing, at = [], []
-    for i in range(k):
-        a = succ[i]
-        crossing.append(False)
-        at.append((i * k + succ[a], a * k + i) * 2)
-        for j in range(i + 2, k if i else k - 1):
-            crossing.append(True)
-            at.append((i * k + j, i * k + succ[j], j * k + i, j * k + a))
-    tables = (pred, succ, *np.triu_indices(k, 1), far, np.array(crossing),
-              np.array(at, dtype=np.intp))
-    for table in tables:  # shared by every caller of the cache
-        table.flags.writeable = False
-    return tables
-
-
 def _check_polygons(p: np.ndarray) -> None:
     """GeodesicPolygon's checks on each polygon of the (b, k, 3) stack p of
-    unit vertices, k >= 3."""
-    b, k = p.shape[:2]
-    _, succ, i, j, far, crossing, at = _incidence_tables(k)
-    gap = p[:, i] - p[:, j]
-    check_rows((row_norms(gap) <= COINCIDENT_TOL).any(axis=1),
+    unit vertices, k >= 3.  Edge i runs from vertex i to i + 1 (mod k).  A
+    polygon fails the incidence tests at its lowest failing vertex i: first
+    its fold-back test, vertex i + 2 on edge i or vertex i on edge i + 1
+    (consecutive edges meet beyond their shared vertex only there), then
+    its crossing tests with the edges j > i + 1 that share no vertex."""
+    k = p.shape[1]
+    index = np.arange(k)
+    succ = (index + 1) % k
+    offset = (index - index[:, None]) % k  # j - i mod k at [i, j]
+    gap = row_norms(p[:, :, None] - p[:, None])  # symmetric, 0 at [i, i]
+    check_rows((gap <= COINCIDENT_TOL).sum(axis=(1, 2)) > k,
                "degenerate polygon: coincident vertices")
     check_rows(open_hemisphere_slack(p) <= HEMISPHERE_TOL,
                "polygon is not contained in an open hemisphere")
@@ -149,27 +125,37 @@ def _check_polygons(p: np.ndarray) -> None:
     # on[:, i, j]: vertex j lies on edge i, short of its ends: it is on the
     # edge's great circle, and the great circle through it orthogonal to
     # the edge separates the ends
+    far = offset > 1  # vertex j is not an end of edge i
     on = (side == 0) & far
     if on.any():
         r, e, v = np.nonzero(on)
         t = row_cross(p[r, v], poles[r, e])
         on[r, e, v] = row_dots(t, p[r, e]) * row_dots(t, q[r, e]) < 0.0
-    s = side.reshape(b, -1)[:, at]
-    failed = on.reshape(b, -1)[:, at].any(axis=2) | (
-        crossing & (s[..., 0] * s[..., 1] < 0) & (s[..., 2] * s[..., 3] < 0))
+    # touch[:, i, j]: vertex j or j + 1 lies on edge i, or vertex i or
+    # i + 1 on edge j; at j = i + 1 it is the fold-back test of vertex i
+    touch = on | on[:, :, succ]
+    touch = touch | touch.transpose(0, 2, 1)
+    # split[:, i, j]: the great circle of edge i separates the ends of edge j
+    split = side * side[:, :, succ] < 0
+    # edges i and j share no vertex where 2 <= j - i <= k - 2 (mod k).  The
+    # tests are symmetric in i and j, so a pair fails first at its lower
+    # edge, and j = i - 1, the fold-back test of vertex i - 1, is left there
+    failed = ((touch | (split & split.transpose(0, 2, 1) & far))
+              & (offset < k - 1)).any(axis=2)
     bad = failed.any(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
-        raise RowError("polygon edges cross" if crossing[np.argmax(failed[row])]
-                       else "polygon edges cross at a fold-back vertex", row)
+        i = int(np.argmax(failed[row]))
+        raise RowError("polygon edges cross at a fold-back vertex"
+                       if touch[row, i, succ[i]] else "polygon edges cross",
+                       row)
 
 
 def _polygon_angles(p: np.ndarray) -> np.ndarray:
     """GeodesicPolygon.interior_angles of each polygon of the checked
     (b, k, 3) stack p, as a (b, k) array."""
     b, k = p.shape[:2]
-    pred, succ = _incidence_tables(k)[:2]
-    prev, nxt = p[:, pred], p[:, succ]
+    prev, nxt = np.roll(p, 1, axis=1), np.roll(p, -1, axis=1)
     angles = _angles(p.reshape(-1, 3), prev.reshape(-1, 3),
                      nxt.reshape(-1, 3)).reshape(b, k)
     left = row_dots(row_cross(prev, p), nxt) > 0.0

@@ -102,7 +102,7 @@ def test_initial_plane_wedge_pins_apex_to_spine():
     m = dsc.make_initial_plane(cone, 1.0, 8)
     assert m.vertex_class[0] == msh.VertexClass.FREE_BOUNDARY
     assert (m.facet[0], m.facet2[0]) == (0, 1)
-    assert (0, 1) in cone.edges
+    assert cone.face_table[3][0, 1] >= 0
     npt.assert_allclose(m.vertices[0], 0.0, atol=0.0)
     msh.validate(m, cone)
 
@@ -141,7 +141,7 @@ def test_initial_plane_equals_loop_reference(cone):
             assert x.tobytes() == y.tobytes(), name
         assert got.clamp_radius == want.clamp_radius
     if not geo.is_vertex(cone):
-        assert (got.facet[0], got.facet2[0]) in cone.edges
+        assert cone.face_table[3][got.facet[0], got.facet2[0]] >= 0
 
 
 def test_initial_plane_rejects_bad_inputs():
@@ -160,7 +160,7 @@ def test_initial_plane_rejects_bad_inputs():
     eta = 1.2e-9
     tilted = geo.PolyhedralCone([[0.0, 1.0, -1.0], [0.0, -1.0, -1.0],
                                  [eta, 0.3, -1.0], [-eta, -0.3, -1.0]])
-    assert not geo.is_vertex(tilted) and (0, 1) not in tilted.edges
+    assert not geo.is_vertex(tilted) and tilted.face_table[3][0, 1] < 0
     with pytest.raises(ValueError, match=r"^sector rays lie on facets 0 and 1, "
                        "which meet in no cone edge"):
         dsc.make_initial_plane(tilted, 1.0, 8)
@@ -281,7 +281,7 @@ def test_project_gradient_classes():
 
 def test_project_gradient_edge_pinned_is_line_projection():
     # a free-boundary vertex whose face is a cone edge keeps the part of
-    # its gradient along the edge line; the cone's edge table stores each
+    # its gradient along the edge line; the cone's face table stores each
     # direction once, sign chosen by the cone, and (g . s) s is the same
     # bit for bit for s and -s.  A vertex on a facet keeps its in-plane part
     def line_part(g, s):  # the dot product in coordinate order
@@ -292,7 +292,7 @@ def test_project_gradient_edge_pinned_is_line_projection():
         m = dsc.make_initial_plane(cone, 1.0, 6)
         m.vertex_class[0] = msh.VertexClass.FREE_BOUNDARY
         g = rng.standard_normal(m.vertices.shape)
-        for f, f2 in cone.edges:
+        for f, f2 in cone.face_table[2][len(cone.normals):]:
             m.facet[0], m.facet2[0] = f, f2
             s = geo.unit(np.cross(cone.normals[f], cone.normals[f2]))
             gp = dsc.project_gradient(m, cone, g)
@@ -303,6 +303,21 @@ def test_project_gradient_edge_pinned_is_line_projection():
             gp = dsc.project_gradient(m, cone, g)
             npt.assert_allclose(gp[0], g[0] - float(g[0] @ n) * n, rtol=0.0,
                                 atol=1e-15)
+
+
+def test_projections_reject_a_face_that_is_no_cone_edge():
+    # facets 0 and 1 of the pyramid meet in a line outside the cone, an
+    # edge key lists the lower facet first, and facet indices stay in range
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 6)
+    m.vertex_class[3] = msh.VertexClass.FREE_BOUNDARY
+    for pair in ((0, 1), (2, 0), (-1, 2), (4, 2), (0, 9)):
+        m.facet[3], m.facet2[3] = pair
+        match = r"^vertex 3: facets \(%d, %d\) are not a cone edge$" % pair
+        with pytest.raises(ValueError, match=match):
+            dsc.project_gradient(m, cone, np.zeros(m.vertices.shape))
+        with pytest.raises(ValueError, match=match):
+            dsc.project_to_constraints(m, cone)
 
 
 def test_project_to_constraints_idempotent_on_feasible_mesh():
@@ -536,8 +551,9 @@ def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
     (geo.wedge_above(2.0, 1), 2, 0.4, 150)), ids=("pyramid", "wedge"))
 def test_minimize_equals_plain_descent_loop(cone, seed, jitter, max_iters):
     # minimize keeps one face plan per run, rebuilt when a vertex takes a
-    # new face and restored with the saved state after a rejected trial,
-    # and shares each accepted state's Gram terms; the plain loop rebuilds
+    # new face, writes each trial into a second mesh that swaps with the
+    # accepted state, and shares each accepted state's Gram terms; the
+    # plain loop copies the accepted state for each trial and rebuilds
     # everything from the public kernels on every call.  The seeds and
     # jitters are ones where faces change in accepted and in rejected
     # trials, so a stale plan cannot pass; the wedge run also reaches
@@ -550,6 +566,25 @@ def test_minimize_equals_plain_descent_loop(cone, seed, jitter, max_iters):
     ref, want, reassigned = descent_loop(start, cone, cfg)
     assert reassigned[True] > 0 and reassigned[False] > 0
     final, diag = dsc.minimize(m, cone, cfg, jitter=jitter)
+    for name, value in want.items():
+        assert getattr(diag, name) == value, name
+    for name in ("vertices", "facet", "facet2"):
+        npt.assert_array_equal(getattr(final, name), getattr(ref, name))
+
+
+def test_minimize_stalls_like_plain_descent_loop(monkeypatch):
+    # with two halvings per line search the run stalls after 7 accepted
+    # steps; the returned state is the last accepted one, untouched by the
+    # failed line search
+    monkeypatch.setattr(dsc, "MAX_HALVINGS", 2)
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    cfg = dsc.MinimizeConfig(max_iters=60, grad_tol=1e-10, seed=0)
+    start, _ = dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=0),
+                            jitter=0.05)
+    ref, want, _ = descent_loop(start, cone, cfg)
+    final, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
+    assert (diag.status, diag.accepted_steps) == ("stalled", 7)
     for name, value in want.items():
         assert getattr(diag, name) == value, name
     for name in ("vertices", "facet", "facet2"):
@@ -679,6 +714,16 @@ def test_minimize_config_validation():
         dsc.MinimizeConfig(clamp_radius=0.0)
     with pytest.raises(ValueError):
         dsc.MinimizeConfig(seed=-2)
+
+
+@pytest.mark.parametrize("name", ("grad_tol", "initial_step", "clamp_radius"))
+@pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+def test_minimize_config_rejects_non_finite(name, value):
+    # grad_tol = inf would report "converged" after 0 steps, and
+    # initial_step = inf would run NaN trials until it stalls
+    with pytest.raises(ValueError,
+                       match=rf"^field '{name}' must be a finite number$"):
+        dsc.MinimizeConfig(**{name: value})
 
 
 def test_minimize_jitter_is_seeded():

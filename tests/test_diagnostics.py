@@ -96,8 +96,16 @@ def test_vertex_distance_handles_degenerate_triangle():
     assert diag.vertex_distance(m) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_vertex_distance_rejects_mesh_without_triangles():
+    m = msh.TriMesh(np.eye(3), np.zeros((0, 3), dtype=np.int64),
+                    np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="mesh has no triangles"):
+        diag.vertex_distance(m)
+
+
 def unpruned_vertex_distance(m):
-    return float(np.min(diag._extents(*m.triangle_corners())[0]))
+    return float(np.min(diag._extents(*diag._corners(m.vertices,
+                                                     m.triangles))[0]))
 
 
 def test_vertex_distance_pruned_equals_unpruned_on_jittered_meshes():

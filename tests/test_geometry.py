@@ -189,6 +189,30 @@ def test_two_halfspace_wedge_builds():
     assert not contains(cone, [3.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("normals, keys, rays", (
+    (geo.pyramid_to_cone(1.0, 1.0).normals, [(0, 2), (0, 3), (1, 2), (1, 3)],
+     [True] * 4),
+    (geo.wedge_above(1.0, 1).normals, [(0, 1)], [False]),
+    ([[0.0, 0.0, -1.0]], [], [])), ids=("C11", "wedge", "halfspace"))
+def test_face_table_rows(normals, keys, rays):
+    # the faces list the facets, then the edges of facets i < j; the row
+    # map points each edge at its face row and holds -1 elsewhere
+    cone = geo.PolyhedralCone(normals)
+    lines, ray, faces, row = cone.face_table
+    k = len(cone.normals)
+    want_faces = [[i, -1] for i in range(k)] + [list(e) for e in keys]
+    assert faces.tolist() == want_faces
+    assert ray.tolist() == rays and lines.shape == (len(keys), 3)
+    want = np.full((k, k), -1)
+    for r, (i, j) in enumerate(keys):
+        want[i, j] = k + r
+        npt.assert_allclose(np.abs(lines[r]), np.abs(geo.unit(np.cross(
+            cone.normals[i], cone.normals[j]))), rtol=0.0, atol=1e-15)
+        assert np.max(cone.normals @ lines[r]) <= 1e-12
+    assert row.tolist() == want.tolist()
+    assert not any(t.flags.writeable for t in cone.face_table)
+
+
 @pytest.mark.parametrize("cone", (geo.pyramid_to_cone(1.0, 1.0),
                                   geo.pyramid_to_cone(0.5, 2.0),
                                   geo.wedge_above(1.0, 1)),
@@ -199,8 +223,9 @@ def test_nearest_point_matches_brute_force(cone):
     # points of the boundary: the apex, points on every edge, and the
     # brute-force nearest boundary points of random points, most of them
     # inside a facet
-    on_edges = [t * d for d, full in cone.edges.values()
-                for t in ((-1.0, -0.2, 0.3, 1.0) if full else (0.3, 1.0))]
+    lines, ray = cone.face_table[:2]
+    on_edges = [t * d for d, r in zip(lines, ray)
+                for t in ((0.3, 1.0) if r else (-1.0, -0.2, 0.3, 1.0))]
     on_facets = [nearest_boundary_point(cone, y)[0]
                  for y in rng.standard_normal((60, 3))]
     boundary = np.array([np.zeros(3)] + on_edges + on_facets)
@@ -226,5 +251,5 @@ def test_nearest_point_matches_brute_force(cone):
         assert np.max(normals @ pi) <= geo.CONTAIN_TOL
         assert abs(normals[f] @ pi) <= 1e-12
         if f2 >= 0:
-            assert (f, f2) in cone.edges
+            assert cone.face_table[3][f, f2] >= 0
             assert abs(normals[f2] @ pi) <= 1e-12

@@ -212,8 +212,9 @@ def test_validate_rejects_out_of_range_facet_index():
         with pytest.raises(ValueError,
                            match=rf"^vertex 1: invalid facet index {bad}$"):
             msh.validate(m, cone)
-    # an edge face is a key of cone.edges: facets 0 and 1 of the pyramid
-    # meet in a line outside the cone, and keys list the lower facet first
+    # an edge face is a row of cone.face_table: facets 0 and 1 of the
+    # pyramid meet in a line outside the cone, and rows list the lower facet
+    # first
     for pair in ((2, 99), (0, 1), (2, 0)):
         m = cone_triangle_mesh([inner, fb, inner], facet=[-1, pair[0], -1],
                                facet2=[-1, pair[1], -1])

@@ -176,6 +176,28 @@ def test_polygon_rejects_fold_back_as_fold_back():
             sph.GeodesicPolygon(pts)
 
 
+def test_check_polygons_precedence():
+    # a stack fails at its lowest failing polygon: row 1, a bowtie, before
+    # row 2, a fold-back
+    square = chart((0, 0), (1, 0), (1, 1), (0, 1))
+    bowtie = chart((0, 0), (1, 1), (1, 0), (0, 1))
+    fold = chart((0, 0), (2, 0), (1, 0), (1, 1))
+    with pytest.raises(sph.RowError, match="^polygon edges cross$") as exc:
+        sph._check_polygons(np.array([square, bowtie, fold]))
+    assert exc.value.row == 1
+    # vertex 2 of fold lies on edge 0: the fold-back test and the crossing
+    # test of edges 0 and 2 both fail at vertex 0, and the fold-back test
+    # goes first
+    with pytest.raises(sph.RowError, match="fold-back"):
+        sph._check_polygons(np.array([fold]))
+    # edges 0 and 2 of hexagon cross, and it folds back at vertex 3: the
+    # lowest vertex whose tests fail decides the message
+    hexagon = chart((0, 0), (2, 0), (2, 2), (1, -1), (1, -3), (1, -2))
+    for start, message in ((0, "^polygon edges cross$"), (3, "fold-back")):
+        with pytest.raises(sph.RowError, match=message):
+            sph._check_polygons(np.array([hexagon[start:] + hexagon[:start]]))
+
+
 def rotations_and_reversals(pts):
     """Every cyclic order of pts in both directions."""
     return [seq[r:] + seq[:r] for seq in (pts, pts[::-1])
