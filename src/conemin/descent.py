@@ -18,13 +18,17 @@ accepted: that state is never written during a line search, so a rejected
 trial leaves nothing to restore.  The public project_gradient and
 project_to_constraints build a plan per call and run the same kernels.
 
-Each accepted state's triangle_geometry (one gather, one cross product per
-triangle) serves three uses: the Armijo test that accepted it, the bound
-that prunes its triangles for its vertex distance and the next step's
-gradient.  So do its Gram terms (TriangleGeometry.gram, one pass): the
-pruning bound reads all four, and the gradient's flat-triangle test reads
-|ab|² and |ca|².  One contiguous (3, m) corner index, TriMesh's layout of
-the triangles, serves every gather and the gradient's np.bincount.
+Each accepted state's triangle_geometry (one gather per coordinate, one
+cross product per triangle) serves three uses: the Armijo test that
+accepted it, the bound that prunes its triangles for its vertex distance
+and the next step's gradient.  So do its Gram terms (TriangleGeometry.gram,
+one pass): the pruning bound reads all four, and the gradient's
+flat-triangle test reads |ab|² and |ca|².  The final state's Gram terms,
+the only array of the loop held past it, serve the post-run ball audits
+too (a stalled run's audits build their own).  One contiguous (3, m)
+corner index, TriMesh's layout of the triangles, serves every gather and
+the gradient's np.bincount.  No trial copies the whole mesh: _project
+keeps only the free-boundary rows.
 
 Nothing in the loop reads a vertex distance, so the loop keeps only the
 pruned triangles' corners, and one exact pass after it measures every
@@ -35,7 +39,6 @@ the conical deviation from the solid angles of whole and clipped
 triangles (Van Oosterom & Strackee 1983).  The triangles never change, so
 one edge table serves the whole run: the validation of the start state
 and, through its boundary rows, the boundary angle audit of the final one.
-No array of the loop is held through the post-run audits.
 
 The area gradient scatters its per-corner terms onto the vertices with
 np.bincount, which sums in index order, so results are bit-identical from
@@ -55,7 +58,7 @@ from .geometry import (CONTAIN_TOL, PolyhedralCone, _edge_rows, is_vertex,
                        nearest_point, row_cross, row_dots, row_norms)
 from .mesh import (TriMesh, VertexClass, _check_finite, _validate,
                    edge_table, triangle_geometry)
-from .diagnostics import (_ball_audits, _boundary_angle_audit,
+from .diagnostics import (_ball_audits, _boundary_angle_audit, _corners,
                           _near_corners, _nearest_distances)
 
 MAX_HALVINGS = 60
@@ -113,10 +116,10 @@ class Diagnostics:
     halvings_history: list = field(default_factory=list)
     # wall-clock seconds of each phase: "descent" (the start state's checks
     # and the loop), "vertex_distance" (the exact passes), "ball_audits"
-    # and "angle_audit"; three parts of "descent", timed inside the loop:
-    # "gradient" (the projected gradient), "line_search"
-    # (the trials) and "vertex_prune" (the accepted state's Gram terms and
-    # kept corners)
+    # and "angle_audit"; four parts of "descent": "start" (everything
+    # before the loop) and, timed inside it, "gradient" (the projected
+    # gradient), "line_search" (the trials) and "vertex_prune" (the
+    # accepted state's Gram terms and kept corners)
     phase_seconds: dict = field(default_factory=dict)
 
 
@@ -162,8 +165,8 @@ def make_initial_plane(cone: PolyhedralCone, R: float, resolution: int) -> TriMe
     wedge-like cone it stays at the origin, free-boundary on the cone edge
     where the two sector facets meet.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError("R must be a finite number > 0")
     if int(resolution) != resolution or resolution < 1:
         raise ValueError("resolution must be a positive integer")
     resolution = int(resolution)
@@ -257,23 +260,27 @@ def _area_gradient(mesh: TriMesh, geometry, scale) -> np.ndarray:
     # rather than inject a roundoff-signed slope
     good = lens > DEGENERATE_REL_TOL * scale
     half = np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0)
-    terms = row_cross(n * half[:, None], e)
+    u = n * half[:, None]
     corner = mesh.triangles.T.ravel()
     grad = np.empty_like(mesh.vertices)
-    for k in range(3):
-        grad[:, k] = np.bincount(corner, terms[..., k].ravel(),
+    # the corner terms u x e as row_cross forms them, one coordinate at a time
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        terms = u[:, i] * e[..., j]
+        terms -= u[:, j] * e[..., i]
+        grad[:, k] = np.bincount(corner, terms.ravel(),
                                  minlength=mesh.n_vertices)
     return grad
 
 
 class _FacePlan(NamedTuple):
     """The rows that each constraint projection of a mesh touches, from its
-    classes and faces: the free-boundary mask; the free-boundary vertices on
-    a facet with their facet normals, and those on a cone edge with their
+    classes and faces: the free-boundary mask and indices; the ones on a
+    facet with their facet normals, and those on a cone edge with their
     edge directions (indices, (k, 3) rows); the clamped vertices (indices);
     and the mask of the others, the ones that may leave the cone."""
 
     free: np.ndarray
+    free_rows: np.ndarray
     on_facet: np.ndarray
     facet_normals: np.ndarray
     on_edge: np.ndarray
@@ -295,7 +302,8 @@ def _face_plan(mesh: TriMesh, cone: PolyhedralCone) -> _FacePlan:
                          f"{mesh.facet2[bad]}) are not a cone edge")
     directions = cone.face_table[0][rows - len(cone.normals)]
     clamped = cls == VertexClass.CLAMPED
-    return _FacePlan(free, on_facet, cone.normals[mesh.facet[on_facet]],
+    return _FacePlan(free, np.flatnonzero(free), on_facet,
+                     cone.normals[mesh.facet[on_facet]],
                      on_edge, directions, np.nonzero(clamped)[0], ~clamped)
 
 
@@ -342,9 +350,10 @@ def _project(mesh: TriMesh, cone: PolyhedralCone,
              plan: _FacePlan) -> _FacePlan:
     """project_to_constraints under the mesh's face plan; returns the plan
     of the result, a new one only when a free-boundary vertex took a
-    different face."""
+    different face.  Of the positions before the call, nearest_point needs
+    the free-boundary rows alone: no other movable row changes before it."""
     v = mesh.vertices
-    start = v.copy()
+    start = v[plan.free_rows]
     clamped = plan.clamped
     if clamped.size:
         if mesh.clamp_radius is None:
@@ -363,8 +372,10 @@ def _project(mesh: TriMesh, cone: PolyhedralCone,
     out = np.nonzero((np.max(cone.normals @ v.T, axis=0) > CONTAIN_TOL)
                      & plan.movable)[0]
     if out.size:
-        v[out], face = nearest_point(start[out], cone)
         moved = plan.free[out]
+        x = v[out]
+        x[moved] = start[np.searchsorted(plan.free_rows, out[moved])]
+        v[out], face = nearest_point(x, cone)
         at, (f, f2) = out[moved], face[moved].T
         if np.any(mesh.facet[at] != f) or np.any(mesh.facet2[at] != f2):
             mesh.facet[at], mesh.facet2[at] = f, f2
@@ -374,9 +385,10 @@ def _project(mesh: TriMesh, cone: PolyhedralCone,
 
 def _mean_unit_normal(mesh: TriMesh):
     """Area-weighted mean normal, or None when it cancels (closed or
-    balanced surfaces have no preferred side to jitter toward)."""
-    a, b, c = np.take(mesh.vertices, mesh.triangles, axis=0).transpose(1, 0, 2)
-    n = row_cross(b - a, c - a).sum(axis=0)
+    balanced surfaces have no preferred side to jitter toward); summed
+    triangle after triangle, as numpy's row sum, which starts from +0."""
+    a, b, c = _corners(mesh.vertices, mesh.triangles)
+    n = np.add.accumulate(row_cross(b - a, c - a))[-1] + 0.0
     norm = float(np.linalg.norm(n))
     if norm <= 1e-12:
         return None
@@ -398,6 +410,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     sphere) plus incoherent noise at a tenth of that amplitude.  Without it
     a mirror-symmetric start can only descend inside its symmetry plane.
     """
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise ValueError("jitter must be a finite number >= 0")
     start = time.perf_counter()
     table = edge_table(mesh)  # first, as it checks the indices
     _check_finite(mesh)
@@ -444,7 +458,9 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     _validate(mesh, cone, table.repeated_direction, geometry.areas)
 
     area = geometry.area
-    scale = _flat_scale(geometry.gram())
+    gram = geometry.gram()
+    scale = _flat_scale(gram)
+    seconds["start"] = time.perf_counter() - start
     # each trial's state, swapped with the accepted one when accepted
     trial = TriMesh(np.empty_like(mesh.vertices), mesh.triangles,
                     mesh.vertex_class, mesh.facet.copy(), mesh.facet2.copy(),
@@ -452,11 +468,13 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     step = config.initial_step
     status = "max_iters"
     for _ in range(config.max_iters):
+        gram = None  # only the final state's Gram terms outlive their step
         t0 = time.perf_counter()
         g = _tangent(plan, _area_gradient(mesh, geometry, scale))
         if float(np.max(np.abs(g))) <= config.grad_tol:
             status = "converged"
             break
+        geometry = None  # a line search holds its trial's geometry alone
         gsq = float(np.einsum("ij,ij->", g, g))
         t1 = time.perf_counter()
         accepted = False
@@ -487,14 +505,17 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         gram = geometry.gram()
         scale = _flat_scale(gram)
         near.append(_near_corners(mesh, gram))
-        del gram  # only the scale is held through the next step
         seconds["vertex_prune"] += time.perf_counter() - t2
         rows += near[-1].shape[2]
         if rows >= DISTANCE_CHUNK:
             measure()
             rows = 0
         step = min(2.0 * step, config.initial_step)
-    # none of the loop's arrays is held through the post-run audits
+    if status == "converged":
+        gram = geometry.gram()
+    # of the loop's arrays, only the final state's Gram terms reach the
+    # post-run audits; a stalled run's last geometry is a rejected trial's,
+    # so its audits build their own
     geometry = scale = plan = trial_plan = g = trial = None
     seconds["descent"] = (time.perf_counter() - start
                           - seconds["vertex_distance"])
@@ -507,7 +528,8 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     windows = [(lo * R, hi * R) for lo, hi in DEVIATION_WINDOWS]
     t0 = time.perf_counter()
     diag.p_ratios, deviations = _ball_audits(
-        mesh, [float(f * R) for f in RADII_FRACTIONS], windows)
+        mesh, [float(f * R) for f in RADII_FRACTIONS], windows, gram)
+    del gram
     diag.conical_deviation = [(rho, r, d) for (rho, r), d
                               in zip(windows, deviations)]
     t1 = time.perf_counter()

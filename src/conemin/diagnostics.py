@@ -271,12 +271,14 @@ def monotonicity_ratio(mesh: TriMesh, radii) -> list:
     return _ball_audits(mesh, radii, ())[0]
 
 
-def _ball_audits(mesh: TriMesh, radii, windows):
+def _ball_audits(mesh: TriMesh, radii, windows, gram=None):
     """The monotonicity_ratio table over radii and the conical_deviation of
     each (rho, r) window, with their checks, from one corner gather and one
-    _distance_bounds pass.  One _disk_clip pass takes each radius's cut
-    triangles and each window's crossing triangles at r and at rho; the
-    solid angle of a triangle inside any window is computed once."""
+    _distance_bounds pass, on gram, the mesh's TriangleGeometry.gram, or
+    on the same terms from the corners (ab . ac for ab . ca: the bound
+    squares it).  One _disk_clip pass takes each radius's cut triangles and
+    each window's crossing triangles at r and at rho; the solid angles of
+    the triangles inside any window come from the same corners, once."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
@@ -290,10 +292,14 @@ def _ball_audits(mesh: TriMesh, radii, windows):
     _check_finite(mesh)
     corners = _corners(mesh.vertices, mesh.triangles)
     ab, ac, _, areas, nhat = _planes(*corners)
-    bc = corners[2] - corners[1]
-    norms, d_min, gap, n2, margin = _distance_bounds(mesh, [
-        row_dots(x, y) for x, y in ((ab, ab), (ac, ac), (bc, bc), (ab, ac))])
-    del ab, ac, bc  # the edges are not held through the clip pass
+    if gram is None:
+        bc = corners[2] - corners[1]
+        gram = [row_dots(x, y) for x, y in
+                ((ab, ab), (ac, ac), (bc, bc), (ab, ac))]
+        del bc
+    del ab, ac  # the edges are not held through the clip pass
+    norms, d_min, gap, n2, margin = _distance_bounds(mesh, gram)
+    del gram
     d_max = np.max(norms, axis=0)
     # d <= cmin settles the spheres above cmin; a bound that puts d above
     # the largest sphere s at or below cmin (0 if none) settles the rest
@@ -316,10 +322,9 @@ def _ball_audits(mesh: TriMesh, radii, windows):
     table = [(t, (float(np.sum(areas[ins])) + float(np.sum(part))) / (t * t))
              for t, ins, part in zip(radii, inside, np.split(clipped, ends))]
     clips = np.split(omega, ends)[len(radii):]
-    angles = np.zeros(len(areas))
-    any_within = np.any(within, axis=0)
-    angles[any_within] = _solid_angles(*_rows(any_within, *corners, nhat),
-                                       areas[any_within], norms[:, any_within])
+    if not windows:
+        return table, []
+    angles = _solid_angles(*corners, nhat, areas, norms)
     k = len(windows)
     return table, [float(np.sum(angles[w])) + float(np.sum(at_r - at_rho))
                    for w, at_r, at_rho in zip(within, clips[:k], clips[k:])]

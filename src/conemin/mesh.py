@@ -123,13 +123,14 @@ class TriangleGeometry(NamedTuple):
 
 
 def triangle_geometry(mesh: TriMesh) -> TriangleGeometry:
-    """Edges and normals of every triangle from one coordinate-major
-    np.take gather; the corners are not kept."""
-    # (coordinate, corner, tri) planes
-    p = np.take(mesh.vertices.T, mesh.triangles.T, axis=1)
-    e = np.empty_like(p)
-    for k in range(3):
-        np.subtract(p[:, k - 1], p[:, (k + 1) % 3], out=e[:, k])
+    """Edges and normals of every triangle from coordinate-major np.take
+    gathers, one coordinate's corners at a time; no corner is kept."""
+    t = mesh.triangles.T
+    e = np.empty((3,) + t.shape)  # (coordinate, corner, tri) planes
+    for x, ex in zip(mesh.vertices.T, e):
+        p = np.take(x, t)
+        for k in range(3):
+            np.subtract(p[k - 1], p[(k + 1) % 3], out=ex[k])
     e = np.moveaxis(e, 0, -1)
     # (a - c) x (b - a) is ab x ac from the same products and differences,
     # so the same bits up to the sign of a zero component
@@ -164,9 +165,10 @@ class EdgeTable:
 
 
 def edge_table(mesh: TriMesh) -> EdgeTable:
-    """One np.argsort of the directed edge keys (min * n + max) * 2 + (i > j):
-    a repeated directed edge is an equal neighbour in sorted order, and a
-    boundary edge a run of one undirected key.  The keys need every index
+    """One stable np.argsort of the directed edge keys (min * n + max) * 2 +
+    (i > j), faster than the default on their sorted runs: a repeated
+    directed edge, the only tie, is an equal neighbour in sorted order, and
+    a boundary edge a run of one undirected key.  The keys need every index
     in [0, n): ValueError names the first triangle with one outside."""
     t, n = mesh.triangles, mesh.n_vertices
     bad = np.argwhere((t < 0) | (t >= n))
@@ -176,7 +178,7 @@ def edge_table(mesh: TriMesh) -> EdgeTable:
                          f"for {n} vertices")
     i, j = t.T.ravel(), np.roll(t.T, -1, axis=0).ravel()
     key = 2 * (np.minimum(i, j) * n + np.maximum(i, j)) + (i > j)
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")
     key = key[order]
     # starts[p]: sorted key p opens a run of one undirected key, or p = end
     starts = np.ones(len(key) + 1, dtype=bool)
@@ -208,48 +210,47 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
     """validate of the mesh whose edge_table (which checks the indices) has
     the given repeated_direction and whose triangles have the given areas;
     neither the table nor the geometry is built here."""
-    n = mesh.n_vertices
     if np.any(areas <= AREA_TOL):
         bad = int(np.argmin(areas))
         raise ValueError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
     if repeated_direction:
         raise ValueError("inconsistent orientation: repeated directed edge")
 
-    # per-class checks; the lowest-indexed offending vertex is reported,
-    # with its class's first failed check
+    # per-class checks, each on its class's rows alone; the lowest-indexed
+    # offending vertex is reported, with its class's first failed check
     normals, v, cls = cone.normals, mesh.vertices, mesh.vertex_class
-    f, g, k = mesh.facet, mesh.facet2, len(normals)
-    fb = cls == VertexClass.FREE_BOUNDARY
-    on_edge = fb & (g >= 0)
-    cl = cls == VertexClass.CLAMPED
-    f_ok = (f >= 0) & (f < k)
-    edge_ok = _edge_rows(cone, f, g) >= 0
+    f, g, radius = mesh.facet, mesh.facet2, mesh.clamp_radius
+    is_fb, is_cl = (cls == VertexClass.FREE_BOUNDARY,
+                    cls == VertexClass.CLAMPED)
+    fb, cl = np.flatnonzero(is_fb), np.flatnonzero(is_cl)
+    ff, gg, x = f[fb], g[fb], v[fb]
+    on_edge = gg >= 0
+    f_ok = (ff >= 0) & (ff < len(normals))
+    edge_ok = _edge_rows(cone, ff, gg) >= 0
     # out-of-range facet indices are masked before they index the normals;
     # their vertices fail the index checks below instead
-    off_f = np.abs(row_dots(normals[np.where(f_ok, f, 0)], v)) > PLANE_TOL
-    off_g = np.abs(row_dots(normals[np.where(edge_ok, g, 0)], v)) > PLANE_TOL
-    if mesh.clamp_radius is None:
-        no_radius, off_sphere = cl, np.zeros(n, dtype=bool)
+    off_f = np.abs(row_dots(normals[np.where(f_ok, ff, 0)], x)) > PLANE_TOL
+    off_g = np.abs(row_dots(normals[np.where(edge_ok, gg, 0)], x)) > PLANE_TOL
+    if radius is None:
+        no_radius, off_sphere = cl, cl[:0]
     else:
-        no_radius = np.zeros(n, dtype=bool)
-        off_sphere = cl & (np.abs(row_norms(v) - mesh.clamp_radius)
-                           > PLANE_TOL)
+        no_radius = cl[:0]
+        off_sphere = cl[np.abs(row_norms(v[cl]) - radius) > PLANE_TOL]
     checks = (
-        (fb & ~on_edge & ~f_ok,
+        (fb[~on_edge & ~f_ok],
          lambda i: f"vertex {i}: invalid facet index {f[i]}"),
-        (fb & ~on_edge & f_ok & off_f,
+        (fb[~on_edge & f_ok & off_f],
          lambda i: f"vertex {i} off its facet plane"),
-        (on_edge & ~edge_ok,
+        (fb[on_edge & ~edge_ok],
          lambda i: f"vertex {i}: facets ({f[i]}, {g[i]}) are not a cone edge"),
-        (on_edge & edge_ok & (off_f | off_g),
+        (fb[on_edge & edge_ok & (off_f | off_g)],
          lambda i: f"vertex {i} off its cone edge"),
         (no_radius, lambda i: "clamped vertices but no clamp_radius"),
         (off_sphere, lambda i: f"vertex {i} off the clamp sphere"),
-        (~(fb | cl | (cls == VertexClass.INTERIOR)),
+        (np.flatnonzero(~(is_fb | is_cl | (cls == VertexClass.INTERIOR))),
          lambda i: f"vertex {i}: unknown class {cls[i]}"),
     )
-    bad = [(int(np.argmax(mask)), message) for mask, message in checks
-           if mask.any()]
+    bad = [(int(at[0]), message) for at, message in checks if len(at)]
     if bad:
         i, message = min(bad, key=lambda im: im[0])
         raise ValueError(message(i))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from conemin.descent import _sector_rays
-from conemin.geometry import is_vertex, row_norms
+from conemin.geometry import is_vertex, row_cross, row_norms
 from conemin.mesh import TriMesh, VertexClass
 
 
@@ -363,6 +363,18 @@ def descent_loop(mesh, cone, config):
         out["vertex_distance_history"].append(vertex_distance(state))
         step = min(2.0 * step, config.initial_step)
     return state, out, reassigned
+
+
+def mean_unit_normal_rows(mesh):
+    """descent._mean_unit_normal from row-major (m, 3, 3) corners: numpy's
+    sum over the rows of the (m, 3) cross products adds them triangle after
+    triangle.  None when the sum cancels."""
+    a, b, c = np.take(mesh.vertices, mesh.triangles, axis=0).transpose(1, 0, 2)
+    n = row_cross(b - a, c - a).sum(axis=0)
+    norm = float(np.linalg.norm(n))
+    if norm <= 1e-12:
+        return None
+    return n / norm
 
 
 def ball_audits_unpruned(mesh, radii, windows):

@@ -414,11 +414,12 @@ def test_minimize_report_times_each_phase(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     phases = report["phase_seconds"]
     assert set(phases) == {"descent", "vertex_distance", "ball_audits",
-                           "angle_audit", "write_outputs", "gradient",
-                           "line_search", "vertex_prune"}
+                           "angle_audit", "write_outputs", "start",
+                           "gradient", "line_search", "vertex_prune"}
     assert all(np.isfinite(t) and t >= 0.0 for t in phases.values())
-    # the three parts of the loop are timed inside the descent phase
-    assert (phases["gradient"] + phases["line_search"]
+    # the start state's set-up and the three parts of the loop are timed
+    # inside the descent phase
+    assert (phases["start"] + phases["gradient"] + phases["line_search"]
             + phases["vertex_prune"] <= phases["descent"])
     # timings stay out of the results, which a fixed config fixes
     assert "phase_seconds" not in report["results"]

@@ -15,7 +15,8 @@ from conemin import geometry as geo
 from conemin import mesh as msh
 from oracles import (ball_audits_unpruned, contains, descent_loop,
                      euler_characteristic, fd_surface_gradient,
-                     initial_plane_loop, nearest_boundary_point)
+                     initial_plane_loop, mean_unit_normal_rows,
+                     nearest_boundary_point)
 
 
 def random_disk_mesh(rng, rings=3):
@@ -164,6 +165,14 @@ def test_initial_plane_rejects_bad_inputs():
     with pytest.raises(ValueError, match=r"^sector rays lie on facets 0 and 1, "
                        "which meet in no cone edge"):
         dsc.make_initial_plane(tilted, 1.0, 8)
+
+
+@pytest.mark.parametrize("R", (math.inf, -math.inf, math.nan))
+def test_initial_plane_rejects_non_finite_radius(R):
+    # R = inf would fill the mesh with NaN behind a RuntimeWarning
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^R must be a finite number > 0$"):
+        dsc.make_initial_plane(cone, R, 8)
 
 
 # ---------------------------------------------------------------- surface area
@@ -423,6 +432,23 @@ def test_jittered_start_is_valid(resolution, seeds):
         assert diag.pinned_vertices == np.nonzero(start.facet2 >= 0)[0].tolist()
 
 
+@pytest.mark.parametrize("case", ("flat r1", "flat r16", "jittered", "wedge"))
+def test_mean_unit_normal_equals_row_sum(case):
+    # the coordinate-plane sums must keep the row sum's order, to the sign
+    # of a zero: the flat start's x2 and x3 sums are signed zeros, and the
+    # one triangle of resolution 1 gives -0 terms only
+    cone = geo.wedge_above(1.0, 1) if case == "wedge" \
+        else geo.pyramid_to_cone(1.0, 1.0)
+    mesh = dsc.make_initial_plane(cone, 1.0, 1 if case == "flat r1" else 16)
+    if case == "jittered":
+        mesh, _ = dsc.minimize(mesh, cone, dsc.MinimizeConfig(max_iters=0,
+                                                              seed=2),
+                               jitter=0.05)
+    got, want = dsc._mean_unit_normal(mesh), mean_unit_normal_rows(mesh)
+    assert got.tobytes() == want.tobytes()
+    npt.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 # ---------------------------------------------------------------- minimize
 
 def test_wedge_plane_is_stationary():
@@ -591,6 +617,43 @@ def test_minimize_stalls_like_plain_descent_loop(monkeypatch):
         npt.assert_array_equal(getattr(final, name), getattr(ref, name))
 
 
+@pytest.mark.parametrize("status", ("max_iters", "converged", "stalled"))
+def test_audits_take_the_returned_state_gram_terms(status, monkeypatch):
+    # the post-run audits get the Gram terms of the returned mesh from the
+    # loop, except after a stall, whose last geometry is a rejected trial's:
+    # those audits build their own.  Either way they must equal the public
+    # kernels on the returned mesh, bit for bit.  The stalled run is that
+    # of test_minimize_stalls_like_plain_descent_loop
+    grams = []
+
+    def audits(mesh, radii, windows, gram=None, run=dsc._ball_audits):
+        grams.append(gram)
+        return run(mesh, radii, windows, gram)
+
+    monkeypatch.setattr(dsc, "_ball_audits", audits)
+    monkeypatch.setattr(dsc, "MAX_HALVINGS",
+                        2 if status == "stalled" else dsc.MAX_HALVINGS)
+    cone = geo.wedge_above(1.0, 1) if status == "converged" \
+        else geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 8 if status == "converged" else 16)
+    cfg = dsc.MinimizeConfig(
+        max_iters=10 if status == "max_iters" else 2000,
+        grad_tol=1e-3 if status == "converged" else 1e-10, seed=0)
+    final, diag = dsc.minimize(m, cone, cfg,
+                               jitter=0.02 if status == "converged" else 0.05)
+    assert diag.status == status and diag.accepted_steps > 0
+    if status == "stalled":
+        assert grams == [None]
+    else:
+        for got, want in zip(grams[0], msh.triangle_geometry(final).gram(),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+    radii = [float(f * cfg.clamp_radius) for f in dsc.RADII_FRACTIONS]
+    assert diag.p_ratios == dg.monotonicity_ratio(final, radii)
+    for rho, r, dev in diag.conical_deviation:
+        assert dev == dg.conical_deviation(final, rho, r)
+
+
 def test_minimize_records_each_step_and_its_halvings(monkeypatch):
     cone = geo.pyramid_to_cone(1.0, 1.0)
     m = dsc.make_initial_plane(cone, 1.0, 16)
@@ -724,6 +787,17 @@ def test_minimize_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError,
                        match=rf"^field '{name}' must be a finite number$"):
         dsc.MinimizeConfig(**{name: value})
+
+
+@pytest.mark.parametrize("jitter", (math.nan, -0.1, math.inf, -math.inf))
+def test_minimize_rejects_bad_jitter(jitter):
+    # NaN and negative jitters ran unjittered, an infinite one gave NaN
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 8)
+    with pytest.raises(ValueError,
+                       match=r"^jitter must be a finite number >= 0$"):
+        dsc.minimize(m, cone, dsc.MinimizeConfig(max_iters=5, seed=1),
+                     jitter=jitter)
 
 
 def test_minimize_jitter_is_seeded():

@@ -108,6 +108,14 @@ def grid_mesh(n, hole=False):
     return msh.TriMesh(verts, tris, np.zeros(len(verts), dtype=np.int64))
 
 
+def flipped(m, k):
+    """m with triangle k's orientation reversed: each of its interior edges
+    is then walked twice one way, so edge_table's sort keys tie."""
+    tris = m.triangles.copy()
+    tris[k] = tris[k, ::-1]
+    return msh.TriMesh(m.vertices, tris, m.vertex_class)
+
+
 def shuffled(m, seed):
     """m with its vertices renumbered and its triangles reordered."""
     rng = np.random.default_rng(seed)
@@ -119,8 +127,10 @@ def shuffled(m, seed):
 
 @pytest.mark.parametrize("mesh", (
     shuffled(make_initial_plane(geo.pyramid_to_cone(1.0, 1.0), 1.0, 12), 4),
-    grid_mesh(9), grid_mesh(9, hole=True), non_manifold_mesh()),
-    ids=("shuffled fan", "grid", "grid with hole", "three owners"))
+    grid_mesh(9), grid_mesh(9, hole=True), non_manifold_mesh(),
+    flipped(grid_mesh(9), 40)),
+    ids=("shuffled fan", "grid", "grid with hole", "three owners",
+         "flipped triangle"))
 def test_edge_table_equals_unique_counts(mesh):
     table = msh.edge_table(mesh)
     edges, owner, repeated_direction = edge_table_unique(mesh)
@@ -226,6 +236,24 @@ def test_validate_rejects_out_of_range_facet_index():
                            facet2=[-1, 2, -1])
     with pytest.raises(ValueError, match=r"^vertex 1 off its cone edge$"):
         msh.validate(m, cone)
+
+
+def test_validate_face_checks_read_free_boundary_rows_only():
+    # facet indices out of range at an interior and a clamped vertex are
+    # not read; the message names the lowest free-boundary offender
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    fb, cl = msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.CLAMPED
+    inner = msh.VertexClass.INTERIOR
+    m = cone_triangle_mesh([inner, cl, fb], facet=[99, -7, 9],
+                           facet2=[42, 99, -1])
+    with pytest.raises(ValueError, match=r"^vertex 2: invalid facet index 9$"):
+        msh.validate(m, cone)
+    m.facet[2], m.facet2[2] = 2, 99
+    with pytest.raises(ValueError, match=r"^vertex 2: facets \(2, 99\) are "
+                       r"not a cone edge$"):
+        msh.validate(m, cone)
+    m.vertex_class[2] = inner
+    msh.validate(m, cone)
 
 
 def test_validate_rejects_unknown_class():
