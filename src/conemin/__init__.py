@@ -41,7 +41,6 @@ from .mesh import (
     save_obj,
     surface_area,
     triangle_areas,
-    triangle_normals,
     validate,
 )
 from .descent import (
@@ -73,7 +72,7 @@ __all__ = [
     "feasible_params", "phi", "phi_prime", "section_areas", "trapezium_area",
     "weighted_energy",
     "TriMesh", "VertexClass", "save_obj", "surface_area", "triangle_areas",
-    "triangle_normals", "validate",
+    "validate",
     "Diagnostics", "MinimizeConfig", "area_gradient", "make_initial_plane",
     "minimize", "project_gradient", "project_to_constraints",
     "BoundaryAngleStats", "boundary_angle_audit", "conical_deviation",

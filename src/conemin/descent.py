@@ -110,7 +110,6 @@ class Diagnostics:
     accepted_steps: int = 0
     # vertices whose face became a cone edge during the run
     pinned_vertices: list = field(default_factory=list)
-    armijo_margins: list = field(default_factory=list)
     # each accepted step's length, and the trials rejected before it
     step_history: list = field(default_factory=list)
     halvings_history: list = field(default_factory=list)
@@ -495,8 +494,6 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             status = "stalled"
             break
         mesh, trial, plan = trial, mesh, trial_plan
-        diag.armijo_margins.append(
-            (area - trial_area) - config.armijo_c * step * gsq)
         area = trial_area
         diag.accepted_steps += 1
         diag.area_history.append(area)

@@ -14,13 +14,16 @@ disk centered at the foot of the perpendicular from the origin.  One
 batched kernel, _disk_clip, gives the exact area of every triangle ∩ disk,
 circular segments included, and the exact solid angle it subtends at the
 origin.  On a flat triangle x . normal is the plane offset d, so the
-deviation integrand is the solid-angle density and has a closed form: a
-triangle inside the annulus adds its Van Oosterom–Strackee solid angle
-(Van Oosterom & Strackee 1983, "The solid angle of a plane triangle"), a
-triangle crossing a sphere the clip at r less the clip at rho.  So p(r)
-and the deviation are exact to rounding.  A p(r) table and deviation
-windows of one mesh share its corners and bounds, and one clip pass takes
-the cut triangles of all their spheres.
+deviation integrand is the solid-angle density and has a closed form.
+Every ball audit is a sum over spheres: for each sphere s of one sorted
+list, the area A(s) and the solid angle W(s) of mesh ∩ B_s, where a
+triangle inside B_s adds its area and its Van Oosterom–Strackee solid
+angle (Van Oosterom & Strackee 1983, "The solid angle of a plane
+triangle") and a triangle the sphere cuts adds its _disk_clip row.  Then
+p(r) = A(r)/r² and the deviation over (rho, r) is W(r) − W(rho), exact to
+rounding.  A p(r) table and deviation windows of one mesh share its
+corners, bounds and spheres, and one clip pass takes the cut triangles of
+all of them.
 
 The kernels work one coordinate column at a time, so their results do not
 depend on the memory layout of their (m, 3) corner and (m, 3, 2) chart
@@ -36,13 +39,13 @@ three corners' columns, all in coordinate order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PolyhedralCone, row_cross, row_dots, row_norms
 from .mesh import (TriMesh, VertexClass, _check_finite, edge_table,
-                   triangle_geometry, triangle_normals)
+                   triangle_geometry)
 
 FACET_TOL = 1e-7
 EPS = np.finfo(float).eps
@@ -235,11 +238,15 @@ def _solid_angles(a, b, c, nhat, areas, norms):
     (a · c)|b| + (b · c)|a|), with unit normals nhat, areas and (3, m)
     corner norms.  The triple product is taken as 2 · area · (a · nhat):
     on a small triangle far from the origin, b × c of nearly parallel
-    corners would lose the digits that the short edges keep."""
+    corners would lose the digits that the short edges keep.  Where it is
+    0, on a flat triangle or a plane through the origin, x · ν vanishes and
+    so does Ω, as in _disk_clip: arctan2 would give π when the origin
+    projects into the triangle."""
     na, nb, nc = norms
     den = (na * nb * nc + row_dots(a, b) * nc + row_dots(a, c) * nb
            + row_dots(b, c) * na)
-    return np.abs(2.0 * np.arctan2(2.0 * areas * row_dots(a, nhat), den))
+    triple = 2.0 * areas * row_dots(a, nhat)
+    return np.where(triple != 0, np.abs(2.0 * np.arctan2(triple, den)), 0.0)
 
 
 def _charts(a, b, c, nhat):
@@ -276,19 +283,21 @@ def _ball_audits(mesh: TriMesh, radii, windows, gram=None):
     each (rho, r) window, with their checks, from one corner gather and one
     _distance_bounds pass, on gram, the mesh's TriangleGeometry.gram, or
     on the same terms from the corners (ab . ac for ab . ca: the bound
-    squares it).  One _disk_clip pass takes each radius's cut triangles and
-    each window's crossing triangles at r and at rho; the solid angles of
-    the triangles inside any window come from the same corners, once."""
+    squares it).  For each sphere s, a radius or a window end, A(s) and
+    W(s) sum the areas and solid angles of the triangles inside B_s and
+    the _disk_clip rows of those it cuts, all spheres in one clip pass;
+    p(r) = A(r)/r² and a window's deviation is W(r) − W(rho)."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    if mesh.clamp_radius is not None and radii and radii[-1] > mesh.clamp_radius + 1e-9:
-        raise ValueError("radii must not exceed the clamp radius")
     windows = [(float(rho), float(r)) for rho, r in windows]
     if not all(0 < rho < r for rho, r in windows):
         raise ValueError("need 0 < rho < r")
+    spheres = np.unique([0.0] + radii + [x for w in windows for x in w])
+    if mesh.clamp_radius is not None and spheres[-1] > mesh.clamp_radius + 1e-9:
+        raise ValueError("radii must not exceed the clamp radius")
     _check_finite(mesh)
     corners = _corners(mesh.vertices, mesh.triangles)
     ab, ac, _, areas, nhat = _planes(*corners)
@@ -303,42 +312,42 @@ def _ball_audits(mesh: TriMesh, radii, windows, gram=None):
     d_max = np.max(norms, axis=0)
     # d <= cmin settles the spheres above cmin; a bound that puts d above
     # the largest sphere s at or below cmin (0 if none) settles the rest
-    spheres = np.unique([0.0] + radii + [x for w in windows for x in w])
     s = spheres[np.searchsorted(spheres, d_min, side="right") - 1]
     exact = (gap - s) * n2 <= margin
     d_min[exact] = _extents(*_rows(exact, *corners))[0]
-    radius = np.array(radii)[:, None]
-    rho, r = np.reshape(windows, (-1, 2)).T[:, :, None]
-    inside = d_max <= radius
-    within = (d_min >= rho) & (d_max <= r) & (areas > 0)
-    crossing = ~within & (d_min < r) & (d_max > rho) & (areas > 0)
-    cut = np.concatenate([~inside & (d_min < radius) & (areas > 0),
-                          crossing, crossing])
+    spheres = spheres[1:]
+    inside = d_max <= spheres[:, None]
+    cut = ~inside & (d_min < spheres[:, None]) & (areas > 0)
     counts = np.count_nonzero(cut, axis=1)
     pts, off = _charts(*_rows(cut, *corners, nhat))
-    sphere = np.repeat(np.concatenate([radii, r[:, 0], rho[:, 0]]), counts)
-    clipped, omega = _disk_clip(pts, _disk_radius(sphere, off), off)
+    clipped, omega = _disk_clip(
+        pts, _disk_radius(np.repeat(spheres, counts), off), off)
     ends = np.cumsum(counts)[:-1]
-    table = [(t, (float(np.sum(areas[ins])) + float(np.sum(part))) / (t * t))
-             for t, ins, part in zip(radii, inside, np.split(clipped, ends))]
-    clips = np.split(omega, ends)[len(radii):]
+
+    def sums(whole, clips, wanted):
+        """Per sphere in wanted: whole over the triangles inside, plus clips."""
+        return {t: float(np.sum(whole[ins])) + float(np.sum(part))
+                for t, ins, part in zip(spheres.tolist(), inside,
+                                        np.split(clips, ends)) if t in wanted}
+
+    area = sums(areas, clipped, radii)
+    table = [(r, area[r] / (r * r)) for r in radii]
     if not windows:
         return table, []
-    angles = _solid_angles(*corners, nhat, areas, norms)
-    k = len(windows)
-    return table, [float(np.sum(angles[w])) + float(np.sum(at_r - at_rho))
-                   for w, at_r, at_rho in zip(within, clips[:k], clips[k:])]
+    solid = sums(_solid_angles(*corners, nhat, areas, norms), omega,
+                 {x for w in windows for x in w})
+    return table, [solid[r] - solid[rho] for rho, r in windows]
 
 
 def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
     """∫ |x·ν|/|x|³ over mesh ∩ (B_r ∖ B_ρ), exact to rounding.
 
     On a flat triangle x·ν is its plane offset, so the integral is the
-    solid angle the piece subtends at the origin.  A triangle inside the
-    annulus adds its Van Oosterom–Strackee solid angle (Van Oosterom &
-    Strackee 1983); one crossing a sphere adds the _disk_clip solid angle
-    at r less that at ρ.  A triangle gets an exact nearest distance only
-    when its _distance_bounds bracket holds rho or r.
+    solid angle the piece subtends at the origin: W(r) − W(ρ), with W(s)
+    the Van Oosterom–Strackee solid angles (Van Oosterom & Strackee 1983)
+    of the triangles inside B_s plus the _disk_clip solid angles of those
+    the sphere cuts.  A triangle gets an exact nearest distance only when
+    its _distance_bounds bracket holds rho or r.
     """
     return _ball_audits(mesh, (), ((rho, r),))[1][0]
 
@@ -396,10 +405,8 @@ def _boundary_angle_audit(mesh: TriMesh, cone: PolyhedralCone, edges, owner,
     midnorm = row_norms(0.5 * (v[i] + v[j]))
     keep = (tagged | on_plane) & (midnorm > min_norm)
     k = np.where(tagged, k, nearest)[keep]
-    # normals of the owning triangles alone, from the same per-triangle
-    # arithmetic as the whole mesh's
-    owners = replace(mesh, triangles=mesh.triangles[owner[keep]])
-    cos = row_dots(triangle_normals(owners), normals[k])
+    nhat = _planes(*_corners(v, mesh.triangles[owner[keep]]))[4]
+    cos = row_dots(nhat, normals[k])
     angs = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
     if not len(angs):
         raise ValueError("mesh has no free-boundary edges on cone facets")

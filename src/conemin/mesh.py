@@ -142,12 +142,6 @@ def triangle_areas(mesh: TriMesh) -> np.ndarray:
     return triangle_geometry(mesh).areas
 
 
-def triangle_normals(mesh: TriMesh) -> np.ndarray:
-    """Unit normals; degenerate triangles yield zero vectors."""
-    _, n, lens = triangle_geometry(mesh)
-    return n / np.where(lens > 0, lens, 1.0)[:, None]
-
-
 def surface_area(mesh: TriMesh) -> float:
     return triangle_geometry(mesh).area
 

@@ -379,35 +379,27 @@ def mean_unit_normal_rows(mesh):
 
 def ball_audits_unpruned(mesh, radii, windows):
     """diagnostics._ball_audits (after its argument checks) the unpruned
-    way: the exact _extents of every triangle, one _charts and _disk_clip
-    pass per radius, and per window the solid angles of its own inside
-    triangles plus one clip pass at each of its two spheres over its own
-    crossing triangles.  Returns (table, deviations)."""
+    way: the exact _extents of every triangle and, per sphere s (a radius
+    or a window end), one _charts and _disk_clip pass over the triangles s
+    cuts; A(s) and W(s) add those rows to the areas and solid angles of the
+    triangles inside B_s.  Returns (table, deviations) with p(r) = A(r)/r²
+    and deviation W(r) - W(rho)."""
     from conemin import diagnostics as dg
 
     corners = dg._corners(mesh.vertices, mesh.triangles)
     d_min, d_max, areas, nhat = dg._extents(*corners)
-
-    def clip(mask, r):
-        pts, off = dg._charts(*dg._rows(mask, *corners, nhat))
-        return dg._disk_clip(pts, dg._disk_radius(r, off), off)
-
-    table = []
-    for r in radii:
-        inside = d_max <= r
-        clipped, _ = clip(~inside & (d_min < r) & (areas > 0), r)
-        total = float(np.sum(areas[inside])) + float(np.sum(clipped))
-        table.append((r, total / (r * r)))
-    deviations = []
-    for rho, r in windows:
-        inside = (d_min >= rho) & (d_max <= r) & (areas > 0)
-        a, b, c, n = dg._rows(inside, *corners, nhat)
-        norms = np.stack([row_norms(x) for x in (a, b, c)])
-        crossing = ~inside & (d_min < r) & (d_max > rho) & (areas > 0)
-        deviations.append(
-            float(np.sum(dg._solid_angles(a, b, c, n, areas[inside], norms)))
-            + float(np.sum(clip(crossing, r)[1] - clip(crossing, rho)[1])))
-    return table, deviations
+    norms = np.stack([row_norms(x) for x in corners])
+    angles = dg._solid_angles(*corners, nhat, areas, norms)
+    area, solid = {}, {}
+    for s in sorted({*radii, *(x for w in windows for x in w)}):
+        inside = d_max <= s
+        cut = ~inside & (d_min < s) & (areas > 0)
+        pts, off = dg._charts(*dg._rows(cut, *corners, nhat))
+        clipped, omega = dg._disk_clip(pts, dg._disk_radius(s, off), off)
+        area[s] = float(np.sum(areas[inside])) + float(np.sum(clipped))
+        solid[s] = float(np.sum(angles[inside])) + float(np.sum(omega))
+    return ([(r, area[r] / (r * r)) for r in radii],
+            [solid[r] - solid[rho] for rho, r in windows])
 
 
 def edge_table_unique(mesh):

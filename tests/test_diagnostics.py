@@ -397,6 +397,39 @@ def test_ball_audits_one_clip_pass_and_fewer_exact_rows(monkeypatch):
     assert table == ball_audits_unpruned(m, RADII, ())[0]
 
 
+def test_deviation_windows_add_up():
+    # W(0.5) cancels between the two windows: their sum is the whole window
+    m = minimized_mesh(PYRAMID, 16)
+    parts = (diag.conical_deviation(m, 0.1, 0.5)
+             + diag.conical_deviation(m, 0.5, 0.9))
+    assert parts == pytest.approx(diag.conical_deviation(m, 0.1, 0.9),
+                                  rel=0, abs=1e-14)
+
+
+def test_ball_audits_shared_spheres_equal_separate_calls():
+    # window ends that are also table radii share their sphere's sums
+    m = minimized_mesh(PYRAMID, 16)
+    windows = [(RADII[1], RADII[6]), (RADII[6], RADII[-1])]
+    table, deviations = diag._ball_audits(m, RADII, windows)
+    assert table == diag.monotonicity_ratio(m, RADII)
+    assert deviations == [diag.conical_deviation(m, rho, r)
+                          for rho, r in windows]
+
+
+def test_ball_audits_skip_flat_triangles():
+    # zero-area triangles add neither area nor solid angle
+    m = degenerate_soup()
+    areas = diag._planes(*diag._corners(m.vertices, m.triangles))[3]
+    assert np.count_nonzero(areas == 0) == 103
+    whole = triangle_soup(*diag._corners(m.vertices, m.triangles[areas > 0]))
+    radii, windows = linspace(0.2, 1.6, 10), [(0.3, 1.2), (0.5, 1.6)]
+    got = diag._ball_audits(m, radii, windows)
+    want = diag._ball_audits(whole, radii, windows)
+    npt.assert_allclose([p for _, p in got[0]], [p for _, p in want[0]],
+                        rtol=0, atol=1e-14)
+    npt.assert_allclose(got[1], want[1], rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("audit", (
     diag.vertex_distance,
     lambda m: diag.monotonicity_ratio(m, RADII),
@@ -516,6 +549,9 @@ def test_deviation_rejects_bad_window():
         diag.conical_deviation(m, 0.9, 0.9)
     with pytest.raises(ValueError):
         diag.conical_deviation(m, -0.1, 0.5)
+    # a window end past the clamp sphere would measure a surface cut off there
+    with pytest.raises(ValueError, match="clamp radius"):
+        diag.conical_deviation(m, 0.5, 1.5)
 
 
 # ---------------------------------------------------------------- boundary angles
@@ -709,6 +745,12 @@ def test_deviation_plane_through_origin_is_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert diag.conical_deviation(m, 0.1, 0.5) == 0.0
+    # moved in its plane so that the origin is the centroid of triangle 0,
+    # which lies whole inside B_0.5 but is cut by the sphere of radius
+    # 0.01: its solid angle must be 0 at both spheres, not π at one
+    m = dsc.make_initial_plane(geo.pyramid_to_cone(1.0, 1.0), 1.0, 8)
+    m.vertices = m.vertices - np.mean(m.vertices[m.triangles[0]], axis=0)
+    assert diag.conical_deviation(m, 0.01, 0.5) == 0.0
 
 
 def test_deviation_offset_plane_regression_pin():

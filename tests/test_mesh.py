@@ -34,13 +34,6 @@ def test_surface_area_unit_right_triangle():
     assert msh.surface_area(right_triangle_mesh()) == pytest.approx(0.5)
 
 
-def test_triangle_normals_unit_length():
-    m = quad_mesh()
-    n = msh.triangle_normals(m)
-    npt.assert_allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-15)
-    npt.assert_allclose(n[0], n[1], atol=1e-15)
-
-
 def test_validate_rejects_degenerate_triangle():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     tris = np.array([[0, 1, 2]])
