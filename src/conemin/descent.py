@@ -20,25 +20,33 @@ project_to_constraints build a plan per call and run the same kernels.
 
 Each accepted state's triangle_geometry (one gather per coordinate, one
 cross product per triangle) serves three uses: the Armijo test that
-accepted it, the bound that prunes its triangles for its vertex distance
-and the next step's gradient.  So do its Gram terms (TriangleGeometry.gram,
-one pass): the pruning bound reads all four, and the gradient's
-flat-triangle test reads |ab|² and |ca|².  The final state's Gram terms,
-the only array of the loop held past it, serve the post-run ball audits
-too (a stalled run's audits build their own).  One contiguous (3, m)
-corner index, TriMesh's layout of the triangles, serves every gather and
-the gradient's np.bincount.  No trial copies the whole mesh: _project
-keeps only the free-boundary rows.
+accepted it, the choice of the triangles its vertex distance reads and
+the next step's gradient.  The last two read its norms |ab × ac| and its
+flat scale max(|ab|², |ca|²) (diagnostics._flat_scale), the only Gram
+terms the loop forms.  All four Gram terms (TriangleGeometry.gram) are
+built once, after the loop, from the returned state's geometry, for the
+post-run ball audits (a stalled run's last geometry is a rejected
+trial's, so its audits build their own).  Every state's geometry goes
+into one set of arrays (mesh._geometry_into): each trial overwrites the
+last, and the accepted one's stays until the next trial.  No step
+allocates whole-mesh geometry arrays, so none are freed between trials
+for the allocator to hand back to the system and fault in again.  One
+contiguous (3, m) corner index, TriMesh's layout of the triangles, serves
+every gather and the gradient's np.bincount.  No trial copies the whole
+mesh: _project keeps only the free-boundary rows.
 
 Nothing in the loop reads a vertex distance, so the loop keeps only the
-pruned triangles' corners, and one exact pass after it measures every
-accepted state (or one pass per DISTANCE_CHUNK kept triangles, so a long
-run holds bounded memory).  The post-run ball audits of the final state
-are closed forms from one clip pass: p(r) from exact clipped areas, and
-the conical deviation from the solid angles of whole and clipped
-triangles (Van Oosterom & Strackee 1983).  The triangles never change, so
-one edge table serves the whole run: the validation of the start state
-and, through its boundary rows, the boundary angle audit of the final one.
+corners of the triangles that diagnostics._near_corners keeps (those
+near the nearest corner, and slivers), and one exact pass after it
+measures every accepted state (or one pass per DISTANCE_CHUNK kept
+triangles, so a long run holds bounded memory).  The whole-mesh bound
+diagnostics._distance_bounds runs once per run, in the post-run ball
+audits of the final state.  These are closed forms from one clip pass:
+p(r) from exact clipped areas, and the conical deviation from the solid
+angles of whole and clipped triangles (Van Oosterom & Strackee 1983).
+The triangles never change, so one edge table serves the whole run: the
+validation of the start state and, through its boundary rows, the
+boundary angle audit of the final one.
 
 The area gradient scatters its per-corner terms onto the vertices with
 np.bincount, which sums in index order, so results are bit-identical from
@@ -56,10 +64,11 @@ import numpy as np
 
 from .geometry import (CONTAIN_TOL, PolyhedralCone, _edge_rows, is_vertex,
                        nearest_point, row_cross, row_dots, row_norms)
-from .mesh import (TriMesh, VertexClass, _check_finite, _validate,
-                   edge_table, triangle_geometry)
+from .mesh import (AREA_TOL, TriMesh, VertexClass, _check_finite,
+                   _empty_geometry, _geometry_into, _validate, edge_table,
+                   triangle_geometry)
 from .diagnostics import (_ball_audits, _boundary_angle_audit, _corners,
-                          _near_corners, _nearest_distances)
+                          _flat_scale, _near_corners, _nearest_distances)
 
 MAX_HALVINGS = 60
 DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
@@ -67,7 +76,10 @@ DEGENERATE_REL_TOL = 1e-9  # |cross| below this multiple of the longest
 
 RADII_FRACTIONS = np.linspace(0.15, 0.95, 10)
 DEVIATION_WINDOWS = ((0.1, 0.5), (0.2, 0.9))
-DISTANCE_CHUNK = 262144  # kept triangles per exact vertex-distance pass
+# kept triangles per exact vertex-distance pass: each state's kept corners
+# are a small array held across the steps that follow, and hundreds of
+# them held at once fragment the heap that the steps' temporaries reuse
+DISTANCE_CHUNK = 2048
 
 
 @dataclass
@@ -118,7 +130,7 @@ class Diagnostics:
     # and "angle_audit"; four parts of "descent": "start" (everything
     # before the loop) and, timed inside it, "gradient" (the projected
     # gradient), "line_search" (the trials) and "vertex_prune" (the
-    # accepted state's Gram terms and kept corners)
+    # accepted state's flat scale and kept corners)
     phase_seconds: dict = field(default_factory=dict)
 
 
@@ -241,13 +253,7 @@ def area_gradient(mesh: TriMesh) -> np.ndarray:
     the corner terms per vertex, one coordinate at a time.
     """
     geometry = triangle_geometry(mesh)
-    return _area_gradient(mesh, geometry, _flat_scale(geometry.gram()))
-
-
-def _flat_scale(gram) -> np.ndarray:
-    """max(|ab|², |ca|²) of each triangle, from its Gram terms: the scale
-    below which _area_gradient takes a triangle for flat."""
-    return np.maximum(gram[0], gram[1])
+    return _area_gradient(mesh, geometry, _flat_scale(geometry))
 
 
 def _area_gradient(mesh: TriMesh, geometry, scale) -> np.ndarray:
@@ -408,13 +414,16 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     surface normal (sign drawn from config.seed, fading to zero at the clamp
     sphere) plus incoherent noise at a tenth of that amplitude.  Without it
     a mirror-symmetric start can only descend inside its symmetry plane.
+    Where the jitter's projection leaves a triangle of area <= AREA_TOL
+    (all three corners on one cone edge), its corners go back to their
+    places and faces before the jitter.
     """
     if not (math.isfinite(jitter) and jitter >= 0.0):
         raise ValueError("jitter must be a finite number >= 0")
     start = time.perf_counter()
     table = edge_table(mesh)  # first, as it checks the indices
     _check_finite(mesh)
-    mesh = mesh.copy()
+    source, mesh = mesh, mesh.copy()
     if mesh.clamp_radius is None:
         mesh.clamp_radius = float(config.clamp_radius)
     elif abs(mesh.clamp_radius - config.clamp_radius) > 1e-9:
@@ -452,13 +461,23 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         mesh.vertices[movable] += (0.1 * jitter) * rng.standard_normal(
             (count, 3))
         project_to_constraints(mesh, cone)
+    # the run's one set of geometry arrays, the start state's first
+    geometry = _geometry_into(mesh, _empty_geometry(mesh.n_triangles))
+    areas = geometry.areas
+    if jitter > 0.0 and np.any(areas <= AREA_TOL):
+        # the projection can put every corner of a triangle on one cone
+        # edge; those corners go back to their places and faces before
+        # the jitter
+        back = mesh.triangles[areas <= AREA_TOL].ravel()
+        for name in ("vertices", "facet", "facet2"):
+            getattr(mesh, name)[back] = getattr(source, name)[back]
+        areas = _geometry_into(mesh, geometry).areas
     plan = _face_plan(mesh, cone)
-    geometry = triangle_geometry(mesh)
-    _validate(mesh, cone, table.repeated_direction, geometry.areas)
+    _validate(mesh, cone, table.repeated_direction, areas)
+    area = float(areas.sum())  # geometry.area, bit for bit
+    del areas  # not held through the run
 
-    area = geometry.area
-    gram = geometry.gram()
-    scale = _flat_scale(gram)
+    scale = _flat_scale(geometry)
     seconds["start"] = time.perf_counter() - start
     # each trial's state, swapped with the accepted one when accepted
     trial = TriMesh(np.empty_like(mesh.vertices), mesh.triangles,
@@ -467,13 +486,11 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     step = config.initial_step
     status = "max_iters"
     for _ in range(config.max_iters):
-        gram = None  # only the final state's Gram terms outlive their step
         t0 = time.perf_counter()
         g = _tangent(plan, _area_gradient(mesh, geometry, scale))
         if float(np.max(np.abs(g))) <= config.grad_tol:
             status = "converged"
             break
-        geometry = None  # a line search holds its trial's geometry alone
         gsq = float(np.einsum("ij,ij->", g, g))
         t1 = time.perf_counter()
         accepted = False
@@ -481,8 +498,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             np.subtract(mesh.vertices, step * g, out=trial.vertices)
             trial.facet[:], trial.facet2[:] = mesh.facet, mesh.facet2
             trial_plan = _project(trial, cone, plan)
-            geometry = triangle_geometry(trial)
-            trial_area = geometry.area
+            trial_area = _geometry_into(trial, geometry).area
             if trial_area <= area - config.armijo_c * step * gsq:
                 accepted = True
                 break
@@ -499,20 +515,18 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         diag.area_history.append(area)
         diag.step_history.append(step)
         diag.halvings_history.append(halvings)
-        gram = geometry.gram()
-        scale = _flat_scale(gram)
-        near.append(_near_corners(mesh, gram))
+        scale = _flat_scale(geometry)
+        near.append(_near_corners(mesh, scale, geometry.norms))
         seconds["vertex_prune"] += time.perf_counter() - t2
         rows += near[-1].shape[2]
         if rows >= DISTANCE_CHUNK:
             measure()
             rows = 0
         step = min(2.0 * step, config.initial_step)
-    if status == "converged":
-        gram = geometry.gram()
     # of the loop's arrays, only the final state's Gram terms reach the
     # post-run audits; a stalled run's last geometry is a rejected trial's,
     # so its audits build their own
+    gram = None if status == "stalled" else geometry.gram()
     geometry = scale = plan = trial_plan = g = trial = None
     seconds["descent"] = (time.perf_counter() - start
                           - seconds["vertex_distance"])

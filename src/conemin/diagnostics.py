@@ -4,10 +4,13 @@ monotonicity_ratio reports the scaled area p(r) = area(mesh inside B_r)/r^2;
 conical_deviation integrates |x . normal|/|x|^3 over a ball annulus;
 boundary_angle_audit measures the contact angle along the free boundary;
 vertex_distance is the exact distance from the origin to the surface.
-One bound, _distance_bounds, serves the last three: with the smallest
+One bound, _distance_bounds, serves the first two: with the smallest
 corner norm above, it brackets each triangle's nearest distance, so the
-exact kernel _extents runs only on the triangles that can be nearest (one
-pass for a batch of states) or whose bracket holds a sphere of the audit.
+exact kernel _extents runs only on the triangles whose bracket holds a
+sphere of the audit.  vertex_distance runs _extents (one pass for a batch
+of states) on the triangles _near_corners keeps, a superset of those the
+bound cannot put past the smallest corner norm, read from the corner
+norms, the flat scale max(|ab|², |ca|²) and |ab × ac| alone.
 
 Ball clipping happens in each triangle's own plane, where the ball cuts a
 disk centered at the foot of the perpendicular from the origin.  One
@@ -130,8 +133,18 @@ def vertex_distance(mesh: TriMesh) -> float:
     _check_finite(mesh)
     if not mesh.n_triangles:
         raise ValueError("vertex_distance: the mesh has no triangles")
-    return _nearest_distances([_near_corners(mesh,
-                                             triangle_geometry(mesh).gram())])[0]
+    geometry = triangle_geometry(mesh)
+    scale, cross = _flat_scale(geometry), geometry.norms
+    del geometry  # the edges and normals are not held through the pass
+    return _nearest_distances([_near_corners(mesh, scale, cross)])[0]
+
+
+def _flat_scale(geometry) -> np.ndarray:
+    """max(|ab|², |ca|²) of each triangle of a triangle_geometry, its first
+    two Gram terms: the scale below which the area gradient takes a
+    triangle for flat, and the near-apex rule's edge bound."""
+    _, ca, ab = geometry.edges
+    return np.maximum(row_dots(ab, ab), row_dots(ca, ca))
 
 
 def _distance_bounds(mesh: TriMesh, gram):
@@ -151,15 +164,35 @@ def _distance_bounds(mesh: TriMesh, gram):
     return norms, cmin, cmin - emax, n2, slack * (n2 + e2 * e2)
 
 
-def _near_corners(mesh: TriMesh, gram) -> np.ndarray:
-    """Corners, as a (3, 3, k) (coordinate, corner, triangle) array, of the
-    triangles that _distance_bounds, from the mesh's triangle_geometry Gram
-    terms, cannot put farther than the smallest corner norm of the mesh."""
-    _, cmin, gap, n2, margin = _distance_bounds(mesh, gram)
-    keep = mesh.triangles[(gap - np.min(cmin)) * n2 <= margin]
-    if not len(keep):
-        raise ValueError("no triangle with a finite distance bound")
-    return np.take(mesh.vertices.T, keep.T, axis=1)
+def _near_corners(mesh: TriMesh, scale, cross) -> np.ndarray:
+    """Corners, as a (3, 3, k) (coordinate, corner, triangle) array, of
+    every triangle that _distance_bounds cannot put farther than s, the
+    mesh's smallest corner norm, and some more: read from the corner norms,
+    the _flat_scale L² = max(|ab|², |ca|²) and the triangle_geometry norms
+    |ab × ac| alone, without |bc|² or ab . ca.
+
+    Near rule: a triangle whose smallest corner norm cmin lies within 2L of
+    s, since |bc| ≤ |ab| + |ca| ≤ 2L bounds its longest edge.  Sliver rule,
+    for the rest: with q = |ab × ac| / L² ≤ 1, |bc|² ≤ |ab|² + |ca|² +
+    2√(|ab|²|ca|² − |ab × ac|²) ≤ 4L²(1 − q²/4), so the longest edge is at
+    most 2L(1 − q²/8) and gap − s > Lq²/4.  The bound's margin is slack ·
+    (n2 + e2²) with n2 ≈ q²L⁴, e2² ≤ 16L⁴ and slack ≤ 128ε(cmin + 2L) (ε
+    the machine epsilon), so (gap − s) · n2 ≤ margin needs (Lq²/4 − slack)
+    · q² ≤ 16 slack, hence q⁴L ≤ 4(16 + q²) slack ≤ 68 · 128ε(cmin + 2L).
+    The rule keeps every triangle with q⁴L ≤ 2¹⁴ε(cmin + 2L), which leaves
+    a factor 1.9 for the rounding of these terms."""
+    cmin = np.min(np.take(row_norms(mesh.vertices), mesh.triangles.T), axis=0)
+    reach = 2.0 * np.sqrt(scale)
+    keep = cmin - cmin.min() <= reach
+    # the sliver rule times 2L⁸, free of a division by L
+    sliver = cross * cross
+    sliver *= sliver
+    sliver *= reach
+    scale4 = scale * scale
+    scale4 *= scale4
+    keep |= sliver <= (2.0 ** 15 * EPS) * (cmin + reach) * scale4
+    keep = np.take(mesh.triangles.T, np.flatnonzero(keep), axis=1)
+    return np.take(mesh.vertices.T, keep, axis=1)
 
 
 def _nearest_distances(near: list) -> list:

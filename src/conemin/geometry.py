@@ -87,7 +87,11 @@ def row_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     numpy's cross (the same products and differences), but faster.  Laid
     out like w: C-contiguous rows for rows, coordinate planes for views of
     planes."""
-    out = np.empty_like(w)
+    return _cross_into(u, w, np.empty_like(w))
+
+
+def _cross_into(u: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """row_cross(u, w) written into out, an array of w's shape; returns out."""
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(u[..., i], w[..., j], out=out[..., k])
         out[..., k] -= u[..., j] * w[..., i]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (PolyhedralCone, _edge_rows, row_cross, row_dots,
+from .geometry import (PolyhedralCone, _cross_into, _edge_rows, row_dots,
                        row_norms)
 
 AREA_TOL = 1e-14
@@ -125,17 +125,30 @@ class TriangleGeometry(NamedTuple):
 def triangle_geometry(mesh: TriMesh) -> TriangleGeometry:
     """Edges and normals of every triangle from coordinate-major np.take
     gathers, one coordinate's corners at a time; no corner is kept."""
+    return _geometry_into(mesh, _empty_geometry(mesh.n_triangles))
+
+
+def _empty_geometry(m: int) -> TriangleGeometry:
+    """Uninitialized arrays of m triangles in triangle_geometry's layout:
+    (coordinate, corner, tri) edge planes and (coordinate, tri) normal
+    planes."""
+    return TriangleGeometry(np.empty((3, 3, m)).transpose(1, 2, 0),
+                            np.empty((3, m)).T, np.empty(m))
+
+
+def _geometry_into(mesh: TriMesh, out: TriangleGeometry) -> TriangleGeometry:
+    """triangle_geometry(mesh) written into out, an _empty_geometry of the
+    mesh's triangle count (or an earlier state's geometry); returns out."""
     t = mesh.triangles.T
-    e = np.empty((3,) + t.shape)  # (coordinate, corner, tri) planes
-    for x, ex in zip(mesh.vertices.T, e):
+    for x, ex in zip(mesh.vertices.T, out.edges.transpose(2, 0, 1)):
         p = np.take(x, t)
         for k in range(3):
             np.subtract(p[k - 1], p[(k + 1) % 3], out=ex[k])
-    e = np.moveaxis(e, 0, -1)
     # (a - c) x (b - a) is ab x ac from the same products and differences,
     # so the same bits up to the sign of a zero component
-    n = row_cross(e[1], e[2])
-    return TriangleGeometry(e, n, row_norms(n))
+    n = _cross_into(out.edges[1], out.edges[2], out.normals)
+    np.sqrt(row_dots(n, n), out=out.norms)
+    return out
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:

@@ -413,13 +413,16 @@ def test_project_renormalizes_clamped():
         dsc.project_to_constraints(m, cone)
 
 
-@pytest.mark.parametrize("resolution, seeds", ((64, range(30)),
-                                               (256, range(5))),
-                         ids=("r64", "r256"))
+@pytest.mark.parametrize("resolution, seeds", (
+    (64, range(30)),
+    (256, [*range(5), 100, 141, 156, 219, 311, 320, 700])),
+    ids=("r64", "r256"))
 def test_jittered_start_is_valid(resolution, seeds):
     # the jitter of the descent workloads carries tens of free-boundary
     # vertices across cone edges, some onto an edge; the projected start
-    # must lie in the cone and pass validate on every seed
+    # must lie in the cone and pass validate on every seed.  At r256, seeds
+    # 100 to 700 put all three corners of a triangle on one cone edge,
+    # and minimize puts them back where they were before the jitter
     cone = geo.pyramid_to_cone(1.0, 1.0)
     m = dsc.make_initial_plane(cone, 1.0, resolution)
     for seed in seeds:
@@ -527,10 +530,11 @@ CONES = pytest.mark.parametrize(
 
 @CONES
 def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
-    # minimize reuses each accepted state's triangle geometry, shares one
-    # corner gather between its post-run audits and builds one edge table
-    # for its validation and its angle audit; the numbers it records must
-    # be those of the public calls on its final mesh, bit for bit
+    # minimize reuses each accepted state's triangle geometry, writes every
+    # state's into one set of arrays, shares one corner gather between its
+    # post-run audits and builds one edge table for its validation and its
+    # angle audit; the numbers it records must be those of the public
+    # calls on its final mesh, bit for bit
     m = dsc.make_initial_plane(cone, 1.0, 16)
     cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
     builds = []
@@ -539,24 +543,37 @@ def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
         builds.append(mesh.n_triangles)
         return build(mesh)
 
-    geometries = []
+    # every triangle geometry, a fresh one or one into minimize's arrays,
+    # is built by mesh._geometry_into
+    geometries, arrays = [], []
 
-    def counted_geometry(mesh, build=msh.triangle_geometry):
+    def counted_geometry(mesh, out, build=msh._geometry_into):
         geometries.append(mesh.n_triangles)
-        return build(mesh)
+        return build(mesh, out)
+
+    def counted_arrays(m, build=msh._empty_geometry):
+        arrays.append(m)
+        return build(m)
 
     for module in (dsc, msh, dg):
         monkeypatch.setattr(module, "edge_table", counted_edge_table)
-        monkeypatch.setattr(module, "triangle_geometry", counted_geometry)
+    for module in (dsc, msh):
+        monkeypatch.setattr(module, "_geometry_into", counted_geometry)
+        monkeypatch.setattr(module, "_empty_geometry", counted_arrays)
     # a run without steps builds the whole mesh's triangle geometry once,
     # for its validation and its start area (the angle audit builds it for
     # the boundary triangles alone)
     dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=0), jitter=0.05)
     assert geometries.count(m.n_triangles) == 1
+    assert arrays.count(m.n_triangles) == 1
     assert builds == [m.n_triangles]
     builds.clear()
+    arrays.clear()
     final, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
     assert builds == [final.n_triangles]
+    # the start state's and every trial's geometry go into one set of
+    # whole-mesh arrays
+    assert arrays.count(m.n_triangles) == 1
     assert diag.accepted_steps > 0
     assert diag.area_history[-1] == msh.surface_area(final)
     assert diag.vertex_distance_history[-1] == dg.vertex_distance(final)
@@ -659,11 +676,11 @@ def test_minimize_records_each_step_and_its_halvings(monkeypatch):
     cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
     geometries = []
 
-    def counted_geometry(mesh, build=msh.triangle_geometry):
+    def counted_geometry(mesh, out, build=msh._geometry_into):
         geometries.append(mesh.n_triangles)
-        return build(mesh)
+        return build(mesh, out)
 
-    monkeypatch.setattr(dsc, "triangle_geometry", counted_geometry)
+    monkeypatch.setattr(dsc, "_geometry_into", counted_geometry)
     _, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
     assert diag.status == "max_iters"
     assert len(diag.step_history) == len(diag.halvings_history) == 40
@@ -706,17 +723,24 @@ def test_vertex_distance_exact_pass_runs_once_per_run(monkeypatch):
         calls.append("ball audits")
         return run(*args)
 
+    def marked_bounds(*args, run=dg._distance_bounds):
+        calls.append("bounds")
+        return run(*args)
+
     monkeypatch.setattr(dg, "_extents", counted_extents)
     monkeypatch.setattr(dsc, "_ball_audits", marked_audits)
+    monkeypatch.setattr(dg, "_distance_bounds", marked_bounds)
     _, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
     assert diag.accepted_steps == 40
     # one exact pass over the kept corners of all 40 states, then the
-    # post-run audits
+    # post-run audits, which alone build the distance bounds, once
     assert calls.index("ball audits") == 1
     assert calls[0] >= 40
+    assert calls.count("bounds") == 1 and calls.index("bounds") == 2
     calls.clear()
     dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=0), jitter=0.05)
     assert calls.index("ball audits") == 0
+    assert calls.count("bounds") == 1 and calls.index("bounds") == 1
 
 
 def test_short_r256_run_gives_finite_exact_deviations():

@@ -131,8 +131,9 @@ def test_nearest_distances_batch_equals_each_mesh():
         m.vertices += 0.03 * rng.standard_normal(m.vertices.shape)
         m.vertices += rng.uniform(-2.0, 2.0, 3)
         meshes.append(m)
-    near = [diag._near_corners(m, msh.triangle_geometry(m).gram())
-            for m in meshes]
+    geometries = [msh.triangle_geometry(m) for m in meshes]
+    near = [diag._near_corners(m, diag._flat_scale(g), g.norms)
+            for m, g in zip(meshes, geometries)]
     assert diag._nearest_distances(near) == [unpruned_vertex_distance(m)
                                              for m in meshes]
 
@@ -174,6 +175,108 @@ def test_vertex_distance_pruning_keeps_near_collinear_triangles():
                     np.zeros(6, dtype=np.int64))
     assert diag.vertex_distance(m) == unpruned_vertex_distance(m) == 1.0
     assert diag._extents(*verts[:3, None])[0][0] > 9.39
+
+
+def test_far_sliver_is_kept_by_the_sliver_rule_alone(monkeypatch):
+    # vertex 84 of the resolution-16 plane moved almost onto the chord of
+    # its ring-11 neighbours 71 and 72: triangle 138, (71, 84, 72), is the
+    # one near-flat triangle, and its smallest corner norm lies more than
+    # 2L past the nearest corner, so only the sliver rule keeps it
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 16)
+    mid = 0.5 * (m.vertices[71] + m.vertices[72])
+    m.vertices[84] = mid + 1e-5 * (m.vertices[84] - mid)
+    assert m.triangles[138].tolist() == [71, 84, 72]
+    g = msh.triangle_geometry(m)
+    scale = diag._flat_scale(g)
+    flat = g.norms / scale < 1e-3
+    assert np.flatnonzero(flat).tolist() == [138]
+    cmin = np.linalg.norm(m.vertices, axis=1)[m.triangles].min(axis=1)
+    assert cmin[138] - cmin.min() > 3.0 * np.sqrt(scale[138])
+    sliver = m.vertices[m.triangles[138]].T[..., None]
+
+    def holds_sliver(near):
+        return bool(np.any(np.all(near == sliver, axis=(0, 1))))
+
+    assert holds_sliver(diag._near_corners(m, scale, g.norms))
+    assert diag.vertex_distance(m) == unpruned_vertex_distance(m)
+    # each accepted state's entry in the history is its unpruned distance;
+    # the sliver's corners do not move, since in the flat start no area
+    # changes when an interior vertex moves inside its star
+    states = []
+
+    def recorded(mesh, scale, cross, keep=dsc._near_corners):
+        near = keep(mesh, scale, cross)
+        states.append((unpruned_vertex_distance(mesh), holds_sliver(near)))
+        return near
+
+    monkeypatch.setattr(dsc, "_near_corners", recorded)
+    _, run = dsc.minimize(m, cone, dsc.MinimizeConfig(max_iters=5, seed=0))
+    assert run.accepted_steps == 5
+    assert run.vertex_distance_history == [d for d, _ in states]
+    assert all(kept for _, kept in states)
+
+
+def kept_triangles(m):
+    """Indices of the triangles whose corners _near_corners returns."""
+    g = msh.triangle_geometry(m)
+    near = diag._near_corners(m, diag._flat_scale(g), g.norms)
+    index = {m.vertices[t].tobytes(): k for k, t in enumerate(m.triangles)}
+    return {index[near[..., k].T.tobytes()] for k in range(near.shape[2])}
+
+
+def wide_angle_soup(rng, n):
+    """n triangles with |ab| = L and |ca| just below L, at an angle
+    π − asin(q) at a, so |bc| is near 2L, each moved out along a random
+    direction until its smallest corner norm lies just past 2L beyond
+    s = 0.1, the corner norm of one small triangle added last."""
+    def unit(x):
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    L = 10.0 ** rng.uniform(-4.0, 0.0, (n, 1))
+    q = 10.0 ** rng.uniform(-4.0, -1.5, (n, 1))
+    ratio = 1.0 - 10.0 ** rng.uniform(-16.0, -2.0, (n, 1))
+    x = 2.0 * L * (1.0 + 10.0 ** rng.uniform(-16.0, -4.0, (n, 1)))
+    u = unit(rng.standard_normal((n, 3)))
+    w = rng.standard_normal((n, 3))
+    w = unit(w - np.sum(w * u, axis=1, keepdims=True) * u)
+    out = unit(rng.standard_normal((n, 3)))
+    a = (0.1 + x + 2.0 * L) * out
+    b = a + L * u
+    c = a - ratio * L * (np.sqrt(1.0 - q * q) * u - q * w)
+    cmin = np.min(np.linalg.norm([a, b, c], axis=2), axis=0)[:, None]
+    small = np.array([[0.1, 0.0, 0.0], [0.1 + 1e-3, 0.0, 0.0],
+                      [0.1, 1e-3, 0.0]])
+    return triangle_soup(*(np.concatenate([p - (cmin - 0.1 - x) * out,
+                                           small[k:k + 1]])
+                           for k, p in enumerate((a, b, c))))
+
+
+def test_near_corners_keep_every_triangle_the_bound_keeps():
+    # _near_corners reads neither |bc|² nor ab . ca, yet keeps every
+    # triangle that _distance_bounds cannot put past the smallest corner
+    # norm: on jittered planes, and on wide-angle triangles just past the
+    # near rule's reach, flat enough (q from 1e-4 to 0.03) to straddle the
+    # sliver rule's threshold
+    rng = np.random.default_rng(3)
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    soup = wide_angle_soup(rng, 5000)
+    meshes = [soup]
+    for _ in range(20):
+        m = dsc.make_initial_plane(cone, 1.0, int(rng.integers(3, 25)))
+        m.vertices += rng.choice([1e-3, 0.03, 0.2]) * rng.standard_normal(
+            m.vertices.shape)
+        meshes.append(m)
+    for m in meshes:
+        g = msh.triangle_geometry(m)
+        _, cmin, gap, n2, margin = diag._distance_bounds(m, g.gram())
+        bound = (gap - cmin.min()) * n2 <= margin
+        assert set(np.flatnonzero(bound).tolist()) <= kept_triangles(m)
+        if m is soup:
+            # most of them past the near rule's reach: the sliver rule
+            # alone keeps those
+            reach = 2.0 * np.sqrt(diag._flat_scale(g))
+            assert np.count_nonzero(bound & (cmin - cmin.min() > reach)) > 900
 
 
 def vertex_edge_distances(a, b, c):
