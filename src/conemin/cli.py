@@ -17,7 +17,8 @@ CSV floats are printed with %.17g and "\n" endings, and the minimizer
 reduces in a fixed order, so repeated runs produce byte-identical tables.
 Timings stay out of the tables and out of the report's results: they sit
 at its top level, wall_clock_seconds for the run and phase_seconds for
-the phases of a minimize run.
+the phases of a minimize run, beside threads, the number of threads that
+the kernels of a large mesh run on (descent._thread_count).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .competitor import (
     feasible_params,
     weighted_energy,
 )
-from .descent import MinimizeConfig, _sector_rays, make_initial_plane, minimize
+from .descent import (MinimizeConfig, _sector_rays, _thread_count,
+                      make_initial_plane, minimize)
 from .geometry import as_number, cone_from_dict, row_cross, unit
 from .mesh import save_obj, surface_area
 from .spherical import two_arc_audit
@@ -365,6 +367,7 @@ def run(config_path, out_override=None) -> int:
         "version": __version__,
         "config": cfg,
         "wall_clock_seconds": elapsed,
+        "threads": _thread_count(),
         "phase_seconds": phases,
         "results": results,
         "verdicts": verdicts,

@@ -28,12 +28,35 @@ built once, after the loop, from the returned state's geometry, for the
 post-run ball audits (a stalled run's last geometry is a rejected
 trial's, so its audits build their own).  Every state's geometry goes
 into one set of arrays (mesh._geometry_into): each trial overwrites the
-last, and the accepted one's stays until the next trial.  No step
-allocates whole-mesh geometry arrays, so none are freed between trials
-for the allocator to hand back to the system and fault in again.  One
-contiguous (3, m) corner index, TriMesh's layout of the triangles, serves
-every gather and the gradient's np.bincount.  No trial copies the whole
-mesh: _project keeps only the free-boundary rows.
+last, and the accepted one's stays until the next trial.  One workspace
+per run (mesh._aligned_empty, so that each plane starts on a cache line)
+holds every step's temporaries: the vertices' coordinate planes and the
+corner gathers of each geometry, and the gradient's scaled normals,
+corner terms and products.  Neither kernel allocates a whole-mesh
+temporary (the gradient's (n, 3) result aside), so none are freed
+between trials for the allocator to hand back to the system and fault
+in again, in either thread.  One contiguous (3, m) corner index,
+TriMesh's layout of the triangles, serves every gather and the
+gradient's np.bincount.  No trial copies the whole mesh: _project keeps
+only the free-boundary rows.
+
+On a mesh of geometry.SPLIT_TRIANGLES triangles or more, with more than
+one CPU to run on (_thread_count), the per-triangle kernels of each step
+run on two cores (geometry._split): each trial's triangle geometry, and
+the gradient's scaled normals and corner terms of all three
+coordinates, one split each.  A persistent daemon thread takes the first
+half of the triangles and the caller the second; numpy releases the
+interpreter lock inside each kernel's loops.  The three np.bincount
+scatters stay serial, on the whole (3, m) terms: bincount holds the
+interpreter lock, and its index-order sum is what makes runs
+bit-identical.  Each split kernel computes a triangle's values from that
+triangle's inputs alone, so every result is the same, bit for bit, on
+one core or two.  The other whole-mesh passes stay on one core: at
+65,536 triangles diagnostics._flat_scale takes 0.6 ms a call and
+_near_corners 1.5 ms (once per accepted step), the ball audits' _planes
+and _distance_bounds 2.2 and 1.6 ms (once per run), so a split would
+save a few ms of a 6-step run's 90-110, less than the benchmark's
+run-to-run spread.
 
 Nothing in the loop reads a vertex distance, so the loop keeps only the
 corners of the triangles that diagnostics._near_corners keeps (those
@@ -62,11 +85,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (CONTAIN_TOL, PolyhedralCone, _edge_rows, is_vertex,
-                       nearest_point, row_cross, row_dots, row_norms)
-from .mesh import (AREA_TOL, TriMesh, VertexClass, _check_finite,
-                   _empty_geometry, _geometry_into, _validate, edge_table,
-                   triangle_geometry)
+# _thread_count is the descent's thread count, as report.json and the
+# benchmark's env line read it from here
+from .geometry import (CONTAIN_TOL, PolyhedralCone, _edge_rows, _split,
+                       _thread_count, is_vertex, nearest_point, row_cross,
+                       row_dots, row_norms)
+from .mesh import (AREA_TOL, TriMesh, VertexClass, _aligned_empty,
+                   _check_finite, _empty_geometry, _geometry_into, _validate,
+                   edge_table, triangle_geometry)
 from .diagnostics import (_ball_audits, _boundary_angle_audit, _corners,
                           _flat_scale, _near_corners, _nearest_distances)
 
@@ -253,26 +279,48 @@ def area_gradient(mesh: TriMesh) -> np.ndarray:
     the corner terms per vertex, one coordinate at a time.
     """
     geometry = triangle_geometry(mesh)
-    return _area_gradient(mesh, geometry, _flat_scale(geometry))
+    return _area_gradient(mesh, geometry, _flat_scale(geometry),
+                          _aligned_empty(15 * mesh.n_triangles))
 
 
-def _area_gradient(mesh: TriMesh, geometry, scale) -> np.ndarray:
+def _area_gradient(mesh: TriMesh, geometry, scale,
+                   work: np.ndarray) -> np.ndarray:
     """area_gradient of the mesh whose triangle_geometry and _flat_scale
-    are given."""
+    are given.  work, a flat float array of at least 15m entries, holds
+    the scaled normals u = nu/2, the (3, 3, m) corner terms of the three
+    coordinates and a (3, m) plane set of products, so nothing whole-mesh
+    is allocated here but the gradient.  u and the terms are elementwise in
+    the triangles and go through one _split; each np.bincount sums one
+    coordinate's whole (3, m) terms in the caller's thread, in index
+    order, whatever the split."""
     e, n, lens = geometry
-    # a triangle squeezed flat has no usable normal; its |area| sits at a
-    # kink where the zero branch is the valid descent choice, so drop it
-    # rather than inject a roundoff-signed slope
-    good = lens > DEGENERATE_REL_TOL * scale
-    half = np.where(good, 0.5, 0.0) / np.where(lens > 0, lens, 1.0)
-    u = n * half[:, None]
+    m = mesh.n_triangles
+    u = work[:3 * m].reshape(3, m).T  # (tri, coordinate) view of planes
+    terms = work[3 * m:12 * m].reshape(3, 3, m)
+    products = work[12 * m:15 * m].reshape(3, m)
+
+    def corner_terms(lo, hi):
+        # a triangle squeezed flat has no usable normal; its |area| sits at
+        # a kink where the zero branch is the valid descent choice, so drop
+        # it rather than inject a roundoff-signed slope.  half is 0.5/|n|
+        # on a good triangle (|n| > 0 there) and 0 on the rest
+        lh, half, floor = lens[lo:hi], terms[0, 0, lo:hi], terms[0, 1, lo:hi]
+        good = lh > np.multiply(scale[lo:hi], DEGENERATE_REL_TOL, out=floor)
+        np.multiply(good, 0.5, out=half)
+        np.divide(half, lh, out=half, where=good)
+        np.multiply(n[lo:hi], half[:, None], out=u[lo:hi])
+        # the corner terms u x e as row_cross forms them, coordinate k
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            out = terms[k, :, lo:hi]
+            np.multiply(u[lo:hi, i], e[:, lo:hi, j], out=out)
+            out -= np.multiply(u[lo:hi, j], e[:, lo:hi, i],
+                               out=products[:, lo:hi])
+
+    _split(corner_terms, m)
     corner = mesh.triangles.T.ravel()
     grad = np.empty_like(mesh.vertices)
-    # the corner terms u x e as row_cross forms them, one coordinate at a time
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        terms = u[:, i] * e[..., j]
-        terms -= u[:, j] * e[..., i]
-        grad[:, k] = np.bincount(corner, terms.ravel(),
+    for k in range(3):
+        grad[:, k] = np.bincount(corner, terms[k].ravel(),
                                  minlength=mesh.n_vertices)
     return grad
 
@@ -333,7 +381,11 @@ def project_gradient(mesh: TriMesh, cone: PolyhedralCone,
                      grad: np.ndarray) -> np.ndarray:
     """Project the raw gradient onto the span of each vertex's constraint:
     a facet plane or a cone edge's line, zero at clamped vertices."""
-    return _tangent(_face_plan(mesh, cone), grad.copy())
+    grad = np.array(grad, dtype=float)
+    if grad.shape != mesh.vertices.shape:
+        raise ValueError(f"gradient of shape {grad.shape} for vertices of "
+                         f"shape {mesh.vertices.shape}")
+    return _tangent(_face_plan(mesh, cone), grad)
 
 
 def project_to_constraints(mesh: TriMesh, cone: PolyhedralCone) -> TriMesh:
@@ -461,8 +513,11 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         mesh.vertices[movable] += (0.1 * jitter) * rng.standard_normal(
             (count, 3))
         project_to_constraints(mesh, cone)
-    # the run's one set of geometry arrays, the start state's first
-    geometry = _geometry_into(mesh, _empty_geometry(mesh.n_triangles))
+    # the run's one set of geometry arrays, the start state's first, and
+    # its one workspace for the gathers and the gradient's corner terms
+    work = _aligned_empty(max(15 * mesh.n_triangles,
+                              3 * (mesh.n_triangles + mesh.n_vertices)))
+    geometry = _geometry_into(mesh, _empty_geometry(mesh.n_triangles), work)
     areas = geometry.areas
     if jitter > 0.0 and np.any(areas <= AREA_TOL):
         # the projection can put every corner of a triangle on one cone
@@ -471,7 +526,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
         back = mesh.triangles[areas <= AREA_TOL].ravel()
         for name in ("vertices", "facet", "facet2"):
             getattr(mesh, name)[back] = getattr(source, name)[back]
-        areas = _geometry_into(mesh, geometry).areas
+        areas = _geometry_into(mesh, geometry, work).areas
     plan = _face_plan(mesh, cone)
     _validate(mesh, cone, table.repeated_direction, areas)
     area = float(areas.sum())  # geometry.area, bit for bit
@@ -487,7 +542,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     status = "max_iters"
     for _ in range(config.max_iters):
         t0 = time.perf_counter()
-        g = _tangent(plan, _area_gradient(mesh, geometry, scale))
+        g = _tangent(plan, _area_gradient(mesh, geometry, scale, work))
         if float(np.max(np.abs(g))) <= config.grad_tol:
             status = "converged"
             break
@@ -498,7 +553,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             np.subtract(mesh.vertices, step * g, out=trial.vertices)
             trial.facet[:], trial.facet2[:] = mesh.facet, mesh.facet2
             trial_plan = _project(trial, cone, plan)
-            trial_area = _geometry_into(trial, geometry).area
+            trial_area = _geometry_into(trial, geometry, work).area
             if trial_area <= area - config.armijo_c * step * gsq:
                 accepted = True
                 break
@@ -527,7 +582,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     # post-run audits; a stalled run's last geometry is a rejected trial's,
     # so its audits build their own
     gram = None if status == "stalled" else geometry.gram()
-    geometry = scale = plan = trial_plan = g = trial = None
+    geometry = work = scale = plan = trial_plan = g = trial = None
     seconds["descent"] = (time.perf_counter() - start
                           - seconds["vertex_distance"])
     if near:

@@ -42,6 +42,7 @@ three corners' columns, all in coordinate order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,11 +322,16 @@ def _ball_audits(mesh: TriMesh, radii, windows, gram=None):
     the _disk_clip rows of those it cuts, all spheres in one clip pass;
     p(r) = A(r)/r² and a window's deviation is W(r) − W(rho)."""
     radii = [float(r) for r in radii]
+    windows = [(float(rho), float(r)) for rho, r in windows]
+    # NaN passes every comparison below, and inf the clamp check of a mesh
+    # without a clamp radius
+    for value in radii + [end for w in windows for end in w]:
+        if not math.isfinite(value):
+            raise ValueError(f"radius {value} is not finite")
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    windows = [(float(rho), float(r)) for rho, r in windows]
     if not all(0 < rho < r for rho, r in windows):
         raise ValueError("need 0 < rho < r")
     spheres = np.unique([0.0] + radii + [x for w in windows for x in w])

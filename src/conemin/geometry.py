@@ -9,15 +9,20 @@ computed in closed form without a solver, behind the cone interior test and
 the spherical polygon check, the nearest point of the cone's boundary and
 its face behind every constraint projection, and the row-wise dot, norm,
 cross-product and normalizing kernels that the mesh and spherical code run
-on arrays of 3-vectors.  A check over a batch of rows raises RowError for
+on arrays of 3-vectors, with _split, which runs an elementwise kernel of a
+large mesh on two cores.  A check over a batch of rows raises RowError for
 the lowest row that fails it.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import functools
 import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -26,6 +31,12 @@ RANK_TOL = 1e-9           # relative SVD threshold for the vertex test
 HEMISPHERE_TOL = 1e-9     # points fit in an open hemisphere iff slack > this
 HEMISPHERE_BLOCK = 1 << 16  # dot products per block of the hemisphere test
 CONTAIN_TOL = 1e-9        # x lies in the cone iff every n_i . x <= this
+# triangles from which _split runs a kernel on two cores.  On a 2-core
+# x86-64 VM one _geometry_into and _area_gradient took, split over inline,
+# 2.0-3.0 times as long at 4,096-10,000 triangles, 1.03-1.09 at 25,600,
+# 0.81-0.96 at 32,761, 0.80-0.93 at 36,100 and 0.59-0.61 at 65,536: each
+# split costs about 0.3 ms in thread hand-offs
+SPLIT_TRIANGLES = 36000
 
 
 def as_vec3(x) -> np.ndarray:
@@ -72,7 +83,17 @@ def unit(x) -> np.ndarray:
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products over the last axis of two arrays of 3-vectors, in
     coordinate order."""
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+    return _dots_into(x, y, None)
+
+
+def _dots_into(x: np.ndarray, y: np.ndarray, out, scratch=None) -> np.ndarray:
+    """row_dots(x, y) written into out (a new array if None); a given
+    scratch, shaped like out, takes the products after the first, so
+    nothing is allocated.  Returns out."""
+    out = np.multiply(x[..., 0], y[..., 0], out=out)
+    out += np.multiply(x[..., 1], y[..., 1], out=scratch)
+    out += np.multiply(x[..., 2], y[..., 2], out=scratch)
+    return out
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -90,12 +111,94 @@ def row_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _cross_into(u, w, np.empty_like(w))
 
 
-def _cross_into(u: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """row_cross(u, w) written into out, an array of w's shape; returns out."""
+def _cross_into(u: np.ndarray, w: np.ndarray, out: np.ndarray,
+                scratch=None) -> np.ndarray:
+    """row_cross(u, w) written into out, an array of w's shape; a given
+    scratch, shaped like one coordinate of out, takes the products that
+    are subtracted.  Returns out."""
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(u[..., i], w[..., j], out=out[..., k])
-        out[..., k] -= u[..., j] * w[..., i]
+        out[..., k] -= np.multiply(u[..., j], w[..., i], out=scratch)
     return out
+
+
+def _thread_count() -> int:
+    """Threads that _split runs a kernel of SPLIT_TRIANGLES or more
+    triangles on: 2 when this process may run on more than one CPU, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus > 1 else 1
+
+
+class _Half:
+    """The first half of one _split, run by the worker thread in the
+    caller's context (numpy's error state included); done is released,
+    and error set if it raised, when it ends."""
+
+    __slots__ = ("run", "done", "error")
+
+    def __init__(self, fn, lo: int, hi: int):
+        self.run = functools.partial(contextvars.copy_context().run, fn,
+                                     lo, hi)
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.error = None
+
+
+def _serve(halves: collections.deque, posted: threading.Semaphore) -> None:
+    """The worker thread: run each posted _Half, in order, forever."""
+    while True:
+        posted.acquire()
+        half = halves.popleft()
+        try:
+            half.run()
+        except BaseException as exc:  # handed to the caller, which raises it
+            half.error = exc
+        half.done.release()
+        # the job holds its kernel's arrays: hold none while waiting
+        del half
+
+
+_worker = None  # (thread, halves, posted), started by the first split
+_starting = threading.Lock()  # one caller at a time checks and starts it
+
+
+def _split(fn, m: int) -> None:
+    """Run fn(lo, hi), a kernel body that writes the rows [lo, hi) of its
+    outputs, over the triangle range [0, m).
+
+    From SPLIT_TRIANGLES triangles on, when _thread_count() is 2, one
+    persistent daemon thread runs fn(0, m // 2) while the caller runs
+    fn(m // 2, m); both halves' numpy loops release the interpreter lock.
+    Otherwise fn(0, m) runs inline.  A kernel body is elementwise along the
+    triangles, so the result does not depend on the split, bit for bit;
+    reductions across triangles (np.bincount, sums) stay outside it, on
+    the whole arrays.  An exception in the worker's half is raised here,
+    after both halves have ended."""
+    global _worker
+    if m < SPLIT_TRIANGLES or _thread_count() == 1:
+        fn(0, m)
+        return
+    with _starting:
+        # a forked child keeps the object but not the thread: start anew
+        if _worker is None or not _worker[0].is_alive():
+            halves, posted = collections.deque(), threading.Semaphore(0)
+            thread = threading.Thread(target=_serve, args=(halves, posted),
+                                      name="conemin-split", daemon=True)
+            thread.start()
+            _worker = thread, halves, posted
+        _, halves, posted = _worker
+    half = _Half(fn, 0, m // 2)
+    halves.append(half)
+    posted.release()
+    try:
+        fn(m // 2, m)
+    finally:
+        half.done.acquire()
+    if half.error is not None:
+        raise half.error
 
 
 def _hemisphere_tables():

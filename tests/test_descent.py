@@ -3,7 +3,12 @@ and the projected-descent loop."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -288,6 +293,16 @@ def test_project_gradient_classes():
     npt.assert_allclose(gp[interior], 1.0, atol=0.0)
 
 
+def test_project_gradient_rejects_a_gradient_of_another_shape():
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 6)
+    n = m.n_vertices
+    for shape in ((n, 2), (n - 1, 3), (3 * n,)):
+        with pytest.raises(ValueError, match=rf"\({n}, 3\)") as info:
+            dsc.project_gradient(m, cone, np.ones(shape))
+        assert str(shape) in str(info.value)
+
+
 def test_project_gradient_edge_pinned_is_line_projection():
     # a free-boundary vertex whose face is a cone edge keeps the part of
     # its gradient along the edge line; the cone's face table stores each
@@ -547,9 +562,9 @@ def test_minimize_outputs_equal_public_kernels(cone, monkeypatch):
     # is built by mesh._geometry_into
     geometries, arrays = [], []
 
-    def counted_geometry(mesh, out, build=msh._geometry_into):
+    def counted_geometry(mesh, out, work, build=msh._geometry_into):
         geometries.append(mesh.n_triangles)
-        return build(mesh, out)
+        return build(mesh, out, work)
 
     def counted_arrays(m, build=msh._empty_geometry):
         arrays.append(m)
@@ -676,9 +691,9 @@ def test_minimize_records_each_step_and_its_halvings(monkeypatch):
     cfg = dsc.MinimizeConfig(max_iters=40, grad_tol=1e-10, seed=3)
     geometries = []
 
-    def counted_geometry(mesh, out, build=msh._geometry_into):
+    def counted_geometry(mesh, out, work, build=msh._geometry_into):
         geometries.append(mesh.n_triangles)
-        return build(mesh, out)
+        return build(mesh, out, work)
 
     monkeypatch.setattr(dsc, "_geometry_into", counted_geometry)
     _, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
@@ -850,3 +865,167 @@ def test_vertex_skipping_across_pyramid_cones(a, b):
     # nondecreasing after the first tenth, up to projection-event wiggle
     post = vd[len(vd) // 10:]
     assert float((np.maximum.accumulate(post) - post).max()) <= 1e-4
+
+
+# ---------------------------------------------------------------- two-core split
+
+def force_split(monkeypatch):
+    """Every kernel that _split runs goes to the worker thread and the
+    caller, whatever the mesh size and the CPUs of the machine."""
+    monkeypatch.setattr(geo, "SPLIT_TRIANGLES", 1)
+    monkeypatch.setattr(geo, "_thread_count", lambda: 2)
+
+
+def split_meshes():
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    rng = np.random.default_rng(5)
+    yield dsc.make_initial_plane(cone, 1.0, 7)  # 49 triangles: odd halves
+    yield random_disk_mesh(rng, rings=4)
+    sphere = icosphere(1)
+    sphere.vertices *= 1.0 + 0.1 * rng.standard_normal((len(sphere.vertices), 1))
+    yield sphere
+
+
+def kernels(mesh):
+    """One mesh's triangle geometry and area gradient, through a fresh
+    workspace."""
+    m = mesh.n_triangles
+    work = np.empty(max(15 * m, 3 * (m + mesh.n_vertices)))
+    geometry = msh._geometry_into(mesh, msh._empty_geometry(m), work)
+    grad = dsc._area_gradient(mesh, geometry, dg._flat_scale(geometry), work)
+    return [x.tobytes() for x in (*geometry, grad)]
+
+
+def test_split_kernels_equal_inline_bit_for_bit(monkeypatch):
+    inline = [kernels(mesh) for mesh in split_meshes()]
+    force_split(monkeypatch)
+    assert [kernels(mesh) for mesh in split_meshes()] == inline
+
+
+def test_split_minimize_equals_inline_bit_for_bit(monkeypatch):
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 9)  # 81 triangles
+    cfg = dsc.MinimizeConfig(max_iters=30, grad_tol=1e-10, seed=2)
+
+    def run():
+        final, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
+        return (diag.area_history, diag.vertex_distance_history,
+                diag.p_ratios, diag.conical_deviation, diag.status,
+                diag.step_history, final.vertices.tobytes())
+
+    inline = run()
+    force_split(monkeypatch)
+    assert run() == inline
+    assert geo._worker is not None and geo._worker[0].is_alive()
+
+
+def test_split_raises_the_workers_exception(monkeypatch):
+    force_split(monkeypatch)
+    x = np.ones(8)
+    x[0] = 0.0  # in the worker's half, [0, 4)
+    out = np.empty(8)
+
+    def log(lo, hi):
+        np.log(x[lo:hi], out=out[lo:hi])
+
+    # numpy's error state is the caller's, in both halves
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            geo._split(log, 8)
+    # a RuntimeWarning that the warning filters turn into an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning):
+            geo._split(log, 8)
+    # and the next call still runs both halves
+    x[0] = 1.0
+    geo._split(log, 8)
+    assert np.array_equal(out, np.zeros(8))
+
+    def fail_first_half(lo, hi):
+        if lo == 0:
+            raise KeyError(hi)
+
+    with pytest.raises(KeyError):
+        geo._split(fail_first_half, 8)
+
+
+def test_split_serves_concurrent_callers(monkeypatch):
+    # four callers start and share the one worker, with frequent thread
+    # switches; each call's rows must all be written by that call
+    force_split(monkeypatch)
+    monkeypatch.setattr(geo, "_worker", None)
+    workers = set(threading.enumerate())
+    failures = []
+
+    def caller(seed):
+        out = np.empty(1001)
+        try:
+            for k in range(200):
+                value = float(seed * 1000 + k)
+
+                def fill(lo, hi):
+                    out[lo:hi] = value
+
+                geo._split(fill, len(out))
+                if not np.all(out == value):
+                    failures.append((seed, k))
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    started = [t for t in set(threading.enumerate()) - workers
+               if t.name == "conemin-split"]
+    assert started == [geo._worker[0]]
+
+
+def test_small_mesh_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(geo, "_worker", None)
+    monkeypatch.setattr(geo.threading, "Thread", no_thread)
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = dsc.make_initial_plane(cone, 1.0, 64)  # 4,096 triangles
+    assert m.n_triangles < geo.SPLIT_TRIANGLES
+    cfg = dsc.MinimizeConfig(max_iters=3, grad_tol=1e-10, seed=1)
+    dsc.minimize(m, cone, cfg, jitter=0.05)
+    msh.surface_area(m)
+    assert geo._worker is None
+
+
+def test_split_worker_does_not_hold_the_interpreter_open():
+    code = (
+        "import threading\n"
+        "from conemin import descent as dsc, geometry as geo\n"
+        "geo.SPLIT_TRIANGLES = 1\n"
+        "geo._thread_count = lambda: 2\n"
+        "cone = geo.pyramid_to_cone(1.0, 1.0)\n"
+        "m = dsc.make_initial_plane(cone, 1.0, 8)\n"
+        "dsc.minimize(m, cone, dsc.MinimizeConfig(max_iters=5, seed=1), 0.05)\n"
+        "print(threading.active_count())\n")
+    src = str(Path(dsc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]  # the worker ran, and exit did not wait
+
+
+def test_thread_count_is_one_or_two(monkeypatch):
+    assert dsc._thread_count() in (1, 2)
+    monkeypatch.setattr(geo.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert geo._thread_count() == 1

@@ -586,6 +586,21 @@ def test_monotonicity_rejects_bad_radii():
         diag.monotonicity_ratio(m, [0.5, 1.5])
 
 
+def test_ball_audits_reject_non_finite_radii():
+    # NaN passes the positivity and the increasing checks, and inf the
+    # clamp check of a mesh without a clamp radius
+    m = planar_sector_mesh(1.0, resolution=8)
+    free = planar_sector_mesh(1.0, resolution=8)
+    free.clamp_radius = None
+    for mesh, radii in ((m, [math.nan]), (m, [0.5, math.nan]),
+                        (free, [math.inf]), (free, [0.5, -math.inf])):
+        with pytest.raises(ValueError, match=str(radii[-1])):
+            diag.monotonicity_ratio(mesh, radii)
+    for rho, r in ((math.nan, 0.5), (0.1, math.nan), (0.1, math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            diag.conical_deviation(free, rho, r)
+
+
 # ---------------------------------------------------------------- conical deviation
 
 def test_deviation_zero_on_planar_sector():

@@ -34,6 +34,21 @@ def test_surface_area_unit_right_triangle():
     assert msh.surface_area(right_triangle_mesh()) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("m", (1, 7, 8, 4096))
+def test_geometry_arrays_start_on_a_cache_line(m):
+    for size in (m, 3 * m + 5):
+        x = msh._aligned_empty(size)
+        assert x.shape == (size,) and x.dtype == np.float64
+        assert x.ctypes.data % 64 == 0
+    for array in msh._empty_geometry(m):
+        assert array.ctypes.data % 64 == 0
+    # each (coordinate, corner) edge plane too, when 8 divides m
+    edges = msh._empty_geometry(m).edges
+    if m % 8 == 0:
+        assert all(edges[k, :, c].ctypes.data % 64 == 0
+                   for k in range(3) for c in range(3))
+
+
 def test_validate_rejects_degenerate_triangle():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     tris = np.array([[0, 1, 2]])
@@ -134,7 +149,7 @@ def test_edge_table_equals_unique_counts(mesh):
 
 
 @pytest.mark.parametrize("bad", (15, -1), ids=("n", "-1"))
-@pytest.mark.parametrize("entry", ("validate", "minimize"))
+@pytest.mark.parametrize("entry", ("validate", "minimize", "surface_area"))
 def test_triangle_index_out_of_range_named(entry, bad):
     # checked before any gather through the triangles, whose IndexError
     # (index n) or silent wrap-around (index -1) would name no triangle
@@ -146,6 +161,8 @@ def test_triangle_index_out_of_range_named(entry, bad):
     with pytest.raises(ValueError) as err:
         if entry == "validate":
             msh.validate(m, cone)
+        elif entry == "surface_area":
+            msh.surface_area(m)
         else:
             minimize(m, cone, MinimizeConfig(max_iters=1), jitter=0.05)
     assert str(err.value) == message
