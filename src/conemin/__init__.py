@@ -40,7 +40,6 @@ from .mesh import (
     VertexClass,
     save_obj,
     surface_area,
-    triangle_areas,
     validate,
 )
 from .descent import (
@@ -71,8 +70,7 @@ __all__ = [
     "deficit_sweep", "epsilon_star", "export_competitor_mesh",
     "feasible_params", "phi", "phi_prime", "section_areas", "trapezium_area",
     "weighted_energy",
-    "TriMesh", "VertexClass", "save_obj", "surface_area", "triangle_areas",
-    "validate",
+    "TriMesh", "VertexClass", "save_obj", "surface_area", "validate",
     "Diagnostics", "MinimizeConfig", "area_gradient", "make_initial_plane",
     "minimize", "project_gradient", "project_to_constraints",
     "BoundaryAngleStats", "boundary_angle_audit", "conical_deviation",

@@ -351,7 +351,11 @@ def run(config_path, out_override=None) -> int:
     if out_override:
         cfg["out"] = str(out_override)
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return 1
 
     start = time.monotonic()
     try:
@@ -373,8 +377,12 @@ def run(config_path, out_override=None) -> int:
         "verdicts": verdicts,
         "pass": all(v["pass"] for v in verdicts.values()),
     }
-    (outdir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    try:
+        (outdir / "report.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 1
     for name, v in sorted(verdicts.items()):
         print(f"{'PASS' if v['pass'] else 'FAIL'} {name}: value={v['value']} "
               f"tolerance={v['tolerance']}")

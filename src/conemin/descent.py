@@ -441,9 +441,12 @@ def _project(mesh: TriMesh, cone: PolyhedralCone,
 
 
 def _mean_unit_normal(mesh: TriMesh):
-    """Area-weighted mean normal, or None when it cancels (closed or
-    balanced surfaces have no preferred side to jitter toward); summed
-    triangle after triangle, as numpy's row sum, which starts from +0."""
+    """Area-weighted mean normal, or None without triangles or when it
+    cancels (closed or balanced surfaces have no preferred side to jitter
+    toward); summed triangle after triangle, as numpy's row sum, which
+    starts from +0."""
+    if not mesh.n_triangles:
+        return None
     a, b, c = _corners(mesh.vertices, mesh.triangles)
     n = np.add.accumulate(row_cross(b - a, c - a))[-1] + 0.0
     norm = float(np.linalg.norm(n))

@@ -16,12 +16,12 @@ the lowest row that fails it.
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import functools
 import itertools
 import math
 import os
+import queue
 import threading
 
 import numpy as np
@@ -132,36 +132,21 @@ def _thread_count() -> int:
     return 2 if cpus > 1 else 1
 
 
-class _Half:
-    """The first half of one _split, run by the worker thread in the
-    caller's context (numpy's error state included); done is released,
-    and error set if it raised, when it ends."""
-
-    __slots__ = ("run", "done", "error")
-
-    def __init__(self, fn, lo: int, hi: int):
-        self.run = functools.partial(contextvars.copy_context().run, fn,
-                                     lo, hi)
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.error = None
-
-
-def _serve(halves: collections.deque, posted: threading.Semaphore) -> None:
-    """The worker thread: run each posted _Half, in order, forever."""
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The worker thread: run each job's half in its caller's context, then
+    put None, or the exception that the half raised, on the job's done."""
     while True:
-        posted.acquire()
-        half = halves.popleft()
+        context, fn, lo, hi, done = jobs.get()
         try:
-            half.run()
+            context.run(fn, lo, hi)
+            done.put(None)
         except BaseException as exc:  # handed to the caller, which raises it
-            half.error = exc
-        half.done.release()
+            done.put(exc)
         # the job holds its kernel's arrays: hold none while waiting
-        del half
+        del context, fn, done
 
 
-_worker = None  # (thread, halves, posted), started by the first split
+_worker = None  # (thread, jobs), started by the first split
 _starting = threading.Lock()  # one caller at a time checks and starts it
 
 
@@ -175,8 +160,12 @@ def _split(fn, m: int) -> None:
     Otherwise fn(0, m) runs inline.  A kernel body is elementwise along the
     triangles, so the result does not depend on the split, bit for bit;
     reductions across triangles (np.bincount, sums) stay outside it, on
-    the whole arrays.  An exception in the worker's half is raised here,
-    after both halves have ended."""
+    the whole arrays.
+
+    The caller puts the worker's half on the one job queue, with a copy of
+    its context (numpy's error state included) and a fresh done queue,
+    runs its own half and then, even if that raised, waits on done for the
+    worker's None or exception; the worker's exception is raised here."""
     global _worker
     if m < SPLIT_TRIANGLES or _thread_count() == 1:
         fn(0, m)
@@ -184,21 +173,20 @@ def _split(fn, m: int) -> None:
     with _starting:
         # a forked child keeps the object but not the thread: start anew
         if _worker is None or not _worker[0].is_alive():
-            halves, posted = collections.deque(), threading.Semaphore(0)
-            thread = threading.Thread(target=_serve, args=(halves, posted),
+            jobs = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(jobs,),
                                       name="conemin-split", daemon=True)
             thread.start()
-            _worker = thread, halves, posted
-        _, halves, posted = _worker
-    half = _Half(fn, 0, m // 2)
-    halves.append(half)
-    posted.release()
+            _worker = thread, jobs
+        jobs = _worker[1]
+    done = queue.SimpleQueue()
+    jobs.put((contextvars.copy_context(), fn, 0, m // 2, done))
     try:
         fn(m // 2, m)
     finally:
-        half.done.acquire()
-    if half.error is not None:
-        raise half.error
+        error = done.get()
+    if error is not None:
+        raise error
 
 
 def _hemisphere_tables():

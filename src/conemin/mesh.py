@@ -54,24 +54,26 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(
-            np.asarray(self.triangles, dtype=np.int64).T).T
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
+        n = self.vertices.shape[0]
+        for name in ("triangles", "vertex_class", "facet", "facet2"):
+            x = getattr(self, name)
+            if x is None and name in ("facet", "facet2"):
+                x = np.full(n, -1)
+            x = np.asarray(x)
+            if x.dtype.kind not in "biu":  # integer arrays pass unchecked
+                x = np.asarray(x, dtype=float)
+                bad = ~(np.isfinite(x) & (np.trunc(x) == x))
+                if bad.any():  # the cast to int64 would truncate it
+                    raise ValueError(f"{name}: {float(x[bad][0])!r} is not "
+                                     "an integer")
+            setattr(self, name, np.ascontiguousarray(
+                x.astype(np.int64, copy=False).T).T)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be an (m, 3) array")
-        n = self.vertices.shape[0]
-        self.vertex_class = np.ascontiguousarray(self.vertex_class, dtype=np.int64)
         if self.vertex_class.shape != (n,):
             raise ValueError("vertex_class must have one entry per vertex")
-        if self.facet is None:
-            self.facet = np.full(n, -1, dtype=np.int64)
-        else:
-            self.facet = np.ascontiguousarray(self.facet, dtype=np.int64)
-        if self.facet2 is None:
-            self.facet2 = np.full(n, -1, dtype=np.int64)
-        else:
-            self.facet2 = np.ascontiguousarray(self.facet2, dtype=np.int64)
         if self.facet.shape != (n,) or self.facet2.shape != (n,):
             raise ValueError("facet arrays must have one entry per vertex")
         if self.clamp_radius is not None:
@@ -200,10 +202,6 @@ def _geometry_into(mesh: TriMesh, out: TriangleGeometry,
     return out
 
 
-def triangle_areas(mesh: TriMesh) -> np.ndarray:
-    return triangle_geometry(mesh).areas
-
-
 def surface_area(mesh: TriMesh) -> float:
     return triangle_geometry(mesh).area
 
@@ -264,8 +262,10 @@ def validate(mesh: TriMesh, cone: PolyhedralCone) -> None:
     """Raise ValueError on the first violated mesh invariant; an edge of
     three or more triangles fails the orientation check."""
     _check_finite(mesh)
-    _validate(mesh, cone, edge_table(mesh).repeated_direction,
-              triangle_areas(mesh))
+    m = mesh.n_triangles  # edge_table, the first argument, checks indices
+    _validate(mesh, cone, edge_table(mesh).repeated_direction, _geometry_into(
+        mesh, _empty_geometry(m), _aligned_empty(3 * (m + mesh.n_vertices))
+    ).areas)
 
 
 def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
@@ -273,6 +273,8 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
     """validate of the mesh whose edge_table (which checks the indices) has
     the given repeated_direction and whose triangles have the given areas;
     neither the table nor the geometry is built here."""
+    if not mesh.n_triangles:
+        raise ValueError("the mesh has no triangles")
     if np.any(areas <= AREA_TOL):
         bad = int(np.argmin(areas))
         raise ValueError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")

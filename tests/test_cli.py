@@ -267,6 +267,22 @@ def test_run_missing_file_returns_one(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_run_unwritable_output_returns_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"kind": "audit-geodesics", "count": 8})
+    # a file where the output directory should be
+    (tmp_path / "file").write_text("")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "file")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot create output directory: ")
+    assert len(err.splitlines()) == 1
+    # a directory where the report should be
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write report: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_run_competitor_scenario(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"kind": "competitor",
                                "cone": {"pyramid": {"a": 1.0, "b": 1.0}},
@@ -342,13 +358,15 @@ def test_deficit_witness_judged_on_bracket_upper_end(tmp_path, capsys,
 
 
 def test_import_loads_no_scipy():
+    # nor starts a thread: the split worker waits for the first large mesh
     src = Path(competitor.__file__).resolve().parents[1]
-    code = ("import sys, conemin, conemin.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, threading, conemin, conemin.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+            " threading.active_count())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] 1"
 
 
 def test_competitor_run_loads_no_scipy(tmp_path):

@@ -1024,6 +1024,38 @@ def test_split_worker_does_not_hold_the_interpreter_open():
     assert done.stdout.split() == ["2"]  # the worker ran, and exit did not wait
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_in_a_forked_child_starts_its_own_worker():
+    # the child inherits _worker but not its thread; its first split must
+    # start a worker of its own, or wait forever on a job no thread runs
+    code = (
+        "import os, signal, numpy as np\n"
+        "from conemin import geometry as geo\n"
+        "geo.SPLIT_TRIANGLES = 1\n"
+        "geo._thread_count = lambda: 2\n"
+        "out = np.zeros(9)\n"
+        "def fill(lo, hi):\n"
+        "    out[lo:hi] = np.arange(lo, hi)\n"
+        "geo._split(fill, 9)\n"
+        "parent = geo._worker[0]\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(50)  # a hung child dies with the test\n"
+        "    out[:] = -1.0\n"
+        "    geo._split(fill, 9)\n"
+        "    ok = (out.tolist() == list(range(9)) and not parent.is_alive()\n"
+        "          and geo._worker[0] is not parent\n"
+        "          and geo._worker[0].is_alive())\n"
+        "    os._exit(0 if ok else 3)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+    src = str(Path(dsc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"], done.stderr
+
+
 def test_thread_count_is_one_or_two(monkeypatch):
     assert dsc._thread_count() in (1, 2)
     monkeypatch.setattr(geo.os, "sched_getaffinity", lambda pid: {0},

@@ -287,6 +287,55 @@ def test_validate_names_first_non_finite_vertex():
             msh.validate(m, geo.pyramid_to_cone(1.0, 1.0))
 
 
+@pytest.mark.parametrize("field, value, bad", [
+    ("triangles", [[0, 1, 2.7]], "2.7"),
+    ("vertex_class", [0, 0.5, 0], "0.5"),
+    ("facet", [-1, 1.5, -1], "1.5"),
+    ("facet2", [-1, np.nan, -1], "nan"),
+])
+def test_trimesh_rejects_non_integral_indices(field, value, bad):
+    # a cast to int64 would truncate them: 2.7 to vertex 2, 0.5 to INTERIOR
+    args = dict(vertices=np.eye(3), triangles=[[0, 1, 2]],
+                vertex_class=[0, 0, 0])
+    args[field] = value
+    with pytest.raises(ValueError, match=rf"^{field}: {bad} is not an integer$"):
+        msh.TriMesh(**args)
+    # integral floats are integers
+    m = msh.TriMesh(np.eye(3), [[0.0, 1.0, 2.0]], [0.0, 1.0, 2.0],
+                    [-1.0, 0.0, -1.0], [-1.0, 2.0, -1.0])
+    assert m.triangles.tolist() == [[0, 1, 2]]
+    assert [x.dtype for x in (m.triangles, m.vertex_class, m.facet,
+                              m.facet2)] == [np.int64] * 4
+
+
+@pytest.mark.parametrize("jitter", (None, 0.0, 0.05),
+                         ids=("validate", "minimize", "jittered minimize"))
+def test_mesh_without_triangles_rejected(jitter):
+    # minimize used to report such a mesh converged, or, jittered, fail on
+    # the mean normal of no triangles
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    m = msh.TriMesh([[0.0, 0.0, 1.0], [0.0, 0.1, 1.0], [0.1, 0.0, 1.0]],
+                    np.zeros((0, 3), dtype=np.int64), np.zeros(3, np.int64))
+    with pytest.raises(ValueError, match=r"^the mesh has no triangles$"):
+        if jitter is None:
+            msh.validate(m, cone)
+        else:
+            minimize(m, cone, MinimizeConfig(max_iters=3), jitter=jitter)
+
+
+def test_validate_checks_indices_once(monkeypatch):
+    calls = []
+
+    def counted(mesh, check=msh._check_indices):
+        calls.append(mesh)
+        check(mesh)
+
+    monkeypatch.setattr(msh, "_check_indices", counted)
+    m = make_initial_plane(geo.pyramid_to_cone(1.0, 1.0), 1.0, 8)
+    msh.validate(m, geo.pyramid_to_cone(1.0, 1.0))
+    assert len(calls) == 1
+
+
 def test_save_obj_matches_per_vertex_writer(tmp_path):
     # the wedge's initial plane has every vertex class and both kinds of
     # face: an apex on the cone edge, free-boundary rays on facets, a
