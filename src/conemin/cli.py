@@ -44,6 +44,7 @@ from .competitor import (
 )
 from .descent import (MinimizeConfig, _sector_rays, _thread_count,
                       make_initial_plane, minimize)
+from .diagnostics import vertex_distance
 from .geometry import as_number, cone_from_dict, row_cross, unit
 from .mesh import save_obj, surface_area
 from .spherical import two_arc_audit
@@ -245,15 +246,20 @@ def _run_minimize(cfg, outdir: Path):
     save_obj(mesh, outdir / "final_mesh.obj")
     phases = dict(diag.phase_seconds, write_outputs=time.perf_counter() - t0)
 
-    final_area = diag.area_history[-1] if diag.area_history else initial_area
+    # a run with no accepted step returns its jittered start, which no
+    # history entry measures
+    if diag.accepted_steps:
+        final_area = diag.area_history[-1]
+        final_distance = diag.vertex_distance_history[-1]
+    else:
+        final_area, final_distance = surface_area(mesh), vertex_distance(mesh)
     ps = [p for _, p in diag.p_ratios]
     results = {
         "initial_area": initial_area,
         "final_area": final_area,
         "iterations": diag.accepted_steps,
         "status": diag.status,
-        "final_vertex_distance": (diag.vertex_distance_history[-1]
-                                  if diag.vertex_distance_history else None),
+        "final_vertex_distance": final_distance,
         "pinned_vertices": diag.pinned_vertices,
         "conical_deviation": [list(row) for row in diag.conical_deviation],
         "density_ratio_bounds": [min(ps), max(ps)],

@@ -23,14 +23,12 @@ cross product per triangle) serves three uses: the Armijo test that
 accepted it, the choice of the triangles its vertex distance reads and
 the next step's gradient.  The last two read its norms |ab × ac| and its
 flat scale max(|ab|², |ca|²) (diagnostics._flat_scale), the only Gram
-terms the loop forms.  All four Gram terms (TriangleGeometry.gram) are
-built once, after the loop, from the returned state's geometry, for the
-post-run ball audits (a stalled run's last geometry is a rejected
-trial's, so its audits build their own).  Every state's geometry goes
-into one set of arrays (mesh._geometry_into): each trial overwrites the
-last, and the accepted one's stays until the next trial.  One workspace
-per run (mesh._aligned_empty, so that each plane starts on a cache line)
-holds every step's temporaries: the vertices' coordinate planes and the
+terms the loop forms; the post-run ball audits build their own from the
+returned state's corners.  Every state's geometry goes into one set of
+arrays (mesh._geometry_into): each trial overwrites the last, and the
+accepted one's stays until the next trial.  One workspace per run
+(mesh._aligned_empty, so that each plane starts on a cache line) holds
+every step's temporaries: the vertices' coordinate planes and the
 corner gathers of each geometry, and the gradient's scaled normals,
 corner terms and products.  Neither kernel allocates a whole-mesh
 temporary (the gradient's (n, 3) result aside), so none are freed
@@ -53,19 +51,17 @@ bit-identical.  Each split kernel computes a triangle's values from that
 triangle's inputs alone, so every result is the same, bit for bit, on
 one core or two.  The other whole-mesh passes stay on one core: at
 65,536 triangles diagnostics._flat_scale takes 0.6 ms a call and
-_near_corners 1.5 ms (once per accepted step), the ball audits' _planes
-and _distance_bounds 2.2 and 1.6 ms (once per run), so a split would
-save a few ms of a 6-step run's 90-110, less than the benchmark's
-run-to-run spread.
+_near_corners 1.5 ms (once per accepted step), and the ball audits run
+once per run, so a split would save a few ms of a 6-step run's 90-110,
+less than the benchmark's run-to-run spread.
 
 Nothing in the loop reads a vertex distance, so the loop keeps only the
 corners of the triangles that diagnostics._near_corners keeps (those
 near the nearest corner, and slivers), and one exact pass after it
 measures every accepted state (or one pass per DISTANCE_CHUNK kept
-triangles, so a long run holds bounded memory).  The whole-mesh bound
-diagnostics._distance_bounds runs once per run, in the post-run ball
-audits of the final state.  These are closed forms from one clip pass:
-p(r) from exact clipped areas, and the conical deviation from the solid
+triangles, so a long run holds bounded memory).  The post-run ball
+audits of the final state are closed forms from one clip pass: p(r)
+from exact clipped areas, and the conical deviation from the solid
 angles of whole and clipped triangles (Van Oosterom & Strackee 1983).
 The triangles never change, so one edge table serves the whole run: the
 validation of the start state and, through its boundary rows, the
@@ -481,7 +477,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     source, mesh = mesh, mesh.copy()
     if mesh.clamp_radius is None:
         mesh.clamp_radius = float(config.clamp_radius)
-    elif abs(mesh.clamp_radius - config.clamp_radius) > 1e-9:
+    elif not abs(mesh.clamp_radius - config.clamp_radius) <= 1e-9:  # NaN too
         raise ValueError("mesh clamp_radius disagrees with config.clamp_radius")
 
     diag = Diagnostics()
@@ -581,10 +577,6 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
             measure()
             rows = 0
         step = min(2.0 * step, config.initial_step)
-    # of the loop's arrays, only the final state's Gram terms reach the
-    # post-run audits; a stalled run's last geometry is a rejected trial's,
-    # so its audits build their own
-    gram = None if status == "stalled" else geometry.gram()
     geometry = work = scale = plan = trial_plan = g = trial = None
     seconds["descent"] = (time.perf_counter() - start
                           - seconds["vertex_distance"])
@@ -597,8 +589,7 @@ def minimize(mesh: TriMesh, cone: PolyhedralCone, config: MinimizeConfig,
     windows = [(lo * R, hi * R) for lo, hi in DEVIATION_WINDOWS]
     t0 = time.perf_counter()
     diag.p_ratios, deviations = _ball_audits(
-        mesh, [float(f * R) for f in RADII_FRACTIONS], windows, gram)
-    del gram
+        mesh, [float(f * R) for f in RADII_FRACTIONS], windows)
     diag.conical_deviation = [(rho, r, d) for (rho, r), d
                               in zip(windows, deviations)]
     t1 = time.perf_counter()

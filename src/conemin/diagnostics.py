@@ -4,13 +4,12 @@ monotonicity_ratio reports the scaled area p(r) = area(mesh inside B_r)/r^2;
 conical_deviation integrates |x . normal|/|x|^3 over a ball annulus;
 boundary_angle_audit measures the contact angle along the free boundary;
 vertex_distance is the exact distance from the origin to the surface.
-One bound, _distance_bounds, serves the first two: with the smallest
-corner norm above, it brackets each triangle's nearest distance, so the
-exact kernel _extents runs only on the triangles whose bracket holds a
-sphere of the audit.  vertex_distance runs _extents (one pass for a batch
-of states) on the triangles _near_corners keeps, a superset of those the
-bound cannot put past the smallest corner norm, read from the corner
-norms, the flat scale max(|ab|², |ca|²) and |ab × ac| alone.
+One rule, _reach, picks every triangle that gets an exact nearest
+distance from the kernel _extents: those whose distance may fall below a
+reference, read from the smallest corner norm, an edge bound, the flat
+scale max(|ab|², |ca|²) and |ab × ac|.  vertex_distance (one _extents
+pass for a batch of states) refers to the mesh's smallest corner norm,
+the ball audits to the largest sphere at or below each triangle's.
 
 Ball clipping happens in each triangle's own plane, where the ball cuts a
 disk centered at the foot of the perpendicular from the origin.  One
@@ -25,8 +24,8 @@ angle (Van Oosterom & Strackee 1983, "The solid angle of a plane
 triangle") and a triangle the sphere cuts adds its _disk_clip row.  Then
 p(r) = A(r)/r² and the deviation over (rho, r) is W(r) − W(rho), exact to
 rounding.  A p(r) table and deviation windows of one mesh share its
-corners, bounds and spheres, and one clip pass takes the cut triangles of
-all of them.
+corners and spheres, and one clip pass takes the cut triangles of all of
+them.
 
 The kernels work one coordinate column at a time, so their results do not
 depend on the memory layout of their (m, 3) corner and (m, 3, 2) chart
@@ -143,55 +142,48 @@ def vertex_distance(mesh: TriMesh) -> float:
 def _flat_scale(geometry) -> np.ndarray:
     """max(|ab|², |ca|²) of each triangle of a triangle_geometry, its first
     two Gram terms: the scale below which the area gradient takes a
-    triangle for flat, and the near-apex rule's edge bound."""
+    triangle for flat, and _reach's L²."""
     _, ca, ab = geometry.edges
     return np.maximum(row_dots(ab, ab), row_dots(ca, ca))
 
 
-def _distance_bounds(mesh: TriMesh, gram):
-    """Corner norms (3, m) of the triangles, their minimum cmin, and terms
-    (gap, n2, margin) such that (gap - s) * n2 > margin proves the nearest
-    distance _extents gives above s.  gap is cmin less the longest edge; n2
-    a floor under |ab × ac|² from the Gram terms of triangle_geometry (ab .
-    ca in either sign); margin 128 ulps of (corner norm + edge) grown by the
-    squared aspect a sliver's plane candidate carries in its rounding."""
-    norms = np.take(row_norms(mesh.vertices), mesh.triangles.T)
-    cmin = np.min(norms, axis=0)
-    g11, g22, g33, g12 = gram
-    e2 = np.maximum(np.maximum(g11, g22), g33)
-    emax = np.sqrt(e2)
-    n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * EPS) - g12 * g12, 0.0)
-    slack = 128.0 * EPS * (cmin + emax)
-    return norms, cmin, cmin - emax, n2, slack * (n2 + e2 * e2)
+def _reach(cmin, ref, edge, scale, cross) -> np.ndarray:
+    """Mask of the triangles whose nearest distance may fall below ref,
+    from their smallest corner norms cmin, edge, any upper bound on the
+    longest edge plus Lq²/4, the _flat_scale L² = max(|ab|², |ca|²) and
+    |ab × ac|, with q = |ab × ac| / L² ≤ 1.
+
+    Near rule: cmin − ref ≤ edge.  Sliver rule, for the rest: q⁴L ≤
+    2¹⁴ε(cmin + 2L), ε the machine epsilon.  The rules keep every triangle
+    that the margin bound (gap − ref) · n2 ≤ margin keeps, with gap = cmin
+    less the longest edge, n2 ≈ q²L⁴ a floor under |ab × ac|², and margin
+    = slack · (n2 + e2²), e2² ≤ 16L⁴ the fourth power of the longest edge
+    and slack = 128ε(cmin + longest edge) the rounding of a sliver's plane
+    candidate: a triangle that is not near has gap − ref > Lq²/4, so that
+    bound keeps it only if (Lq²/4 − slack) · q² ≤ 16 slack, hence q⁴L ≤
+    4(16 + q²) slack ≤ 68 · 128ε(cmin + 2L), which leaves a factor 1.9 for
+    the rounding of these terms.  2L bounds the longest edge plus Lq²/4:
+    |bc|² ≤ |ab|² + |ca|² + 2√(|ab|²|ca|² − |ab × ac|²) ≤ 4L²(1 − q²/4),
+    so |bc| ≤ 2L(1 − q²/8)."""
+    two_l = 2.0 * np.sqrt(scale)
+    keep = cmin - ref <= edge
+    # the sliver rule times 2L⁸, free of a division by L
+    sliver = cross * cross
+    sliver *= sliver
+    sliver *= two_l
+    scale4 = scale * scale
+    scale4 *= scale4
+    keep |= sliver <= (2.0 ** 15 * EPS) * (cmin + two_l) * scale4
+    return keep
 
 
 def _near_corners(mesh: TriMesh, scale, cross) -> np.ndarray:
     """Corners, as a (3, 3, k) (coordinate, corner, triangle) array, of
-    every triangle that _distance_bounds cannot put farther than s, the
-    mesh's smallest corner norm, and some more: read from the corner norms,
-    the _flat_scale L² = max(|ab|², |ca|²) and the triangle_geometry norms
-    |ab × ac| alone, without |bc|² or ab . ca.
-
-    Near rule: a triangle whose smallest corner norm cmin lies within 2L of
-    s, since |bc| ≤ |ab| + |ca| ≤ 2L bounds its longest edge.  Sliver rule,
-    for the rest: with q = |ab × ac| / L² ≤ 1, |bc|² ≤ |ab|² + |ca|² +
-    2√(|ab|²|ca|² − |ab × ac|²) ≤ 4L²(1 − q²/4), so the longest edge is at
-    most 2L(1 − q²/8) and gap − s > Lq²/4.  The bound's margin is slack ·
-    (n2 + e2²) with n2 ≈ q²L⁴, e2² ≤ 16L⁴ and slack ≤ 128ε(cmin + 2L) (ε
-    the machine epsilon), so (gap − s) · n2 ≤ margin needs (Lq²/4 − slack)
-    · q² ≤ 16 slack, hence q⁴L ≤ 4(16 + q²) slack ≤ 68 · 128ε(cmin + 2L).
-    The rule keeps every triangle with q⁴L ≤ 2¹⁴ε(cmin + 2L), which leaves
-    a factor 1.9 for the rounding of these terms."""
+    the triangles that _reach keeps below the mesh's smallest corner norm,
+    with edge = 2L: read from the corner norms, the _flat_scale L² and the
+    triangle_geometry norms |ab × ac| alone, without |bc|² or ab . ca."""
     cmin = np.min(np.take(row_norms(mesh.vertices), mesh.triangles.T), axis=0)
-    reach = 2.0 * np.sqrt(scale)
-    keep = cmin - cmin.min() <= reach
-    # the sliver rule times 2L⁸, free of a division by L
-    sliver = cross * cross
-    sliver *= sliver
-    sliver *= reach
-    scale4 = scale * scale
-    scale4 *= scale4
-    keep |= sliver <= (2.0 ** 15 * EPS) * (cmin + reach) * scale4
+    keep = _reach(cmin, cmin.min(), 2.0 * np.sqrt(scale), scale, cross)
     keep = np.take(mesh.triangles.T, np.flatnonzero(keep), axis=1)
     return np.take(mesh.vertices.T, keep, axis=1)
 
@@ -307,20 +299,22 @@ def _disk_radius(r, off):
 
 def monotonicity_ratio(mesh: TriMesh, radii) -> list:
     """Table of (r, p(r)) with p(r) = area(mesh ∩ B_r) / r²: a triangle gets
-    an exact nearest distance only when its _distance_bounds bracket holds a
-    radius, and one _disk_clip pass clips the cut triangles of all radii."""
+    an exact nearest distance only when _reach keeps it, and one _disk_clip
+    pass clips the cut triangles of all radii."""
     return _ball_audits(mesh, radii, ())[0]
 
 
-def _ball_audits(mesh: TriMesh, radii, windows, gram=None):
+def _ball_audits(mesh: TriMesh, radii, windows):
     """The monotonicity_ratio table over radii and the conical_deviation of
-    each (rho, r) window, with their checks, from one corner gather and one
-    _distance_bounds pass, on gram, the mesh's TriangleGeometry.gram, or
-    on the same terms from the corners (ab . ac for ab . ca: the bound
-    squares it).  For each sphere s, a radius or a window end, A(s) and
-    W(s) sum the areas and solid angles of the triangles inside B_s and
-    the _disk_clip rows of those it cuts, all spheres in one clip pass;
-    p(r) = A(r)/r² and a window's deviation is W(r) − W(rho)."""
+    each (rho, r) window, with their checks, from one corner gather.  For
+    each sphere s, a radius or a window end, A(s) and W(s) sum the areas
+    and solid angles of the triangles inside B_s and the _disk_clip rows of
+    those it cuts, all spheres in one clip pass; p(r) = A(r)/r² and a
+    window's deviation is W(r) − W(rho).  A triangle gets an exact nearest
+    distance only where _reach keeps it below the largest sphere at or
+    below its smallest corner norm, with the exact longest edge in its
+    edge bound: every other triangle's nearest distance lies on the same
+    side of every sphere as that corner norm."""
     radii = [float(r) for r in radii]
     windows = [(float(rho), float(r)) for rho, r in windows]
     # NaN passes every comparison below, and inf the clamp check of a mesh
@@ -339,20 +333,24 @@ def _ball_audits(mesh: TriMesh, radii, windows, gram=None):
         raise ValueError("radii must not exceed the clamp radius")
     _check_finite(mesh)
     corners = _corners(mesh.vertices, mesh.triangles)
-    ab, ac, _, areas, nhat = _planes(*corners)
-    if gram is None:
-        bc = corners[2] - corners[1]
-        gram = [row_dots(x, y) for x, y in
-                ((ab, ab), (ac, ac), (bc, bc), (ab, ac))]
-        del bc
+    ab, ac, nn, areas, nhat = _planes(*corners)
+    scale = np.maximum(row_dots(ab, ab), row_dots(ac, ac))
     del ab, ac  # the edges are not held through the clip pass
-    norms, d_min, gap, n2, margin = _distance_bounds(mesh, gram)
-    del gram
+    bc = corners[2] - corners[1]
+    edge = np.sqrt(np.maximum(scale, row_dots(bc, bc)))
+    del bc
+    # Lq²/4 = |ab × ac|² / (4L³), 0 where all three corners coincide
+    cube = 4.0 * np.sqrt(scale) * scale
+    edge += np.divide(nn, cube, out=np.zeros_like(nn), where=cube > 0)
+    del cube
+    norms = np.take(row_norms(mesh.vertices), mesh.triangles.T)
+    d_min = np.min(norms, axis=0)
     d_max = np.max(norms, axis=0)
-    # d <= cmin settles the spheres above cmin; a bound that puts d above
-    # the largest sphere s at or below cmin (0 if none) settles the rest
+    # d <= cmin settles the spheres above cmin; the largest sphere s at or
+    # below cmin (0 if none) settles the rest
     s = spheres[np.searchsorted(spheres, d_min, side="right") - 1]
-    exact = (gap - s) * n2 <= margin
+    exact = _reach(d_min, s, edge, scale, 2.0 * areas)
+    del edge, scale
     d_min[exact] = _extents(*_rows(exact, *corners))[0]
     spheres = spheres[1:]
     inside = d_max <= spheres[:, None]
@@ -386,7 +384,7 @@ def conical_deviation(mesh: TriMesh, rho: float, r: float) -> float:
     the Van Oosterom–Strackee solid angles (Van Oosterom & Strackee 1983)
     of the triangles inside B_s plus the _disk_clip solid angles of those
     the sphere cuts.  A triangle gets an exact nearest distance only when
-    its _distance_bounds bracket holds rho or r.
+    _reach keeps it.
     """
     return _ball_audits(mesh, (), ((rho, r),))[1][0]
 

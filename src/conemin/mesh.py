@@ -11,6 +11,7 @@ faces in a JSON sidecar keyed by vertex index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -42,7 +43,7 @@ class TriMesh:
     facet, facet2: (n,) int arrays, the face of a FREE_BOUNDARY vertex:
         (i, -1) on facet i, (i, j) on the edge of facets i < j (a row of
         cone.face_table's faces); -1 for the other classes.
-    clamp_radius: sphere radius for CLAMPED vertices, or None.
+    clamp_radius: sphere radius (finite, > 0) for CLAMPED vertices, or None.
     """
 
     vertices: np.ndarray
@@ -78,6 +79,7 @@ class TriMesh:
             raise ValueError("facet arrays must have one entry per vertex")
         if self.clamp_radius is not None:
             self.clamp_radius = float(self.clamp_radius)
+            _check_clamp_radius(self.clamp_radius)
 
     @property
     def n_vertices(self) -> int:
@@ -115,13 +117,6 @@ class TriangleGeometry(NamedTuple):
     @property
     def area(self) -> float:
         return float(self.areas.sum())
-
-    def gram(self):
-        """The per-triangle Gram terms (|ab|², |ca|², |bc|², ab . ca), each
-        an (m,) array of row_dots of the edges."""
-        bc, ca, ab = self.edges
-        return tuple(row_dots(x, y) for x, y in
-                     ((ab, ab), (ca, ca), (bc, bc), (ab, ca)))
 
 
 def triangle_geometry(mesh: TriMesh) -> TriangleGeometry:
@@ -249,6 +244,13 @@ def _check_indices(mesh: TriMesh) -> None:
                          f"for {n} vertices")
 
 
+def _check_clamp_radius(radius: float) -> None:
+    """Raise ValueError unless radius is a finite number > 0: a NaN radius
+    would pass every comparison with it."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("clamp_radius must be a finite number > 0")
+
+
 def _check_finite(mesh: TriMesh) -> None:
     """Raise ValueError naming the first vertex with a non-finite
     coordinate: every bound and kernel downstream would drop its triangles
@@ -299,6 +301,7 @@ def _validate(mesh: TriMesh, cone: PolyhedralCone, repeated_direction: bool,
     if radius is None:
         no_radius, off_sphere = cl, cl[:0]
     else:
+        _check_clamp_radius(radius)
         no_radius = cl[:0]
         off_sphere = cl[np.abs(row_norms(v[cl]) - radius) > PLANE_TOL]
     checks = (

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from conemin.descent import _sector_rays
-from conemin.geometry import is_vertex, row_cross, row_norms
+from conemin.geometry import is_vertex, row_cross, row_dots, row_norms
 from conemin.mesh import TriMesh, VertexClass
 
 
@@ -400,6 +400,26 @@ def ball_audits_unpruned(mesh, radii, windows):
         solid[s] = float(np.sum(angles[inside])) + float(np.sum(omega))
     return ([(r, area[r] / (r * r)) for r in radii],
             [solid[r] - solid[rho] for rho, r in windows])
+
+
+def distance_bounds(mesh):
+    """The margin bound the exact-distance rule must cover: each triangle's
+    smallest corner norm cmin and terms (gap, n2, margin) such that (gap -
+    s) * n2 > margin proves its nearest distance above s.  gap is cmin less
+    the longest edge; n2 a floor under |ab × ac|² from the Gram terms;
+    margin 128 ulps of (corner norm + edge) grown by the squared aspect a
+    sliver's plane candidate carries in its rounding."""
+    eps = np.finfo(float).eps
+    a, b, c = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    ab, ca, bc = b - a, a - c, c - b
+    g11, g22, g33, g12 = (row_dots(x, y) for x, y in
+                          ((ab, ab), (ca, ca), (bc, bc), (ab, ca)))
+    cmin = np.min(np.take(row_norms(mesh.vertices), mesh.triangles.T), axis=0)
+    e2 = np.maximum(np.maximum(g11, g22), g33)
+    emax = np.sqrt(e2)
+    n2 = np.maximum(g11 * g22 * (1.0 - 4.0 * eps) - g12 * g12, 0.0)
+    slack = 128.0 * eps * (cmin + emax)
+    return cmin, cmin - emax, n2, slack * (n2 + e2 * e2)
 
 
 def edge_table_unique(mesh):

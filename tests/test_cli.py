@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conemin import cli, competitor, geometry, spherical
+from conemin import (cli, competitor, diagnostics, geometry, mesh,
+                     spherical)
 
-from oracles import bridge_excess_simpson
+from oracles import bridge_excess_simpson, read_obj
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -409,6 +410,24 @@ def test_run_minimize_scenario(tmp_path, capsys):
     assert (tmp_path / "out" / "iterations.csv").exists()
     assert (tmp_path / "out" / "ratios.csv").exists()
     assert (tmp_path / "out" / "final_mesh.obj").exists()
+
+
+def test_report_of_a_run_without_steps_reads_its_mesh(tmp_path, capsys):
+    # with no accepted step the run returns its jittered start: the report
+    # gives that mesh's area and vertex distance, not the plane's
+    cfg = write_cfg(tmp_path, dict(MINIMIZE_CFG, resolution=8, max_iters=0,
+                                   jitter=0.06, out=str(tmp_path / "out")))
+    cli.main(["run", cfg])
+    capsys.readouterr()
+    results = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "results"]
+    vertices, triangles = read_obj(tmp_path / "out" / "final_mesh.obj")
+    final = mesh.TriMesh(vertices, triangles, np.zeros(len(vertices), int))
+    assert results["iterations"] == 0
+    assert results["final_area"] == mesh.surface_area(final)
+    assert results["final_area"] != results["initial_area"]
+    assert results["final_vertex_distance"] == diagnostics.vertex_distance(
+        final)
 
 
 def test_iterations_csv_records_steps_and_halvings(tmp_path, capsys):

@@ -650,18 +650,11 @@ def test_minimize_stalls_like_plain_descent_loop(monkeypatch):
 
 @pytest.mark.parametrize("status", ("max_iters", "converged", "stalled"))
 def test_audits_take_the_returned_state_gram_terms(status, monkeypatch):
-    # the post-run audits get the Gram terms of the returned mesh from the
-    # loop, except after a stall, whose last geometry is a rejected trial's:
-    # those audits build their own.  Either way they must equal the public
-    # kernels on the returned mesh, bit for bit.  The stalled run is that
-    # of test_minimize_stalls_like_plain_descent_loop
-    grams = []
-
-    def audits(mesh, radii, windows, gram=None, run=dsc._ball_audits):
-        grams.append(gram)
-        return run(mesh, radii, windows, gram)
-
-    monkeypatch.setattr(dsc, "_ball_audits", audits)
+    # the post-run audits build the Gram terms of the returned mesh from its
+    # corners, whichever way the run ended (a stall's last geometry is a
+    # rejected trial's), and must equal the public kernels on the returned
+    # mesh, bit for bit.  The stalled run is that of
+    # test_minimize_stalls_like_plain_descent_loop
     monkeypatch.setattr(dsc, "MAX_HALVINGS",
                         2 if status == "stalled" else dsc.MAX_HALVINGS)
     cone = geo.wedge_above(1.0, 1) if status == "converged" \
@@ -673,12 +666,6 @@ def test_audits_take_the_returned_state_gram_terms(status, monkeypatch):
     final, diag = dsc.minimize(m, cone, cfg,
                                jitter=0.02 if status == "converged" else 0.05)
     assert diag.status == status and diag.accepted_steps > 0
-    if status == "stalled":
-        assert grams == [None]
-    else:
-        for got, want in zip(grams[0], msh.triangle_geometry(final).gram(),
-                             strict=True):
-            assert got.tobytes() == want.tobytes()
     radii = [float(f * cfg.clamp_radius) for f in dsc.RADII_FRACTIONS]
     assert diag.p_ratios == dg.monotonicity_ratio(final, radii)
     for rho, r, dev in diag.conical_deviation:
@@ -738,24 +725,25 @@ def test_vertex_distance_exact_pass_runs_once_per_run(monkeypatch):
         calls.append("ball audits")
         return run(*args)
 
-    def marked_bounds(*args, run=dg._distance_bounds):
-        calls.append("bounds")
+    def marked_reach(*args, run=dg._reach):
+        calls.append("reach")
         return run(*args)
 
     monkeypatch.setattr(dg, "_extents", counted_extents)
     monkeypatch.setattr(dsc, "_ball_audits", marked_audits)
-    monkeypatch.setattr(dg, "_distance_bounds", marked_bounds)
+    monkeypatch.setattr(dg, "_reach", marked_reach)
     _, diag = dsc.minimize(m, cone, cfg, jitter=0.05)
     assert diag.accepted_steps == 40
-    # one exact pass over the kept corners of all 40 states, then the
-    # post-run audits, which alone build the distance bounds, once
-    assert calls.index("ball audits") == 1
-    assert calls[0] >= 40
-    assert calls.count("bounds") == 1 and calls.index("bounds") == 2
+    # each accepted state picks its kept corners, then one exact pass runs
+    # over those of all 40 states, then the post-run audits pick theirs once
+    assert calls[:40] == ["reach"] * 40
+    assert calls[40] >= 40
+    assert calls[41:43] == ["ball audits", "reach"]
+    assert calls.count("reach") == 41
     calls.clear()
     dsc.minimize(m, cone, dataclasses.replace(cfg, max_iters=0), jitter=0.05)
-    assert calls.index("ball audits") == 0
-    assert calls.count("bounds") == 1 and calls.index("bounds") == 1
+    assert calls[:2] == ["ball audits", "reach"]
+    assert calls.count("reach") == 1
 
 
 def test_short_r256_run_gives_finite_exact_deviations():

@@ -14,7 +14,8 @@ from conemin import geometry as geo
 from conemin import mesh as msh
 from oracles import (annulus_inverse_cube_integral, ball_audits_unpruned,
                      brute_point_triangle_distance, circle_segment_area,
-                     deviation_polar, lhuilier_excess, shoelace)
+                     deviation_polar, distance_bounds, lhuilier_excess,
+                     shoelace)
 
 
 def planar_sector_mesh(b, R=1.0, resolution=24):
@@ -153,10 +154,12 @@ def test_vertex_distance_large_triangle_nearer_than_its_corners():
 def test_vertex_distance_pruned_with_degenerate_triangles():
     verts = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0],
                       [0.0, 2.0, 0.0], [0.0, 3.0, 1e-9], [0.0, 4.0, 0.0],
-                      [5.0, 5.0, 5.0], [6.0, 5.0, 5.0], [5.0, 6.0, 5.0]])
-    # a collinear triangle, a sliver and a far triangle the bound drops
-    tris = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-    m = msh.TriMesh(verts, tris, np.zeros(9, dtype=np.int64))
+                      [5.0, 5.0, 5.0], [6.0, 5.0, 5.0], [5.0, 6.0, 5.0],
+                      [3.0, 3.0, 3.0]])
+    # a collinear triangle, a sliver, a far triangle the rule drops and a
+    # point, whose L = 0 must raise no RuntimeWarning
+    tris = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 9, 9]])
+    m = msh.TriMesh(verts, tris, np.zeros(10, dtype=np.int64))
     assert diag.vertex_distance(m) == unpruned_vertex_distance(m) == 1.0
 
 
@@ -253,11 +256,14 @@ def wide_angle_soup(rng, n):
 
 
 def test_near_corners_keep_every_triangle_the_bound_keeps():
-    # _near_corners reads neither |bc|² nor ab . ca, yet keeps every
-    # triangle that _distance_bounds cannot put past the smallest corner
-    # norm: on jittered planes, and on wide-angle triangles just past the
-    # near rule's reach, flat enough (q from 1e-4 to 0.03) to straddle the
-    # sliver rule's threshold
+    # _reach reads neither ab . ca nor, with edge = 2L as _near_corners
+    # passes it, |bc|², yet keeps every triangle that the margin bound
+    # cannot put past ref: past the smallest corner norm, and past
+    # per-triangle references from cmin - 3L up to cmin with the audits'
+    # edge term, the longest edge plus |ab × ac|² / (4L³); on jittered
+    # planes, and on wide-angle triangles just past the near rule's reach,
+    # flat enough (q from 1e-4 to 0.03) to straddle the sliver rule's
+    # threshold
     rng = np.random.default_rng(3)
     cone = geo.pyramid_to_cone(1.0, 1.0)
     soup = wide_angle_soup(rng, 5000)
@@ -269,14 +275,23 @@ def test_near_corners_keep_every_triangle_the_bound_keeps():
         meshes.append(m)
     for m in meshes:
         g = msh.triangle_geometry(m)
-        _, cmin, gap, n2, margin = diag._distance_bounds(m, g.gram())
+        cmin, gap, n2, margin = distance_bounds(m)
         bound = (gap - cmin.min()) * n2 <= margin
         assert set(np.flatnonzero(bound).tolist()) <= kept_triangles(m)
+        scale = diag._flat_scale(g)
+        L = np.sqrt(scale)
         if m is soup:
             # most of them past the near rule's reach: the sliver rule
             # alone keeps those
-            reach = 2.0 * np.sqrt(diag._flat_scale(g))
-            assert np.count_nonzero(bound & (cmin - cmin.min() > reach)) > 900
+            assert np.count_nonzero(bound & (cmin - cmin.min() > 2 * L)) > 900
+        bc = g.edges[0]
+        edge = (np.sqrt(np.maximum(scale, geo.row_dots(bc, bc)))
+                + g.norms ** 2 / (4.0 * L ** 3))
+        for _ in range(10):
+            ref = cmin - rng.uniform(0.0, 3.0, len(cmin)) * L
+            bound = (gap - ref) * n2 <= margin
+            keep = diag._reach(cmin, ref, edge, scale, g.norms)
+            assert not np.any(bound & ~keep)
 
 
 def vertex_edge_distances(a, b, c):
@@ -351,7 +366,7 @@ def assert_same_bits(got, want):
         np.ascontiguousarray(want).tobytes()
 
 
-def test_kernels_independent_of_memory_layout():
+def test_kernels_independent_of_memory_layout(monkeypatch):
     # C-contiguous rows and coordinate-plane views of the same values give
     # the same bits, zero signs included: random triangles, the
     # near-collinear family above, and triangles with corners at +-0
@@ -376,18 +391,31 @@ def test_kernels_independent_of_memory_layout():
     charts = diag._charts(a, b, c, nhat)
     for got, want in zip(diag._charts(*planes, as_planes(nhat)), charts):
         assert_same_bits(got, want)
-    # the distance bounds of the same triangles as a mesh, from C-contiguous
-    # rows and from coordinate planes of its vertices, triangles and edges
+    # _reach's inputs in the ball audits and in vertex_distance of the same
+    # triangles as a mesh, from C-contiguous rows and from coordinate
+    # planes of its vertices and triangles
     m = triangle_soup(a, b, c)
     m.triangles = np.ascontiguousarray(m.triangles)
-    gram = [geo.row_dots(x, y) for x, y in (
-        (b - a, b - a), (a - c, a - c), (c - b, c - b), (b - a, a - c))]
-    rows = diag._distance_bounds(m, gram)
+
+    def reach_inputs(mesh):
+        inputs = []
+
+        def recorded(*args, run=diag._reach):
+            inputs.append(args)
+            return run(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(diag, "_reach", recorded)
+            diag.monotonicity_ratio(mesh, [0.5, 1.0, 2.0, 4.0])
+            diag.vertex_distance(mesh)
+        return inputs
+
+    rows = reach_inputs(m)
+    assert len(rows) == 2
     m.vertices, m.triangles = as_planes(m.vertices), as_planes(m.triangles)
-    planes_gram = msh.triangle_geometry(m).gram()
-    for got, want in zip(diag._distance_bounds(m, planes_gram), rows):
-        assert_same_bits(got, want)
-    assert (rows[3] == 0).any() and (rows[3] > 0).any()
+    for got, want in zip(reach_inputs(m), rows, strict=True):
+        for x, y in zip(got, want, strict=True):
+            assert_same_bits(x, y)
     pts = np.ascontiguousarray(charts[0])
     pts[rng.random(pts.shape) < 0.05] = 0.0
     pts[rng.random(pts.shape) < 0.05] = -0.0
@@ -398,7 +426,7 @@ def test_kernels_independent_of_memory_layout():
         assert_same_bits(got, want)
 
 
-# ---------------------------------------------------------------- bound-gated ball audits
+# ---------------------------------------------------------------- rule-gated ball audits
 
 def minimized_mesh(cone, resolution):
     m = dsc.make_initial_plane(cone, 1.0, resolution)
@@ -423,6 +451,17 @@ def degenerate_soup():
     c[:100] = a[:100] + rng.uniform(-1.0, 2.0, (100, 1)) * (b - a)[:100]
     c[100:200] = b[100:200]
     c[200:300] = a[200:300] + 0.5 * (b - a)[200:300] + 1e-13
+    return triangle_soup(a, b, c)
+
+
+def point_soup():
+    # a tenth of the triangles have all three corners at one point: L = 0
+    # must raise no RuntimeWarning
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-1.0, 1.0, (200, 3))
+    b = a + 0.2 * rng.standard_normal((200, 3))
+    c = a + 0.2 * rng.standard_normal((200, 3))
+    b[:20] = c[:20] = a[:20]
     return triangle_soup(a, b, c)
 
 
@@ -461,6 +500,8 @@ AUDIT_CASES = {
                                [(9.0, 11.0), (9.5, 12.0)]),
     "degenerate": lambda: (degenerate_soup(), linspace(0.2, 1.6, 10),
                            [(0.3, 1.2), (0.5, 1.6)]),
+    "point triangles": lambda: (point_soup(), linspace(0.2, 1.6, 10),
+                                [(0.3, 1.2)]),
     "corner norm radii": corner_norm_case,
     # the plane lies 1 from the origin: no sphere inside that meets it
     "no triangle cut": lambda: (offset_plane_mesh(3.0, 40), [0.5, 0.9],
@@ -470,8 +511,8 @@ AUDIT_CASES = {
 
 @pytest.mark.parametrize("case", AUDIT_CASES)
 def test_ball_audits_equal_unpruned(case):
-    # only triangles whose distance bounds hold a sphere get an exact
-    # nearest distance, and the table's cut triangles share one clip pass;
+    # only triangles that _reach keeps below a sphere get an exact nearest
+    # distance, and the table's cut triangles share one clip pass;
     # the table and every window's deviation must keep their bits
     m, radii, windows = AUDIT_CASES[case]()
     got = diag._ball_audits(m, radii, windows)

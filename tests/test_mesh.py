@@ -224,6 +224,30 @@ def test_validate_names_lowest_offending_vertex():
         msh.validate(m, cone)
 
 
+@pytest.mark.parametrize("radius", (math.nan, math.inf, -math.inf, 0.0,
+                                    -1.0))
+def test_clamp_radius_must_be_finite_and_positive(radius):
+    # a NaN radius passes every comparison with it, so a mesh with one took
+    # clamped vertices anywhere; the others were blamed on a vertex
+    cone = geo.pyramid_to_cone(1.0, 1.0)
+    cl, inner = msh.VertexClass.CLAMPED, msh.VertexClass.INTERIOR
+    message = r"^clamp_radius must be a finite number > 0$"
+    with pytest.raises(ValueError, match=message):
+        cone_triangle_mesh([cl, cl, inner], clamp_radius=radius)
+    m = cone_triangle_mesh([cl, cl, inner])
+    msh.validate(m, cone)
+    m.clamp_radius = radius
+    with pytest.raises(ValueError, match=message):
+        msh.validate(m, cone)
+    with pytest.raises(ValueError, match=message):
+        minimize(m, cone, MinimizeConfig(max_iters=1))
+    # nor may the config's radius disagree with the mesh's by being NaN
+    config = MinimizeConfig(max_iters=1)
+    config.clamp_radius = radius
+    with pytest.raises(ValueError, match="disagrees"):
+        minimize(make_initial_plane(cone, 1.0, 4), cone, config)
+
+
 def test_validate_rejects_out_of_range_facet_index():
     cone = geo.pyramid_to_cone(1.0, 1.0)
     fb, inner = msh.VertexClass.FREE_BOUNDARY, msh.VertexClass.INTERIOR

@@ -99,25 +99,43 @@ def test_reference_finder_ignores_words_and_own_body():
         "mesh", "validate"}
 
 
+def unread_names(names_of):
+    """module.name of each name that names_of(node) gives for a top-level
+    node of a src/conemin module, where no code there reads that name
+    outside its own top-level definition."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    reached = {module: referenced_names(tree) for module, tree in trees.items()}
+    return [f"{module}.{name}"
+            for module, tree in sorted(trees.items())
+            for node in tree.body for name in names_of(node)
+            if not any(name in names for other, names in reached.items()
+                       if other != module)
+            and name not in referenced_names(tree, {name})]
+
+
 def test_every_private_name_is_read():
     # a module-level _name that no package code reads is dead code
-    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
-    unread = []
-    for module, tree in sorted(trees.items()):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign):
-                names = [node.target.id]
-            else:
-                continue
-            for name in names:
-                if not (name.startswith("_") and not name.startswith("__")):
-                    continue
-                if not any(name in referenced_names(
-                        other, {name} if other is tree else frozenset())
-                        for other in trees.values()):
-                    unread.append(f"{module}.{name}")
+    def private(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        else:
+            names = []
+        return [name for name in names
+                if name.startswith("_") and not name.startswith("__")]
+
+    unread = unread_names(private)
     assert not unread, f"private names that nothing reads: {unread}"
+
+
+def test_every_function_and_class_is_referenced():
+    # a top-level function or class that no package code references (an
+    # import in __init__ counts) is dead code, even if a test calls it
+    unreferenced = unread_names(
+        lambda node: [node.name] if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)) else [])
+    assert not unreferenced, \
+        f"functions and classes that nothing references: {unreferenced}"
